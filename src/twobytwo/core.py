@@ -8,6 +8,7 @@ No floating point enters any equilibrium-bearing computation.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -31,17 +32,44 @@ class Player(enum.Enum):
     COL = 1
 
 
+#: Most digits a string literal may carry, counting the magnitude of a decimal
+#: exponent as that many digits ("1e399" and "1/" followed by 399 digits are
+#: the largest).  Every number in an `analyze` report has at most about 8x the
+#: digits of the longest literal, so a report of 8 such literals stays under
+#: CPython's 4300-digit limit for int-to-str conversion; the bound also caps
+#: the work of parsing one literal.
+MAX_LITERAL_DIGITS = 400
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _literal_digits(token: str) -> int:
+    """Digits in `token`, with an exponent counted as its magnitude."""
+    match = _EXPONENT.search(token)
+    if match is None:
+        return sum(map(str.isdigit, token))
+    exponent = match.group(1).replace("_", "").lstrip("0")
+    if len(exponent) > len(str(MAX_LITERAL_DIGITS)):
+        return MAX_LITERAL_DIGITS + 1
+    return sum(map(str.isdigit, token[: match.start()])) + int(exponent or "0")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce a payoff literal to an exact rational.
 
     Decimal strings are parsed as exact decimal fractions (".4" -> 2/5),
-    never as binary floats.  Accepts "n/d" fraction syntax.
+    never as binary floats.  Accepts "n/d" fraction syntax.  A string with
+    more than `MAX_LITERAL_DIGITS` digits is rejected before it is parsed.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _literal_digits(value) > MAX_LITERAL_DIGITS:
+            raise ValueError(
+                f"rational literal {value!r} has more than {MAX_LITERAL_DIGITS} digits"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -50,7 +50,14 @@ def _angle(direction: tuple[int, int] | None) -> float | None:
     # Rendering-only float; exactness lives in the integer direction.
     if direction is None:
         return None
-    return math.degrees(math.atan2(direction[1], direction[0])) % 360.0
+    x, y = direction
+    try:
+        return math.degrees(math.atan2(y, x)) % 360.0
+    except OverflowError:
+        # A component beyond float range: drop the same number of low bits
+        # from both, which keeps their ratio, and so the angle, to float precision.
+        shift = max(abs(x).bit_length(), abs(y).bit_length()) - 1000
+        return math.degrees(math.atan2(y >> shift, x >> shift)) % 360.0
 
 
 def advantage(game: Game, player: Player) -> AdvantageVector:

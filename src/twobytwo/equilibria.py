@@ -5,13 +5,17 @@ player's payoff advantage line; the result is a finite union of axis-aligned
 boxes in marginal space.  The coarse-correlated-equilibrium set is a convex
 polytope in the joint-strategy simplex, enumerated exactly: every subset of
 three inequality constraints is solved against the sum-to-one equality and
-feasible solutions are kept.  For two-action games the correlated and
+feasible solutions are kept.  The constraint rows depend only on the players'
+advantages, so after clearing each player's denominators every solve is an
+integer determinant problem (Cramer's rule), and only the surviving vertices
+are converted to `Fraction`.  For two-action games the correlated and
 coarse-correlated sets coincide, so this polytope serves as both.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,25 +144,6 @@ def halfspace_rows(game: Game) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def _solve_tight(rows: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...] | None:
-    """Solve the 3 tight rows plus sum-to-one by Gaussian elimination; None if singular."""
-    mat = [list(r) + [_ZERO] for r in rows]
-    mat.append([_ONE, _ONE, _ONE, _ONE, _ONE])
-    n = 4
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    return tuple(mat[i][n] for i in range(n))
-
-
 def _matrix_rank(rows: list[tuple[Fraction, ...]]) -> int:
     mat = [list(r) for r in rows]
     rank = 0
@@ -178,28 +163,87 @@ def _matrix_rank(rows: list[tuple[Fraction, ...]]) -> int:
     return rank
 
 
-def cce_polytope(game: Game) -> CcePolytope:
-    """Exact vertex enumeration of the CCE polytope (at most C(8,3) linear solves)."""
-    rows = halfspace_rows(game)
-    vertices: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(range(8), 3):
-        point = _solve_tight([rows[i] for i in subset])
-        if point is None:
+def _integer_pair(x: Fraction, y: Fraction) -> tuple[int, int]:
+    # Clearing denominators is a positive scaling: every sign and zero survives.
+    common = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (common // x.denominator), y.numerator * (common // y.denominator)
+
+
+def _integer_rows(game: Game) -> tuple[tuple[int, int, int, int], ...]:
+    """`halfspace_rows`, with each player's rows scaled to integers by a positive factor."""
+    a, b = _integer_pair(*_advantages(game, Player.ROW))
+    c, d = _integer_pair(*_advantages(game, Player.COL))
+    return (
+        (0, 0, a, b),
+        (-a, -b, 0, 0),
+        (0, c, 0, d),
+        (-c, 0, -d, 0),
+        (-1, 0, 0, 0),
+        (0, -1, 0, 0),
+        (0, 0, -1, 0),
+        (0, 0, 0, -1),
+    )
+
+
+def _vertex_numerators(rows: tuple[tuple[int, int, int, int], ...]) -> set[tuple[int, ...]]:
+    """Every feasible basic solution as coprime numerators n >= 0; the vertex is n / sum(n).
+
+    Each 3-subset of `rows`, made tight, plus sum-to-one is solved by Cramer's
+    rule: coordinate l is the cofactor of the sum row's entry in column l
+    over the determinant, and the four cofactors sum to that determinant.
+    """
+    found = set()
+    for i, j, k in itertools.combinations(range(8), 3):
+        r, s, t = rows[i], rows[j], rows[k]
+        # m_pq: the 2x2 minor of rows s, t on columns p, q.
+        m01 = s[0] * t[1] - s[1] * t[0]
+        m02 = s[0] * t[2] - s[2] * t[0]
+        m03 = s[0] * t[3] - s[3] * t[0]
+        m12 = s[1] * t[2] - s[2] * t[1]
+        m13 = s[1] * t[3] - s[3] * t[1]
+        m23 = s[2] * t[3] - s[3] * t[2]
+        n0 = r[1] * m23 - r[2] * m13 + r[3] * m12
+        n1 = r[2] * m03 - r[0] * m23 - r[3] * m02
+        n2 = r[0] * m13 - r[1] * m03 + r[3] * m01
+        n3 = r[1] * m02 - r[0] * m12 - r[2] * m01
+        det = n0 + n1 + n2 + n3
+        if det == 0:
             continue
-        if all(x >= 0 for x in point) and all(
-            sum((point[j] * row[j] for j in range(4)), _ZERO) <= 0 for row in rows[:4]
-        ):
-            vertices.add(point)
-    ordered = sorted(vertices)
+        if det < 0:
+            n0, n1, n2, n3 = -n0, -n1, -n2, -n3
+        if n0 < 0 or n1 < 0 or n2 < 0 or n3 < 0:
+            continue
+        if any(row[0] * n0 + row[1] * n1 + row[2] * n2 + row[3] * n3 > 0 for row in rows[:4]):
+            continue
+        g = math.gcd(n0, n1, n2, n3)
+        found.add((n0 // g, n1 // g, n2 // g, n3 // g))
+    return found
+
+
+def cce_polytope(game: Game) -> CcePolytope:
+    """Exact vertex enumeration of the CCE polytope in integer arithmetic.
+
+    The halfspace rows are scaled to integers per player, every 3-subset is
+    solved against sum-to-one with integer determinants (at most C(8,3)
+    solves), and feasibility and tightness are decided on the integer
+    numerators; only the surviving vertices become `Fraction`s.
+    """
+    rows = _integer_rows(game)
+    vertices = []
+    for n in _vertex_numerators(rows):
+        total = sum(n)
+        vertices.append((tuple(Fraction(x, total) for x in n), n))
+    vertices.sort()  # distinct coprime numerators are distinct points: sorted by point alone
+    ordered = [point for point, _ in vertices]
     joints = tuple(JointDistribution(v) for v in ordered)
 
     tight_sets = [
         frozenset(
             i
             for i, row in enumerate(rows)
-            if sum((v[j] * row[j] for j in range(4)), _ZERO) == 0
+            if row[0] * n[0] + row[1] * n[1] + row[2] * n[2] + row[3] * n[3] == 0
         )
-        for v in ordered
+        for _, n in vertices
     ]
     edges = []
     for i, j in itertools.combinations(range(len(ordered)), 2):
@@ -218,7 +262,7 @@ def cce_polytope(game: Game) -> CcePolytope:
         dimension = _matrix_rank(diffs)
     return CcePolytope(
         deviation_constraints=cce_constraints(game),
-        halfspaces=rows,
+        halfspaces=halfspace_rows(game),
         vertices=joints,
         edges=tuple(edges),
         dimension=dimension,

@@ -2,12 +2,23 @@
 
 Point files are two whitespace-separated numeric columns, one point per line;
 heatmap files are a whitespace-separated numeric matrix, one row per line.
-Values are plotting data, so floats are fine here.
+Values are plotting data, so floats are fine here, but they must be finite.
 """
 
 from __future__ import annotations
 
+import math
 import os
+
+
+def _finite(path, lineno: int, fields: list[str]) -> tuple[float, ...]:
+    try:
+        values = tuple(map(float, fields))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}:{lineno}: non-finite value")
+    return values
 
 
 def load_points(path: str | os.PathLike) -> tuple[tuple[float, float], ...]:
@@ -19,10 +30,7 @@ def load_points(path: str | os.PathLike) -> tuple[tuple[float, float], ...]:
                 continue
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-            try:
-                points.append((float(fields[0]), float(fields[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
+            points.append(_finite(path, lineno, fields))
     return tuple(points)
 
 
@@ -39,10 +47,7 @@ def load_matrix(path: str | os.PathLike) -> tuple[tuple[float, ...], ...]:
             fields = line.split()
             if not fields:
                 continue
-            try:
-                rows.append(tuple(float(v) for v in fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
+            rows.append(_finite(path, lineno, fields))
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     if any(len(row) != len(rows[0]) for row in rows):

@@ -1,8 +1,10 @@
+import random
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 from twobytwo import verify
 from twobytwo.cli import main
-from twobytwo.core import as_rational, format_rational
+from twobytwo.core import MAX_LITERAL_DIGITS, as_rational, format_rational
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,60 @@ def test_analyze_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def _digits(n):
+    return random.Random(n).randrange(10 ** (n - 1), 10**n)
+
+
+def test_analyze_directions_beyond_float_range(tmp_path, capsys):
+    rng = random.Random(1)
+    payoffs = [f"{rng.randrange(10**79, 10**80)}/{rng.randrange(10**79, 10**80)}" for _ in range(8)]
+    code, out, _ = run_cli(capsys, "analyze", *payoffs)
+    assert code == 0
+    fields = dict(line.split(" ", 1) for line in out.splitlines() if line.startswith("embedding"))
+    x, y = map(int, fields["embedding_row"].split())
+    assert max(abs(x), abs(y)) > 2**1024  # beyond float range
+    assert 0 <= float(fields["embedding_row_angle"]) < 360
+    out_path = tmp_path / "emb.svg"
+    assert run_cli(capsys, "render", "--kind", "embedding", *payoffs, "-o", str(out_path))[0] == 0
+    assert "nan" not in out_path.read_text(encoding="utf-8")
+
+
+def test_analyze_rejects_huge_exponent_before_parsing(capsys):
+    code, _, err = run_cli(capsys, "analyze", "1e2000000", *["0"] * 7)
+    assert code == 2 and "1e2000000" in err
+
+
+def test_analyze_rejects_literal_too_long_to_print(capsys):
+    # 1e5000 has 5001 digits: over the bound, and over CPython's 4300-digit
+    # limit for printing the integer back in the report.
+    for token in ("1e5000", "1" * (MAX_LITERAL_DIGITS + 1), "1/" + "3" * MAX_LITERAL_DIGITS):
+        code, _, err = run_cli(capsys, "analyze", token, *["0"] * 7)
+        assert code == 2 and token in err
+
+
+def test_analyze_largest_accepted_literals(capsys):
+    size = MAX_LITERAL_DIGITS
+    dens = [_digits(size - 1) + k for k in (0, 2, 4, 6)]
+    decs = [_digits(size), _digits(size) + 8]
+    payoffs = [
+        f"9/{dens[0]}", f"-.{decs[0]}", f"7/{dens[1]}", str(_digits(size)),
+        f"9/{dens[2]}", f"-8/{dens[3]}", f"-.{decs[1]}", f"1e{size - 1}",
+    ]
+    assert all(as_rational(p) for p in payoffs)
+    code, out, _ = run_cli(capsys, "analyze", *payoffs)
+    assert code == 0
+    numbers = [
+        part.lstrip("-")
+        for line in out.splitlines()
+        for token in line.split()[1:]
+        for part in token.split("/")
+    ]
+    # Report numbers grow to about 8x the literal size; these come close.
+    assert 6 * size < max(map(len, numbers)) < 4300
+    game = [Fraction(t) for t in out.splitlines()[0].split()[1:]]
+    assert game == [as_rational(p) for p in payoffs]
 
 
 def test_report_rationals_parse_back(capsys):
@@ -161,6 +217,24 @@ def test_render_ragged_matrix_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "render", "--kind", "embedding",
                            "--matrix", str(heat), "-o", str(tmp_path / "x.svg"))
     assert code == 2 and "unequal" in err
+
+
+def test_render_non_finite_matrix_cell_usage_error(tmp_path, capsys):
+    heat = tmp_path / "heat.dat"
+    heat.write_text("1 2\n3 nan\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "render", "--kind", "embedding",
+                           "--matrix", str(heat), "-o", str(tmp_path / "x.svg"))
+    assert code == 2 and f"{heat}:2" in err
+
+
+def test_render_non_finite_points_usage_error(tmp_path, capsys):
+    pts = tmp_path / "pts.dat"
+    pts.write_text("10 20\n\nnan inf\n", encoding="utf-8")
+    out_path = tmp_path / "x.svg"
+    code, _, err = run_cli(capsys, "render", "--kind", "embedding",
+                           "--points", str(pts), "-o", str(out_path))
+    assert code == 2 and f"{pts}:3" in err
+    assert not out_path.exists()
 
 
 def test_render_style_toggles(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from twobytwo.core import (
+    MAX_LITERAL_DIGITS,
     JointDistribution,
     MarginalPair,
     Player,
@@ -46,6 +48,24 @@ def test_decimal_strings_parse_exactly():
 def test_bad_rational_literals(bad):
     with pytest.raises(ValueError):
         as_rational(bad)
+
+
+def test_literal_digit_bound():
+    n = MAX_LITERAL_DIGITS
+    assert as_rational("1" * n) == int("1" * n)
+    assert as_rational(f"1e{n - 1}") == 10 ** (n - 1)
+    assert as_rational(f"-.5e-{n - 2}") == F(-5, 10 ** (n - 1))
+    assert as_rational("2/" + "3" * (n - 1)) == F(2, int("3" * (n - 1)))
+    for token in ("1" * (n + 1), f"1e{n}", f"1e-{n}", "2/" + "3" * n, "." + "1" * (n + 1), "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="digits"):
+            as_rational(token)
+
+
+def test_huge_exponent_rejected_without_building_it():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="digits"):
+        as_rational("1e2000000")  # about a second to build as a Fraction
+    assert time.perf_counter() - start < 0.5
 
 
 def test_format_rational_round_trips():

@@ -98,6 +98,15 @@ def test_angles_from_atan2(mp):
     assert point.col_direction == (-1, 1)
 
 
+def test_angles_of_directions_beyond_float_range():
+    huge = 10**400  # math.atan2 alone raises OverflowError on this
+    assert EmbeddingPoint((huge, huge), None).row_angle_degrees == 45.0
+    assert EmbeddingPoint(None, (huge, -huge - 1)).col_angle_degrees == 315.0
+    assert EmbeddingPoint((-huge, 3), None).row_angle_degrees == 180.0
+    angle = EmbeddingPoint((3 * huge, -4 * huge), None).row_angle_degrees
+    assert math.isclose(angle, math.degrees(math.atan2(-4, 3)) % 360, rel_tol=1e-15)
+
+
 # --- class consistency ----------------------------------------------------------------
 
 

@@ -1,14 +1,21 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 from twobytwo.core import (
+    JointDistribution,
     MarginalPair,
     Player,
+    SYMMETRY_FLAGS,
     game_from_flat,
+    game_to_flat,
     joint,
+    permute,
     product_joint,
+    transform_affine,
 )
 from twobytwo.equilibria import (
+    CcePolytope,
     cce_constraints,
     cce_polytope,
     deviation_gain,
@@ -117,6 +124,88 @@ def test_vertex_tightness_and_edges():
             assert _matrix_rank([rows[k] for k in tight]) >= 3
         for i, j in poly.edges:
             assert len(tight_sets[i] & tight_sets[j]) >= 2
+
+
+def _reference_solve_tight(rows):
+    # Fraction Gaussian elimination of 3 tight rows plus sum-to-one; None if singular.
+    mat = [list(r) + [F(0)] for r in rows]
+    mat.append([F(1)] * 5)
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if mat[r][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [x * inv for x in mat[col]]
+        for r in range(4):
+            if r != col and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+    return tuple(mat[i][4] for i in range(4))
+
+
+def reference_cce_polytope(game):
+    """The Fraction enumeration that the integer solve replaced, kept as the reference."""
+    rows = halfspace_rows(game)
+
+    def dot(v, row):
+        return sum((v[j] * row[j] for j in range(4)), F(0))
+
+    vertices = set()
+    for subset in itertools.combinations(range(8), 3):
+        point = _reference_solve_tight([rows[i] for i in subset])
+        if point is None:
+            continue
+        if all(x >= 0 for x in point) and all(dot(point, row) <= 0 for row in rows[:4]):
+            vertices.add(point)
+    ordered = sorted(vertices)
+    tight_sets = [frozenset(i for i, row in enumerate(rows) if dot(v, row) == 0) for v in ordered]
+    edges = tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(len(ordered)), 2)
+        if not any(
+            tight_sets[i] & tight_sets[j] <= tight_sets[k]
+            for k in range(len(ordered))
+            if k not in (i, j)
+        )
+    )
+    if len(ordered) <= 1:
+        dimension = 0
+    else:
+        dimension = _matrix_rank(
+            [tuple(v[k] - ordered[0][k] for k in range(4)) for v in ordered[1:]]
+        )
+    return CcePolytope(
+        deviation_constraints=cce_constraints(game),
+        halfspaces=rows,
+        vertices=tuple(JointDistribution(v) for v in ordered),
+        edges=edges,
+        dimension=dimension,
+    )
+
+
+def test_cce_polytope_matches_fraction_reference():
+    rng = random.Random(11)
+    big = 2**62 + 7
+    base = [verify.random_game(rng) for _ in range(200)]
+    base += [
+        game_from_flat([0] * 8),  # all-zero game
+        game_from_flat([0, 0, 0, 0, 2, 0, 0, 1]),  # all-zero row player
+        game_from_flat([3, -1, 3, -1, 1, -2, 0, 5]),  # row player indifferent everywhere
+        game_from_flat([2, 0, 0, 1, 4, 4, -1, -1]),  # column player indifferent everywhere
+        game_from_flat([big * 3, -big, big, 2**70, 1, -(2**65), 7, 0]),  # payoffs beyond 2^62
+        game_from_flat([F(1, big), F(-1, big + 2), 0, F(3, 2**63), F(5, big), 0, F(-1, 3), F(2, big)]),
+        game_from_flat([F(big, big + 2), F(1, 3), F(-big, 7), 0, F(2**80, 3**50), 1, 0, F(-1, 2**64)]),
+    ]
+    games = list(base)
+    for n, game in enumerate(base[::4] + base[200:]):
+        # Copies run different integer arithmetic through the same enumeration.
+        games.append(transform_affine(game, (Player.ROW, Player.COL)[n % 2], F(big, 3), F(1, big), -5))
+        games.append(permute(game, *SYMMETRY_FLAGS[n % 8]))
+    scaled_flat = [F(x) * F(2**70 + 1, 2**63 + 3) for x in game_to_flat(base[-1])]
+    games.append(game_from_flat(scaled_flat))
+    for game in games:
+        assert cce_polytope(game) == reference_cce_polytope(game), game
 
 
 # --- nash sets -------------------------------------------------------------------

@@ -44,11 +44,13 @@ _JOINT_KINDS = {"joint", "rowcond", "colcond", "marginal", "jointmarginal"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that accepts negative payoff literals ("-1", "-.5", "-1/2")."""
+    """ArgumentParser that takes every token starting "-digit" or "-.digit" as a
+    positional literal ("-1", "-.5", "-1/2", "-1e2", "-1_0"); `as_rational`
+    alone decides whether it is valid."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+(\.\d*)?|\.\d+)(/\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -136,12 +136,17 @@ def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
     )
 
 
+# -sigma_i <= 0 for each cell i: the last four halfspace rows.
+_NONNEGATIVITY = tuple(tuple(-_ONE if j == i else _ZERO for j in range(4)) for i in range(4))
+
+
+def _halfspaces(constraints: tuple[DeviationConstraint, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(con.coeffs for con in constraints) + _NONNEGATIVITY
+
+
 def halfspace_rows(game: Game) -> tuple[tuple[Fraction, ...], ...]:
     """All 8 inequality rows r with r . sigma <= 0 (deviations, then nonnegativity)."""
-    rows = [con.coeffs for con in cce_constraints(game)]
-    for i in range(4):
-        rows.append(tuple(-_ONE if j == i else _ZERO for j in range(4)))
-    return tuple(rows)
+    return _halfspaces(cce_constraints(game))
 
 
 def _matrix_rank(rows: list[tuple[Fraction, ...]]) -> int:
@@ -163,29 +168,16 @@ def _matrix_rank(rows: list[tuple[Fraction, ...]]) -> int:
     return rank
 
 
-def _integer_pair(x: Fraction, y: Fraction) -> tuple[int, int]:
-    # Clearing denominators is a positive scaling: every sign and zero survives.
-    common = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (common // x.denominator), y.numerator * (common // y.denominator)
+def _integer_rows(halfspaces: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Each row scaled to integers by a positive factor, so every sign and zero survives."""
+    scaled = []
+    for row in halfspaces:
+        common = math.lcm(*(x.denominator for x in row))
+        scaled.append(tuple(x.numerator * (common // x.denominator) for x in row))
+    return tuple(scaled)
 
 
-def _integer_rows(game: Game) -> tuple[tuple[int, int, int, int], ...]:
-    """`halfspace_rows`, with each player's rows scaled to integers by a positive factor."""
-    a, b = _integer_pair(*_advantages(game, Player.ROW))
-    c, d = _integer_pair(*_advantages(game, Player.COL))
-    return (
-        (0, 0, a, b),
-        (-a, -b, 0, 0),
-        (0, c, 0, d),
-        (-c, 0, -d, 0),
-        (-1, 0, 0, 0),
-        (0, -1, 0, 0),
-        (0, 0, -1, 0),
-        (0, 0, 0, -1),
-    )
-
-
-def _vertex_numerators(rows: tuple[tuple[int, int, int, int], ...]) -> set[tuple[int, ...]]:
+def _vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
     """Every feasible basic solution as coprime numerators n >= 0; the vertex is n / sum(n).
 
     Each 3-subset of `rows`, made tight, plus sum-to-one is solved by Cramer's
@@ -223,12 +215,14 @@ def _vertex_numerators(rows: tuple[tuple[int, int, int, int], ...]) -> set[tuple
 def cce_polytope(game: Game) -> CcePolytope:
     """Exact vertex enumeration of the CCE polytope in integer arithmetic.
 
-    The halfspace rows are scaled to integers per player, every 3-subset is
+    The halfspace rows are scaled to integers row by row, every 3-subset is
     solved against sum-to-one with integer determinants (at most C(8,3)
     solves), and feasibility and tightness are decided on the integer
     numerators; only the surviving vertices become `Fraction`s.
     """
-    rows = _integer_rows(game)
+    constraints = cce_constraints(game)
+    halfspaces = _halfspaces(constraints)
+    rows = _integer_rows(halfspaces)
     vertices = []
     for n in _vertex_numerators(rows):
         total = sum(n)
@@ -261,8 +255,8 @@ def cce_polytope(game: Game) -> CcePolytope:
         diffs = [tuple(v[k] - base[k] for k in range(4)) for v in ordered[1:]]
         dimension = _matrix_rank(diffs)
     return CcePolytope(
-        deviation_constraints=cce_constraints(game),
-        halfspaces=halfspace_rows(game),
+        deviation_constraints=constraints,
+        halfspaces=halfspaces,
         vertices=joints,
         edges=tuple(edges),
         dimension=dimension,

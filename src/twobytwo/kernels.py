@@ -1,9 +1,9 @@
-"""Pure-Python grid oracle.
+"""Grid oracle for the Nash-set verifier.
 
 Works on integerized payoffs (denominators cleared per player, which scales
 each player's payoffs by a positive constant and so preserves every
-equilibrium decision).  Python integers are arbitrary precision, so this twin
-is exact for payoffs of any magnitude.
+equilibrium decision).  Python integers are arbitrary precision, so the
+oracle is exact for payoffs of any magnitude.
 """
 
 from __future__ import annotations

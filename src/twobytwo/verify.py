@@ -108,7 +108,7 @@ def check_ne_grid(game: Game, n: int = GRID_STEPS) -> list[str]:
         kind = "sign-route vs deviation-sum" if code == 1 else "routes vs nash_set boxes"
         failures.append(f"grid oracle mismatch ({kind}) at p={i}/{n}, q={j}/{n}")
 
-    # The kernel works on a fixed lattice; corners of the exact components may
+    # The oracle works on a fixed lattice; corners of the exact components may
     # fall between lattice points, so confirm them (and the routes) exactly.
     for box in ns.components:
         for m in box.corners():

@@ -51,6 +51,10 @@ def test_analyze_accepts_fraction_and_decimal_literals(capsys):
     code, out, _ = run_cli(capsys, "analyze", "-1/2", "0.25", "-.5", "1", "0", "0", "0", "0")
     assert code == 0
     assert out.startswith("game -1/2 1/4 -1/2 1 0 0 0 0\n")
+    # a minus sign before an exponent or underscore literal is not an option
+    code, out, _ = run_cli(capsys, "analyze", "-1e2", "-1_0", *["0"] * 6)
+    assert code == 0
+    assert out.startswith("game -100 -10 0 0 0 0 0 0\n")
 
 
 def test_analyze_wrong_arity_is_usage_error(capsys):
@@ -63,6 +67,9 @@ def test_analyze_bad_literal_names_token(capsys):
     code, _, err = run_cli(capsys, "analyze", "1", "2", "bogus", "4", "5", "6", "7", "8")
     assert code == 2
     assert "bogus" in err
+    code, _, err = run_cli(capsys, "analyze", "-1x", *["0"] * 7)
+    assert code == 2
+    assert "invalid payoff literal '-1x'" in err
 
 
 def test_analyze_deterministic(capsys):
@@ -91,8 +98,9 @@ def test_analyze_directions_beyond_float_range(tmp_path, capsys):
 
 
 def test_analyze_rejects_huge_exponent_before_parsing(capsys):
-    code, _, err = run_cli(capsys, "analyze", "1e2000000", *["0"] * 7)
-    assert code == 2 and "1e2000000" in err
+    for token in ("1e2000000", "-1e2000000"):
+        code, _, err = run_cli(capsys, "analyze", token, *["0"] * 7)
+        assert code == 2 and f"invalid payoff literal '{token}'" in err
 
 
 def test_analyze_rejects_literal_too_long_to_print(capsys):

@@ -1,19 +1,10 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
-from twobytwo import kernels, verify
+from twobytwo import verify
 from twobytwo.core import MarginalPair, game_from_flat
 from twobytwo.equilibria import is_nash, nash_set
-from twobytwo.kernels import _gridkernel_py
-
-try:
-    from twobytwo.kernels import _gridkernel
-except ImportError:
-    _gridkernel = None
-
-needs_compiled = pytest.mark.skipif(_gridkernel is None, reason="compiled kernel unavailable")
+from twobytwo.kernels import grid_oracle
 
 
 def oracle_inputs(game, n):
@@ -30,8 +21,8 @@ def test_pure_kernel_agrees_with_exact_routes_on_coarse_grid():
     for _ in range(40):
         g = verify.random_game(rng)
         h_row, h_col, ranges = oracle_inputs(g, n)
-        assert _gridkernel_py.grid_oracle(n, h_row, h_col, ranges) is None
-        # spot-check the kernel's implicit classification against is_nash
+        assert grid_oracle(n, h_row, h_col, ranges) is None
+        # spot-check the oracle's implicit classification against is_nash
         for _ in range(10):
             i, j = rng.randint(0, n), rng.randint(0, n)
             member = is_nash(g, MarginalPair(F(i, n), F(j, n)))
@@ -42,50 +33,28 @@ def test_pure_kernel_agrees_with_exact_routes_on_coarse_grid():
             assert member == boxed
 
 
-@needs_compiled
-def test_compiled_and_pure_kernels_identical():
-    rng = random.Random(2)
-    for _ in range(60):
-        g = verify.random_game(rng)
-        h_row, h_col, ranges = oracle_inputs(g, 50)
-        assert _gridkernel.grid_oracle(50, h_row, h_col, ranges) == _gridkernel_py.grid_oracle(
-            50, h_row, h_col, ranges
-        )
-
-
-@needs_compiled
-def test_kernels_report_identical_mismatches():
-    # deliberately wrong boxes: both kernels must flag the same first point
-    rng = random.Random(3)
-    for _ in range(30):
-        g = verify.random_game(rng)
-        h_row, h_col, _ = oracle_inputs(g, 30)
-        got_c = _gridkernel.grid_oracle(30, h_row, h_col, [])
-        got_py = _gridkernel_py.grid_oracle(30, h_row, h_col, [])
-        assert got_c == got_py
-        if got_c is not None:
-            assert got_c[0] == 2  # routes vs boxes
-
-
 def test_mismatch_reported_for_empty_boxes(pd):
     # (0, 0) is the unique equilibrium: dropping the boxes must be caught there
     h_row, h_col, _ = oracle_inputs(pd, 10)
-    assert _gridkernel_py.grid_oracle(10, h_row, h_col, []) == (2, 0, 0)
+    assert grid_oracle(10, h_row, h_col, []) == (2, 0, 0)
 
 
-def test_dispatcher_falls_back_for_huge_payoffs():
-    big = 10 ** 30
-    g = game_from_flat((big, -3 * big, 0, -2 * big, -big, 0, -3 * big, -2 * big))
-    h_row, h_col, ranges = oracle_inputs(g, 100)
-    assert not kernels.int64_safe(100, h_row, h_col)
-    assert kernels.grid_oracle(100, h_row, h_col, ranges) is None
-
-
-def test_dispatcher_uses_some_backend_correctly():
+def test_oracle_clean_on_seeded_games_at_full_grid():
     rng = random.Random(5)
     for _ in range(20):
         g = verify.random_game(rng)
         h_row, h_col, ranges = oracle_inputs(g, 100)
-        assert kernels.int64_safe(100, h_row, h_col)
-        assert kernels.grid_oracle(100, h_row, h_col, ranges) is None
-    assert kernels.BACKEND in ("compiled", "python")
+        assert grid_oracle(100, h_row, h_col, ranges) is None
+
+
+def test_oracle_exact_for_huge_payoffs():
+    for flat in [
+        tuple(x * 10 ** 30 for x in (1, -3, 0, -2, -1, 0, -3, -2)),
+        # beyond 2**62, with a denominator, and a mixed equilibrium inside the square
+        (2 ** 63 + 1, 0, 0, F(2 ** 62 + 3, 7), 2 ** 64, 0, 0, 3 * 2 ** 63),
+    ]:
+        g = game_from_flat(flat)
+        h_row, h_col, ranges = oracle_inputs(g, 100)
+        assert max(abs(v) for v in (*h_row, *h_col)) > 2 ** 62
+        assert grid_oracle(100, h_row, h_col, ranges) is None
+        assert grid_oracle(100, h_row, h_col, [])[0] == 2  # pure equilibria are lattice points

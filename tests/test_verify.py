@@ -2,6 +2,7 @@ import random
 
 from twobytwo import verify
 from twobytwo.core import game_from_flat
+from twobytwo.equilibria import NashSet
 
 
 def test_suite_passes_on_seeded_games():
@@ -45,6 +46,25 @@ def test_negative_control_broken_is_nash(monkeypatch):
     monkeypatch.setattr(verify, "is_nash", lambda g, m: not real(g, m))
     report = verify.run(seed=3, trials=3, combos=5)
     assert not report.ok
+
+
+def test_negative_control_dropped_nash_component(monkeypatch):
+    """A nash_set that loses one of several components must fail the grid oracle."""
+    real = verify.nash_set
+
+    def drop_first(game):
+        ns = real(game)
+        return NashSet(components=ns.components[1:]) if len(ns.components) > 1 else ns
+
+    monkeypatch.setattr(verify, "nash_set", drop_first)
+    failures = verify.check_ne_grid(game_from_flat((2, 0, 0, 1, 2, 0, 0, 1)))
+    assert any("routes vs nash_set boxes" in f for f in failures)
+
+    report = verify.run(seed=3, trials=4, combos=5)
+    assert not report.ok
+    for failure in report.failures:
+        assert len(real(failure.game).components) > 1
+        assert any("routes vs nash_set boxes" in m for m in failure.messages)
 
 
 def test_grid_ranges_exact_rounding():

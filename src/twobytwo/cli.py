@@ -76,6 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run the randomized oracle suites")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument(
+        "--timings", action="store_true",
+        help="write 'timing <check> <calls> <total_ms>' to stderr for each check",
+    )
     return parser
 
 
@@ -201,6 +205,9 @@ def _cmd_verify(parser, args) -> int:
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     report = verify_mod.run(seed=args.seed, trials=args.trials)
+    if args.timings:
+        for check, (calls, total_ns) in report.timings.items():
+            sys.stderr.write(f"timing {check} {calls} {total_ns / 1e6:.3f}\n")
     if report.ok:
         sys.stdout.write(f"PASS {report.trials}/{report.trials}\n")
         return EXIT_OK

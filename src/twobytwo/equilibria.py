@@ -129,10 +129,19 @@ def cce_constraints(game: Game) -> tuple[DeviationConstraint, ...]:
 
 
 def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
-    """Exact membership test: all four deviation constraints hold."""
-    return all(
-        sum((dist.prob[i] * con.coeffs[i] for i in range(4)), _ZERO) <= 0
-        for con in cce_constraints(game)
+    """Exact membership test: all four deviation constraints hold.
+
+    The constraints are those of `cce_constraints`, written out from the two
+    advantage pairs so that a test costs eight products.
+    """
+    a, b = _advantages(game, Player.ROW)
+    c, d = _advantages(game, Player.COL)
+    p_aa, p_ab, p_ba, p_bb = dist.prob
+    return (
+        a * p_ba + b * p_bb <= 0  # row player deviating to A
+        and a * p_aa + b * p_ab >= 0  # row player deviating to B
+        and c * p_ab + d * p_bb <= 0  # column player deviating to A
+        and c * p_aa + d * p_ba >= 0  # column player deviating to B
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -140,8 +141,31 @@ def check_ne_samples(game: Game, rng: random.Random, samples: int = 12, n: int =
     return failures
 
 
+def common_numerators(vertices) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm D of every vertex coordinate's denominator, and each vertex times D."""
+    scale = math.lcm(*(p.denominator for v in vertices for p in v.prob))
+    return scale, [tuple(p.numerator * (scale // p.denominator) for p in v.prob) for v in vertices]
+
+
+def integer_mix(weights, numerators, scale: int) -> tuple[Fraction, ...]:
+    """The convex combination sum(w * v) / sum(w) of the vertices whose
+    coordinates are `numerators / scale`: four integer sums, then one
+    `Fraction` per coordinate."""
+    total = sum(weights) * scale
+    return tuple(
+        Fraction(sum(w * nums[k] for w, nums in zip(weights, numerators)), total)
+        for k in range(4)
+    )
+
+
 def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
-    """Vertex feasibility, tightness rank, edge tightness, convexity, and NE containment."""
+    """Vertex feasibility, tightness rank, edge tightness, convexity, and NE containment.
+
+    Convexity is tested on `combos` random convex combinations of the
+    vertices, drawn with integer weights 0..10.  The vertices are scaled once
+    to integer numerators over one common denominator, so each combination is
+    four integer sums and one exact `Fraction` per coordinate.
+    """
     failures = []
     poly = cce_polytope(game)
     rows = halfspace_rows(game)
@@ -163,15 +187,12 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
         if len(set(tight_sets[i]) & set(tight_sets[j])) < 2:
             failures.append(f"edge ({i},{j}) endpoints share fewer than 2 tight constraints")
 
+    scale, numerators = common_numerators(poly.vertices)
     for _ in range(combos):
-        weights = [Fraction(rng.randint(0, 10)) for _ in poly.vertices]
+        weights = [rng.randint(0, 10) for _ in poly.vertices]
         if sum(weights) == 0:
-            weights[0] = Fraction(1)
-        total = sum(weights)
-        mix = tuple(
-            sum((w * v.prob[k] for w, v in zip(weights, poly.vertices)), Fraction(0)) / total
-            for k in range(4)
-        )
+            weights[0] = 1
+        mix = integer_mix(weights, numerators, scale)
         if not joint_in_cce(game, JointDistribution(mix)):
             failures.append(f"convex combination {mix} outside the CCE set")
 
@@ -276,14 +297,29 @@ def check_embedding_consistency(game: Game) -> list[str]:
     return []
 
 
-def check_game(game: Game, rng: random.Random, grid_steps: int = GRID_STEPS, combos: int = 100) -> list[str]:
+def check_game(
+    game: Game,
+    rng: random.Random,
+    grid_steps: int = GRID_STEPS,
+    combos: int = 100,
+    timings: dict[str, tuple[int, int]] | None = None,
+) -> list[str]:
+    """Run every check on one game; add each check's (calls, total ns) to `timings`."""
+    checks = (
+        ("check_ne_grid", lambda: check_ne_grid(game, grid_steps)),
+        ("check_ne_samples", lambda: check_ne_samples(game, rng, n=grid_steps)),
+        ("check_cce", lambda: check_cce(game, rng, combos=combos)),
+        ("check_affine_invariance", lambda: check_affine_invariance(game, rng)),
+        ("check_permute_equivariance", lambda: check_permute_equivariance(game)),
+        ("check_embedding_consistency", lambda: check_embedding_consistency(game)),
+    )
     failures = []
-    failures += check_ne_grid(game, grid_steps)
-    failures += check_ne_samples(game, rng, n=grid_steps)
-    failures += check_cce(game, rng, combos=combos)
-    failures += check_affine_invariance(game, rng)
-    failures += check_permute_equivariance(game)
-    failures += check_embedding_consistency(game)
+    for name, check in checks:
+        start = time.perf_counter_ns()
+        failures += check()
+        if timings is not None:
+            calls, total_ns = timings.get(name, (0, 0))
+            timings[name] = (calls + 1, total_ns + time.perf_counter_ns() - start)
     return failures
 
 
@@ -300,6 +336,8 @@ class VerifyFailure:
 class VerifyReport:
     trials: int
     failures: list[VerifyFailure] = field(default_factory=list)
+    # check name -> (calls, total wall time in ns), in the order the checks ran
+    timings: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def passed(self) -> int:
@@ -316,7 +354,7 @@ def run(seed: int, trials: int, grid_steps: int = GRID_STEPS, combos: int = 100)
     report = VerifyReport(trials=trials)
     for _ in range(trials):
         game = random_game(rng)
-        messages = check_game(game, rng, grid_steps=grid_steps, combos=combos)
+        messages = check_game(game, rng, grid_steps=grid_steps, combos=combos, timings=report.timings)
         if messages:
             report.failures.append(VerifyFailure(game=game, messages=messages))
     return report

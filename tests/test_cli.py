@@ -5,6 +5,7 @@ from fractions import Fraction
 from twobytwo import verify
 from twobytwo.cli import main
 from twobytwo.core import MAX_LITERAL_DIGITS, as_rational, format_rational
+from twobytwo.equilibria import NashSet
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +294,40 @@ def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--trials", "3")
     assert code == 0
     assert out == "PASS 3/3\n"
+
+
+def test_verify_timings_go_to_stderr_only(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "7", "--trials", "3")
+    assert (code, err) == (0, "")
+    timed_code, timed_out, timed_err = run_cli(capsys, "verify", "--seed", "7", "--trials", "3", "--timings")
+    assert (timed_code, timed_out) == (code, out)
+    lines = [line.split() for line in timed_err.splitlines()]
+    assert [fields[1] for fields in lines] == list(verify.run(seed=7, trials=1).timings)
+    for tag, _, calls, total_ms in lines:
+        assert tag == "timing" and calls == "3" and float(total_ms) >= 0
+
+
+def test_verify_timings_keep_negative_controls(capsys, monkeypatch):
+    real_joint, real_is_nash, real_nash_set = verify.joint_in_cce, verify.is_nash, verify.nash_set
+
+    def drop_first(game):
+        ns = real_nash_set(game)
+        return NashSet(components=ns.components[1:]) if len(ns.components) > 1 else ns
+
+    for name, broken, seed in (
+        ("joint_in_cce", lambda g, s: not real_joint(g, s), "1"),
+        ("is_nash", lambda g, m: not real_is_nash(g, m), "1"),
+        ("nash_set", drop_first, "3"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, broken)
+            code, out, _ = run_cli(capsys, "verify", "--seed", seed, "--trials", "4")
+            timed_code, timed_out, timed_err = run_cli(
+                capsys, "verify", "--seed", seed, "--trials", "4", "--timings"
+            )
+        assert code == timed_code == 1, name
+        assert out == timed_out and "FAIL" in out, name
+        assert len(timed_err.splitlines()) == 6
 
 
 def test_verify_zero_trials_usage_error(capsys):

@@ -1,10 +1,113 @@
+import inspect
 import random
 from fractions import Fraction as F
 
+from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA
 from twobytwo import verify
 from twobytwo.core import MarginalPair, game_from_flat
 from twobytwo.equilibria import is_nash, nash_set
 from twobytwo.kernels import grid_oracle
+
+
+def _sgn(value):
+    return (value > 0) - (value < 0)
+
+
+def reference_grid_oracle(n, h_row, h_col, boxes):
+    """The point-at-a-time oracle that the row-at-a-time one replaced."""
+    a1, b1, c1, d1 = h_row
+    a2, b2, c2, d2 = h_col
+
+    adv_row_a, adv_row_b = a1 - c1, b1 - d1
+    adv_col_a, adv_col_b = a2 - b2, c2 - d2
+    sign_row = [_sgn(j * adv_row_a + (n - j) * adv_row_b) for j in range(n + 1)]
+    sign_col = [_sgn(i * adv_col_a + (n - i) * adv_col_b) for i in range(n + 1)]
+
+    k_ra_ba, k_ra_bb = a1 - c1, b1 - d1
+    k_rb_aa, k_rb_ab = c1 - a1, d1 - b1
+    k_ca_ab, k_ca_bb = a2 - b2, c2 - d2
+    k_cb_aa, k_cb_ba = b2 - a2, d2 - c2
+
+    box_list = [tuple(box) for box in boxes]
+
+    for i in range(n + 1):
+        sc = sign_col[i]
+        ni = n - i
+        col_ok_j0 = sc <= 0
+        col_ok_jn = sc >= 0
+        col_ok_mid = sc == 0
+        for j in range(n + 1):
+            sr = sign_row[j]
+            row_ok = sr == 0 or (sr > 0 and i == n) or (sr < 0 and i == 0)
+            if j == 0:
+                col_ok = col_ok_j0
+            elif j == n:
+                col_ok = col_ok_jn
+            else:
+                col_ok = col_ok_mid
+            nash_sign = row_ok and col_ok
+
+            s_aa = i * j
+            s_ab = i * (n - j)
+            s_ba = ni * j
+            s_bb = ni * (n - j)
+            nash_sum = (
+                k_ra_ba * s_ba + k_ra_bb * s_bb <= 0
+                and k_rb_aa * s_aa + k_rb_ab * s_ab <= 0
+                and k_ca_ab * s_ab + k_ca_bb * s_bb <= 0
+                and k_cb_aa * s_aa + k_cb_ba * s_ba <= 0
+            )
+            if nash_sign != nash_sum:
+                return (1, i, j)
+
+            in_box = any(
+                imin <= i <= imax and jmin <= j <= jmax
+                for imin, imax, jmin, jmax in box_list
+            )
+            if nash_sign != in_box:
+                return (2, i, j)
+    return None
+
+
+def box_variants(ranges, n):
+    """The intact box list and corrupted copies of it."""
+    return [
+        ranges,
+        ranges[1:],  # a dropped component
+        ranges[:-1],
+        [(0, n, 0, n)],  # the whole square
+        [(imin - 1, imax, jmin, jmax) for imin, imax, jmin, jmax in ranges],  # shifted by one
+        [(imin, imax + 1, jmin, jmax) for imin, imax, jmin, jmax in ranges],
+        [(imin, imax, jmin + 1, jmax) for imin, imax, jmin, jmax in ranges],
+        [(imin, imax, jmin, jmax - 1) for imin, imax, jmin, jmax in ranges],
+        [(imin + 1, imax + 1, jmin + 1, jmax + 1) for imin, imax, jmin, jmax in ranges],
+        [],
+    ]
+
+
+def oracle_cases():
+    rng = random.Random(9)
+    games = [verify.random_game(rng) for _ in range(8)]
+    games += [game_from_flat(flat) for flat in (ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA)]
+    games += [
+        game_from_flat(tuple(x * 10 ** 30 for x in PRISONERS_DILEMMA)),
+        game_from_flat((2 ** 63 + 1, 0, 0, F(2 ** 62 + 3, 7), 2 ** 64, 0, 0, 3 * 2 ** 63)),
+    ]
+    small = [verify.random_game(rng) for _ in range(40)] + games
+    for n, draws in ((100, games), (7, small)):
+        for g in draws:
+            h_row, h_col, ranges = oracle_inputs(g, n)
+            for boxes in box_variants(ranges, n):
+                yield n, h_row, h_col, boxes
+
+
+def mutated(fn, old, new):
+    """A copy of `fn` compiled from its source with `old` replaced by `new` once."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(source.replace(old, new), "<mutated>", "exec"), namespace)
+    return namespace[fn.__name__]
 
 
 def oracle_inputs(game, n):
@@ -58,3 +161,27 @@ def test_oracle_exact_for_huge_payoffs():
         assert max(abs(v) for v in (*h_row, *h_col)) > 2 ** 62
         assert grid_oracle(100, h_row, h_col, ranges) is None
         assert grid_oracle(100, h_row, h_col, [])[0] == 2  # pure equilibria are lattice points
+
+
+def test_row_oracle_matches_reference():
+    results = set()
+    for case in oracle_cases():
+        expected = reference_grid_oracle(*case)
+        assert grid_oracle(*case) == expected, case
+        results.add(None if expected is None else expected[0])
+    assert results == {None, 2}  # intact boxes pass, corrupted ones are caught
+
+
+def test_row_oracle_reports_broken_deviation_sum_where_reference_does():
+    # Make the column player's deviation to B strict in both oracles: route 2
+    # then rejects profiles where that gain is exactly zero.
+    broken = mutated(grid_oracle, "cb_aa * j + cb_ba * j <= 0", "cb_aa * j + cb_ba * j < 0")
+    broken_reference = mutated(
+        reference_grid_oracle, "k_cb_aa * s_aa + k_cb_ba * s_ba <= 0", "k_cb_aa * s_aa + k_cb_ba * s_ba < 0"
+    )
+    code_one = 0
+    for case in oracle_cases():
+        expected = broken_reference(*case)
+        assert broken(*case) == expected, case
+        code_one += expected is not None and expected[0] == 1
+    assert code_one > 0

@@ -9,6 +9,7 @@ diff-friendly, and parse back through the input grammar.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -53,7 +54,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later `main` call.
+
+    Parsing does not change it: each `parse_args` call fills a fresh namespace,
+    and nothing else writes to the parser.
+    """
     parser = _Parser(prog="twobytwo", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -228,7 +235,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     return _COMMANDS[args.command](parser, args)
 

@@ -209,29 +209,24 @@ def _tikz_escape(text: str) -> str:
 
 
 def _collect_colors(scene: Scene) -> list[Color]:
-    seen: list[Color] = []
+    """Every color the scene draws with, in the order of first use."""
+    seen: dict[Color | None, None] = {}  # insertion-ordered set
     for prim in scene.prims:
-        candidates = []
-        if isinstance(prim, (Line, ArrowLine)):
-            candidates = [prim.color]
+        if isinstance(prim, (Line, ArrowLine, Text)):
+            seen[prim.color] = None
         elif isinstance(prim, (Rect, Circle, Polygon)):
-            candidates = [prim.fill, prim.stroke]
-        elif isinstance(prim, Text):
-            candidates = [prim.color]
-        for color in candidates:
-            if color is not None and color not in seen:
-                seen.append(color)
-    return seen
+            seen[prim.fill] = None
+            seen[prim.stroke] = None
+    seen.pop(None, None)
+    return list(seen)
 
 
 def to_tikz(scene: Scene) -> str:
     out = [r"\begin{tikzpicture}[x=1pt,y=1pt,line cap=round,line join=round]"]
-    for color in _collect_colors(scene):
-        r, g, b = color
-        out.append(rf"\definecolor{{c{hex_color(color)}}}{{RGB}}{{{r},{g},{b}}}")
-
-    def cname(color: Color) -> str:
-        return f"c{hex_color(color)}"
+    names = {color: f"c{hex_color(color)}" for color in _collect_colors(scene)}
+    for (r, g, b), name in names.items():
+        out.append(rf"\definecolor{{{name}}}{{RGB}}{{{r},{g},{b}}}")
+    cname = names.__getitem__
 
     def path_options(fill: Color | None, stroke: Color | None, width: float) -> str:
         opts = []

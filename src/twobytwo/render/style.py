@@ -33,13 +33,18 @@ class StyleOptions:
     camera_azimuth_deg: float = -65.0
     camera_elevation_deg: float = 18.0
 
+    def __post_init__(self) -> None:
+        # The backends key colors by value and format them as tuples, so
+        # colors given as lists are stored as (r, g, b) tuples.
+        object.__setattr__(self, "player_colors", tuple(tuple(color) for color in self.player_colors))
+
 
 def fmt(value: float) -> str:
     """Format with 6 significant digits, decimal notation, no trailing zeros."""
-    if value == 0 or abs(value) < 1e-9:
+    if -1e-9 < value < 1e-9:
         return "0"
     text = f"{value:.6g}"
-    if "e" in text or "E" in text:
+    if "e" in text:  # the "g" presentation writes its exponent in lower case
         text = format(Decimal(text), "f")
     return text
 
@@ -51,9 +56,11 @@ def shade(color: Color, probability: float) -> Color:
 
 
 def lerp_color(low: Color, high: Color, t: float) -> Color:
-    t = min(max(t, 0.0), 1.0)
-    return tuple(round(a + t * (b - a)) for a, b in zip(low, high))
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # NaN passes, as through min/max
+    r0, g0, b0 = low
+    r1, g1, b1 = high
+    return (round(r0 + t * (r1 - r0)), round(g0 + t * (g1 - g0)), round(b0 + t * (b1 - b0)))
 
 
 def hex_color(color: Color) -> str:
-    return "".join(f"{channel:02x}" for channel in color)
+    return "%02x%02x%02x" % color

@@ -3,9 +3,11 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from twobytwo import verify
-from twobytwo.cli import main
-from twobytwo.core import MAX_LITERAL_DIGITS, as_rational, format_rational
+from twobytwo.cli import _analysis_report, main
+from twobytwo.core import MAX_LITERAL_DIGITS, as_rational, format_rational, game_from_flat
+from twobytwo.embedding import embed
 from twobytwo.equilibria import NashSet
+from twobytwo.render import render_embedding
 
 
 def run_cli(capsys, *argv):
@@ -346,3 +348,34 @@ def test_verify_broken_build_fails_with_counterexample(capsys, monkeypatch):
     assert len(flat) == 8
     for token in flat:
         as_rational(token)
+
+
+# --- one parser per process ------------------------------------------------------
+# `main` builds its parser once and reuses it, so each pair below runs two
+# commands back to back in this process and checks that the first one leaves
+# nothing behind for the second.
+
+COORDINATION_ARGS = ("2", "0", "0", "1", "2", "0", "0", "1")
+
+
+def test_parser_reuse_style_flags_do_not_carry_over(tmp_path, capsys):
+    bare, plain = tmp_path / "bare.svg", tmp_path / "plain.svg"
+    base = ("render", "--kind", "embedding", *COORDINATION_ARGS)
+    assert run_cli(capsys, *base, "--no-axes-labels", "-o", str(bare))[0] == 0
+    assert run_cli(capsys, *base, "-o", str(plain))[0] == 0
+    default = render_embedding([embed(game_from_flat(COORDINATION_ARGS))], format="svg")
+    assert bare.read_text(encoding="utf-8") != default
+    assert plain.read_text(encoding="utf-8") == default
+
+
+def test_parser_reuse_usage_error_does_not_carry_over(capsys):
+    code, out, err = run_cli(capsys, "analyze", "1", "2")
+    assert (code, out) == (2, "") and "expected 8 payoff values, got 2" in err
+    code, out, err = run_cli(capsys, "analyze", *COORDINATION_ARGS)
+    assert (code, out, err) == (0, _analysis_report(game_from_flat(COORDINATION_ARGS)), "")
+
+
+def test_parser_reuse_timings_flag_does_not_carry_over(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "7", "--trials", "1", "--timings")
+    assert (code, out) == (0, "PASS 1/1\n") and err.startswith("timing ")
+    assert run_cli(capsys, "verify", "--seed", "7", "--trials", "1") == (0, "PASS 1/1\n", "")

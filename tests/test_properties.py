@@ -81,3 +81,42 @@ def test_check_cce_passes(game, seed):
 def test_grid_oracle_agrees_at_small_n(game, n):
     ranges = verify.grid_ranges(nash_set(game), n)
     assert grid_oracle(n, verify.integerize(game.row), verify.integerize(game.col), ranges) is None
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(games(), st.integers(0, 2 ** 32))
+def test_check_ne_samples_passes(game, seed):
+    assert verify.check_ne_samples(game, random.Random(seed)) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(games(), st.integers(0, 2 ** 32))
+def test_check_affine_invariance_passes(game, seed):
+    assert verify.check_affine_invariance(game, random.Random(seed)) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(games())
+def test_check_permute_equivariance_passes(game):
+    assert verify.check_permute_equivariance(game) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(games())
+def test_check_embedding_consistency_passes(game):
+    assert verify.check_embedding_consistency(game) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(games())
+def test_nash_set_box_corners_are_nash_by_raw_deviation_sums(game):
+    components = nash_set(game).components
+    assert components  # every finite game has an equilibrium
+    for box in components:
+        for p in (box.p_low, box.p_high):
+            for q in (box.q_low, box.q_high):
+                # the product joint of (p, q), cells in order AA, AB, BA, BB
+                dist = JointDistribution((p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)))
+                for player in (Player.ROW, Player.COL):
+                    for action in (0, 1):
+                        assert deviation_gain(game, player, action, dist) <= 0, (p, q, player, action)

@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from twobytwo.render import (
     UnsupportedFigureError,
     build_polytope_scene,
     build_scene,
+    canvas,
+    figures,
     load_matrix,
     load_points,
     render_embedding,
@@ -27,10 +31,10 @@ from twobytwo.render import (
     save_points,
     scene_from_polytope,
 )
-from twobytwo.render.canvas import Circle, Rect
+from twobytwo.render.canvas import ArrowLine, Circle, Line, Polygon, Rect, Text
 from twobytwo.render.figures import _fit_to_canvas
 from twobytwo.render.geometry import TETRAHEDRON, simplex_position
-from twobytwo.render.style import BLACK, fmt, shade
+from twobytwo.render.style import BLACK, PURPLE, WHITE, fmt, hex_color, lerp_color, shade
 
 from conftest import (
     ALL_ZERO,
@@ -316,6 +320,17 @@ def test_style_toggles_remove_annotations():
 # --- errors and files ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("format", ["svg", "tikz"])
+def test_player_colors_given_as_lists(format):
+    game = game_from_flat(COORDINATION)
+    as_lists = StyleOptions(player_colors=([0, 0, 0], [128, 128, 128]))
+    assert as_lists == StyleOptions()
+    for kind in (FigureKind.PAYOFF_TABLE, FigureKind.ORD_GRAPH):
+        assert render_figure(FigureSpec(kind, game, as_lists), format) == render_figure(
+            FigureSpec(kind, game), format
+        )
+
+
 def test_unsupported_format_rejected():
     with pytest.raises(UnsupportedFigureError, match="png"):
         render_figure(FigureSpec(FigureKind.JOINT, joint(TABLE_JOINT)), "png")
@@ -352,3 +367,103 @@ def test_point_file_rejects_wrong_arity(tmp_path):
     path.write_text("1 2 3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="2 columns"):
         load_points(path)
+
+
+# --- emission helpers against their reference versions -------------------------------
+# The straightforward versions of the per-value helpers and of TikZ color
+# collection; the library's faster versions must give the same results.
+
+
+def reference_fmt(value):
+    if value == 0 or abs(value) < 1e-9:
+        return "0"
+    text = f"{value:.6g}"
+    if "e" in text or "E" in text:
+        text = format(Decimal(text), "f")
+    return text
+
+
+def reference_lerp_color(low, high, t):
+    t = min(max(t, 0.0), 1.0)
+    return tuple(round(a + t * (b - a)) for a, b in zip(low, high))
+
+
+def reference_hex_color(color):
+    return "".join(f"{channel:02x}" for channel in color)
+
+
+def reference_collect_colors(scene):
+    seen = []
+    for prim in scene.prims:
+        candidates = []
+        if isinstance(prim, (Line, ArrowLine)):
+            candidates = [prim.color]
+        elif isinstance(prim, (Rect, Circle, Polygon)):
+            candidates = [prim.fill, prim.stroke]
+        elif isinstance(prim, Text):
+            candidates = [prim.color]
+        for color in candidates:
+            if color is not None and color not in seen:
+                seen.append(color)
+    return seen
+
+
+def large_heatmap_spec():
+    rng = random.Random(36)
+    # One decimal place: about a hundred distinct colors over 1,440 cells, so
+    # colors repeat and their first-seen order matters.
+    heatmap = tuple(tuple(round(rng.uniform(-5, 5), 1) for _ in range(40)) for _ in range(36))
+    points = tuple((rng.uniform(0, 360), rng.uniform(0, 360)) for _ in range(50))
+    return FigureSpec(FigureKind.EMBEDDING, EmbeddingFigureData(points=points, heatmap=heatmap))
+
+
+@pytest.mark.parametrize("format", ["svg", "tikz"])
+def test_large_heatmap_emission_matches_reference_helpers(format, monkeypatch):
+    spec = large_heatmap_spec()
+    scene = build_scene(spec)
+    colors = reference_collect_colors(scene)
+    assert canvas._collect_colors(scene) == colors
+    assert 50 < len(colors) < scene.count("heatmap-cell") == 36 * 40
+    text = render_figure(spec, format)
+    with monkeypatch.context() as patch:
+        patch.setattr(canvas, "fmt", reference_fmt)
+        patch.setattr(canvas, "hex_color", reference_hex_color)
+        patch.setattr(canvas, "_collect_colors", reference_collect_colors)
+        patch.setattr(figures, "lerp_color", reference_lerp_color)
+        reference = render_figure(spec, format)
+    assert text == reference
+    if format == "tikz":
+        defined = [line for line in text.splitlines() if line.startswith(r"\definecolor")]
+        assert defined == [
+            rf"\definecolor{{c{reference_hex_color(c)}}}{{RGB}}{{{c[0]},{c[1]},{c[2]}}}" for c in colors
+        ]
+
+
+def test_collect_colors_matches_reference_on_golden_scenes():
+    for kind, payload in golden_specs().items():
+        scene = build_scene(FigureSpec(kind, payload))
+        assert canvas._collect_colors(scene) == reference_collect_colors(scene), kind
+
+
+def test_fmt_matches_reference():
+    values = [0, 0.0, -0.0, 5, -7, 2 ** 70, math.inf, -math.inf, math.nan]
+    for edge in (1e-9, -1e-9):
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                   math.nextafter(edge, -math.inf)]
+    for exponent in range(-12, 13):
+        for mantissa in (1.0, 1.5, 2.345678, 3.14159265, 9.999994, 9.999995, 9.9999951):
+            values += [mantissa * 10.0 ** exponent, -mantissa * 10.0 ** exponent]
+    assert [fmt(v) for v in values] == [reference_fmt(v) for v in values]
+    assert (fmt(1.5e-7), fmt(-2.5e11), fmt(-0.0)) == ("0.00000015", "-250000000000", "0")
+
+
+def test_lerp_and_hex_color_match_reference():
+    ts = [i / 512 for i in range(-32, 545)] + [-math.inf, math.inf, -0.0]
+    # (0,0,0) -> (255,128,2) at t = k/512 puts many channels exactly on .5
+    for low, high in ((WHITE, PURPLE), (BLACK, (255, 128, 2)), ((255, 128, 3), BLACK)):
+        colors = [lerp_color(low, high, t) for t in ts]
+        assert colors == [reference_lerp_color(low, high, t) for t in ts]
+        assert [hex_color(c) for c in colors] == [reference_hex_color(c) for c in colors]
+    # .5 rounds to even: 0.5 -> 0, 1.5 -> 2
+    assert lerp_color(BLACK, (255, 128, 2), 0.25) == (64, 32, 0)
+    assert lerp_color(BLACK, (255, 128, 2), 0.75) == (191, 96, 2)

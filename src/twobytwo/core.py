@@ -8,6 +8,7 @@ No floating point enters any equilibrium-bearing computation.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,11 +21,6 @@ RationalLike = Union[Fraction, int, str]
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CELL_NAMES = ("AA", "AB", "BA", "BB")
 ACTION_NAMES = ("A", "B")
-
-# Flat-index permutations of the cells (AA, AB, BA, BB).
-_SWAP_ROW = (2, 3, 0, 1)
-_SWAP_COL = (1, 0, 3, 2)
-_TRANSPOSE = (0, 2, 1, 3)
 
 
 class Player(enum.Enum):
@@ -111,9 +107,11 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.prob):
-            raise ValueError(f"negative joint probability in {self.prob}")
+            shown = " ".join(map(format_rational, self.prob))
+            raise ValueError(f"negative joint probability in {shown}")
         if sum(self.prob) != 1:
-            raise ValueError(f"joint probabilities must sum to 1, got {self.prob}")
+            shown = " ".join(map(format_rational, self.prob))
+            raise ValueError(f"joint probabilities must sum to 1, got {shown}")
 
     def __getitem__(self, cell: int) -> Fraction:
         return self.prob[cell]
@@ -160,6 +158,29 @@ def game_from_flat(values: Sequence[RationalLike]) -> Game:
 
 def game_to_flat(game: Game) -> tuple[Fraction, ...]:
     return game.row + game.col
+
+
+def advantages(game: Game) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Each player's payoff advantage of action A over B against each opposing pure action.
+
+    In order: the row player's against column action A, then B; the column
+    player's against row action A, then B.  The best-response graph is their
+    signs, the embedding their reduced directions, and the Nash set and the
+    CCE constraints are functions of them.
+    """
+    r, c = game.row, game.col
+    return (r[0] - r[2], r[1] - r[3], c[0] - c[1], c[2] - c[3])
+
+
+def integerize(values: Iterable[Fraction]) -> tuple[int, ...]:
+    """The values times the lcm of their denominators.
+
+    A positive scaling to integers: every sign, zero and ratio is kept, so a
+    player's best responses and equilibria are unchanged by it.
+    """
+    values = tuple(values)
+    common = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (common // v.denominator) for v in values)
 
 
 def expected_payoff(game: Game, player: Player, dist: JointDistribution) -> Fraction:
@@ -248,10 +269,38 @@ def transform_affine(
     return Game(row=game.row, col=new_col)
 
 
-def _apply_cell_permutation(
-    table: tuple[Fraction, ...], perm: tuple[int, int, int, int]
-) -> tuple[Fraction, ...]:
-    return tuple(table[perm[i]] for i in range(4))
+#: The order-8 symmetry group, keyed by its flags (swap_row_actions,
+#: swap_col_actions, swap_players).  Each element is a cell permutation pi over
+#: (AA, AB, BA, BB) and a player-swap bit: the image of a game has at cell i
+#: the payoff of cell pi[i], read from the other player's table when the bit is
+#: set.  The flags compose in a fixed order: player swap first, then row-action
+#: swap, then column-action swap (the action flags refer to the resulting
+#: orientation).
+SYMMETRY_TABLE = {
+    (False, False, False): ((0, 1, 2, 3), False),
+    (False, True, False): ((1, 0, 3, 2), False),
+    (True, False, False): ((2, 3, 0, 1), False),
+    (True, True, False): ((3, 2, 1, 0), False),
+    (False, False, True): ((0, 2, 1, 3), True),
+    (False, True, True): ((2, 0, 3, 1), True),
+    (True, False, True): ((1, 3, 0, 2), True),
+    (True, True, True): ((3, 1, 2, 0), True),
+}
+
+#: All 8 symmetry flags as (swap_row_actions, swap_col_actions, swap_players).
+SYMMETRY_FLAGS = tuple(SYMMETRY_TABLE)
+
+
+def permute_cells(
+    pair: tuple[tuple, tuple],
+    swap_row_actions: bool = False,
+    swap_col_actions: bool = False,
+    swap_players: bool = False,
+) -> tuple[tuple, tuple]:
+    """The symmetry action on a (row player's, column player's) pair of per-cell tuples."""
+    perm, swap = SYMMETRY_TABLE[swap_row_actions, swap_col_actions, swap_players]
+    u, v = pair[::-1] if swap else pair
+    return tuple(u[k] for k in perm), tuple(v[k] for k in perm)
 
 
 def permute(
@@ -262,25 +311,24 @@ def permute(
 ) -> Game:
     """Apply a symmetry of the game: relabel actions and/or exchange players.
 
-    Applied in a fixed order: player swap first, then row-action swap, then
-    column-action swap (the action flags refer to the resulting orientation).
-    The 8 flag combinations realize the full order-8 symmetry group.
+    The 8 flag combinations realize the full order-8 symmetry group; see
+    `SYMMETRY_TABLE` for the order in which they apply.
     """
-    row, col = game.row, game.col
-    if swap_players:
-        row, col = _apply_cell_permutation(col, _TRANSPOSE), _apply_cell_permutation(
-            row, _TRANSPOSE
-        )
-    if swap_row_actions:
-        row = _apply_cell_permutation(row, _SWAP_ROW)
-        col = _apply_cell_permutation(col, _SWAP_ROW)
-    if swap_col_actions:
-        row = _apply_cell_permutation(row, _SWAP_COL)
-        col = _apply_cell_permutation(col, _SWAP_COL)
+    row, col = permute_cells((game.row, game.col), swap_row_actions, swap_col_actions, swap_players)
     return Game(row=row, col=col)
 
 
-#: All 8 symmetry flags as (swap_row_actions, swap_col_actions, swap_players).
-SYMMETRY_FLAGS = tuple(
-    (bool(r), bool(c), bool(t)) for t in (0, 1) for r in (0, 1) for c in (0, 1)
-)
+def _advantage_action(flags: tuple[bool, bool, bool]) -> tuple[tuple[int, int], ...]:
+    # Read the action off a game whose payoff differences are distinct even up to sign.
+    generic = Game(row=(1, 2, 4, 8), col=(16, 32, 64, 128))
+    before = advantages(generic)
+    return tuple(
+        (before.index(v), 1) if v in before else (before.index(-v), -1)
+        for v in advantages(permute(generic, *flags))
+    )
+
+
+#: Each symmetry's action on the four `advantages` components, derived from
+#: `SYMMETRY_TABLE`: component k of the image's advantages is sign times
+#: component index of the original's, for (index, sign) = ADVANTAGE_ACTION[flags][k].
+ADVANTAGE_ACTION = {flags: _advantage_action(flags) for flags in SYMMETRY_TABLE}

@@ -1,10 +1,12 @@
 """Equilibrium-invariant 2D embedding of 2x2 games.
 
 Each player's payoff table collapses to the advantage of action A over B
-against each opponent pure action.  Positive per-player scaling and
-per-opponent-action offsets leave this pair invariant up to scale, so the
-coprime integer direction it spans is an exact equilibrium-invariant
-coordinate; two such directions describe the whole game.
+against each opponent pure action (`core.advantages`, the one place those
+differences are taken).  Positive per-player scaling and per-opponent-action
+offsets leave this pair invariant up to scale, so the coprime integer
+direction it spans is an exact equilibrium-invariant coordinate; two such
+directions describe the whole game.  A direction is the pair cleared of
+denominators by `core.integerize`, then divided by its gcd.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Game, Player
-from .graphs import BRClass, BRGraph, class_from_br_graph
+from .core import ADVANTAGE_ACTION, Game, Player, advantages, integerize
+from .graphs import BRClass, BRGraph, _preference, class_from_br_graph
 
 
 @dataclass(frozen=True)
@@ -61,63 +63,34 @@ def _angle(direction: tuple[int, int] | None) -> float | None:
 
 
 def advantage(game: Game, player: Player) -> AdvantageVector:
-    if player is Player.ROW:
-        r = game.row
-        return AdvantageVector(r[0] - r[2], r[1] - r[3])
-    c = game.col
-    return AdvantageVector(c[0] - c[1], c[2] - c[3])
+    adv = advantages(game)
+    return AdvantageVector(*(adv[:2] if player is Player.ROW else adv[2:]))
 
 
-def _direction(vec: AdvantageVector) -> tuple[int, int] | None:
-    x, y = vec.given_opponent_a, vec.given_opponent_b
+def _direction(x: Fraction, y: Fraction) -> tuple[int, int] | None:
     if x == 0 and y == 0:
         return None
-    common = math.lcm(x.denominator, y.denominator)
-    a = x.numerator * (common // x.denominator)
-    b = y.numerator * (common // y.denominator)
+    a, b = integerize((x, y))
     g = math.gcd(a, b)
     return (a // g, b // g)
 
 
 def embed(game: Game) -> EmbeddingPoint:
     """Reduce both advantage vectors to canonical integer directions."""
-    return EmbeddingPoint(
-        row_direction=_direction(advantage(game, Player.ROW)),
-        col_direction=_direction(advantage(game, Player.COL)),
-    )
-
-
-def _sign(component: int) -> int | None:
-    if component > 0:
-        return 0
-    if component < 0:
-        return 1
-    return None
+    a, b, c, d = advantages(game)
+    return EmbeddingPoint(row_direction=_direction(a, b), col_direction=_direction(c, d))
 
 
 def br_graph_of_embedding(point: EmbeddingPoint) -> BRGraph:
     """The sign pattern of the directions is exactly the best-response graph."""
     row = point.row_direction or (0, 0)
     col = point.col_direction or (0, 0)
-    return BRGraph(
-        row_given_col_a=_sign(row[0]),
-        row_given_col_b=_sign(row[1]),
-        col_given_row_a=_sign(col[0]),
-        col_given_row_b=_sign(col[1]),
-    )
+    return BRGraph(*map(_preference, row + col))
 
 
 def class_of_embedding(point: EmbeddingPoint) -> BRClass:
     """Equals br_class of any game with this embedding."""
     return class_from_br_graph(br_graph_of_embedding(point))
-
-
-def _negate(d: tuple[int, int] | None) -> tuple[int, int] | None:
-    return None if d is None else (-d[0], -d[1])
-
-
-def _swap(d: tuple[int, int] | None) -> tuple[int, int] | None:
-    return None if d is None else (d[1], d[0])
 
 
 def permute_embedding(
@@ -130,15 +103,17 @@ def permute_embedding(
 
     Swapping a player's own actions negates that player's direction; swapping
     the opponent's actions exchanges its two components; swapping players
-    exchanges the directions.
+    exchanges the directions.  The components move as `core.ADVANTAGE_ACTION`
+    moves the advantages they reduce.
     """
-    row, col = point.row_direction, point.col_direction
-    if swap_players:
-        row, col = col, row
-    if swap_row_actions:
-        row = _negate(row)
-        col = _swap(col)
-    if swap_col_actions:
-        row = _swap(row)
-        col = _negate(col)
-    return EmbeddingPoint(row_direction=row, col_direction=col)
+    row = point.row_direction or (0, 0)
+    col = point.col_direction or (0, 0)
+    components = row + col
+    x0, x1, y0, y1 = (
+        sign * components[k]
+        for k, sign in ADVANTAGE_ACTION[swap_row_actions, swap_col_actions, swap_players]
+    )
+    return EmbeddingPoint(
+        row_direction=(x0, x1) if x0 or x1 else None,
+        col_direction=(y0, y1) if y0 or y1 else None,
+    )

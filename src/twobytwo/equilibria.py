@@ -5,11 +5,15 @@ player's payoff advantage line; the result is a finite union of axis-aligned
 boxes in marginal space.  The coarse-correlated-equilibrium set is a convex
 polytope in the joint-strategy simplex, enumerated exactly: every subset of
 three inequality constraints is solved against the sum-to-one equality and
-feasible solutions are kept.  The constraint rows depend only on the players'
-advantages, so after clearing each player's denominators every solve is an
-integer determinant problem (Cramer's rule), and only the surviving vertices
-are converted to `Fraction`.  For two-action games the correlated and
-coarse-correlated sets coincide, so this polytope serves as both.
+feasible solutions are kept.  The Nash boxes, the constraint rows and the
+membership test all read the players' advantages from `core.advantages`.
+Each row is cleared of denominators by `core.integerize`, so every solve is
+an integer determinant problem (Cramer's rule), and only the surviving
+vertices are converted to `Fraction`.  For two-action games the correlated
+and coarse-correlated sets coincide, so this polytope serves as both.
+
+`is_nash` and `deviation_gain` read the raw payoffs instead: the verifier
+uses them as routes independent of the advantage computation.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .core import (
     JointDistribution,
     MarginalPair,
     Player,
+    advantages,
     best_response_set,
+    integerize,
     product_joint,
 )
 
@@ -107,19 +113,9 @@ class CcePolytope:
     dimension: int
 
 
-def _advantages(game: Game, player: Player) -> tuple[Fraction, Fraction]:
-    # Payoff gain of action A over B, against each opponent pure action.
-    if player is Player.ROW:
-        r = game.row
-        return (r[0] - r[2], r[1] - r[3])
-    c = game.col
-    return (c[0] - c[1], c[2] - c[3])
-
-
 def cce_constraints(game: Game) -> tuple[DeviationConstraint, ...]:
     """The four no-gain constraints, one per (player, deviation action)."""
-    a, b = _advantages(game, Player.ROW)
-    c, d = _advantages(game, Player.COL)
+    a, b, c, d = advantages(game)
     return (
         DeviationConstraint(Player.ROW, 0, (_ZERO, _ZERO, a, b)),
         DeviationConstraint(Player.ROW, 1, (-a, -b, _ZERO, _ZERO)),
@@ -134,8 +130,7 @@ def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
     The constraints are those of `cce_constraints`, written out from the two
     advantage pairs so that a test costs eight products.
     """
-    a, b = _advantages(game, Player.ROW)
-    c, d = _advantages(game, Player.COL)
+    a, b, c, d = advantages(game)
     p_aa, p_ab, p_ba, p_bb = dist.prob
     return (
         a * p_ba + b * p_bb <= 0  # row player deviating to A
@@ -175,15 +170,6 @@ def _matrix_rank(rows: list[tuple[Fraction, ...]]) -> int:
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
-
-
-def _integer_rows(halfspaces: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Each row scaled to integers by a positive factor, so every sign and zero survives."""
-    scaled = []
-    for row in halfspaces:
-        common = math.lcm(*(x.denominator for x in row))
-        scaled.append(tuple(x.numerator * (common // x.denominator) for x in row))
-    return tuple(scaled)
 
 
 def _vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
@@ -231,7 +217,7 @@ def cce_polytope(game: Game) -> CcePolytope:
     """
     constraints = cce_constraints(game)
     halfspaces = _halfspaces(constraints)
-    rows = _integer_rows(halfspaces)
+    rows = tuple(map(integerize, halfspaces))
     vertices = []
     for n in _vertex_numerators(rows):
         total = sum(n)
@@ -372,13 +358,14 @@ def _normalize(boxes: list[Box]) -> tuple[Box, ...]:
 
 def nash_set(game: Game) -> NashSet:
     """The complete Nash set, from the sign analysis of both advantage lines."""
+    a, b, c, d = advantages(game)
     row_boxes = [
         Box(p_low=own_lo, p_high=own_hi, q_low=opp_lo, q_high=opp_hi)
-        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes(_advantages(game, Player.ROW))
+        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((a, b))
     ]
     col_boxes = [
         Box(p_low=opp_lo, p_high=opp_hi, q_low=own_lo, q_high=own_hi)
-        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes(_advantages(game, Player.COL))
+        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((c, d))
     ]
     pieces = []
     for rb in row_boxes:

@@ -8,11 +8,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .core import CELL_NAMES, Game, Player
-
-_SWAP_ROW = (2, 3, 0, 1)
-_SWAP_COL = (1, 0, 3, 2)
-_TRANSPOSE = (0, 2, 1, 3)
+from .core import (
+    ADVANTAGE_ACTION,
+    CELL_NAMES,
+    SYMMETRY_FLAGS,
+    Game,
+    Player,
+    advantages,
+    permute_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ def ordinal_graph(game: Game, player: Player) -> OrdinalGraph:
     return OrdinalGraph(levels=levels, edges=edges)
 
 
-def _preference(better_for_a: Fraction) -> int | None:
+def _preference(better_for_a: Fraction | int) -> int | None:
+    """The preference edge an advantage of A over B gives: A, B, or indifferent."""
     if better_for_a > 0:
         return 0
     if better_for_a < 0:
@@ -114,17 +119,7 @@ def _preference(better_for_a: Fraction) -> int | None:
 
 def br_graph(game: Game) -> BRGraph:
     """Strict pairwise payoff comparisons, one per player per opposing action."""
-    r, c = game.row, game.col
-    return BRGraph(
-        row_given_col_a=_preference(r[0] - r[2]),
-        row_given_col_b=_preference(r[1] - r[3]),
-        col_given_row_a=_preference(c[0] - c[1]),
-        col_given_row_b=_preference(c[2] - c[3]),
-    )
-
-
-def _flip(pref: int | None) -> int | None:
-    return None if pref is None else 1 - pref
+    return BRGraph(*map(_preference, advantages(game)))
 
 
 def permute_br_graph(
@@ -133,17 +128,16 @@ def permute_br_graph(
     swap_col_actions: bool = False,
     swap_players: bool = False,
 ) -> BRGraph:
-    """Symmetry action on BR graphs, mirroring `core.permute` exactly."""
-    f1, f2, f3, f4 = graph.fields()
-    if swap_players:
-        f1, f2, f3, f4 = f3, f4, f1, f2
-    if swap_row_actions:
-        f1, f2 = _flip(f1), _flip(f2)
-        f3, f4 = f4, f3
-    if swap_col_actions:
-        f1, f2 = f2, f1
-        f3, f4 = _flip(f3), _flip(f4)
-    return BRGraph(f1, f2, f3, f4)
+    """Symmetry action on BR graphs, mirroring `core.permute` exactly.
+
+    Each edge is the sign of an advantage, so it moves as `core.ADVANTAGE_ACTION`
+    moves that advantage; a negated advantage prefers the other action.
+    """
+    fields = graph.fields()
+    return BRGraph(*(
+        fields[k] if sign > 0 or fields[k] is None else 1 - fields[k]
+        for k, sign in ADVANTAGE_ACTION[swap_row_actions, swap_col_actions, swap_players]
+    ))
 
 
 def all_br_graphs() -> tuple[BRGraph, ...]:
@@ -154,8 +148,6 @@ def all_br_graphs() -> tuple[BRGraph, ...]:
 
 
 def _orbit(graph: BRGraph) -> set[BRGraph]:
-    from .core import SYMMETRY_FLAGS
-
     return {permute_br_graph(graph, *flags) for flags in SYMMETRY_FLAGS}
 
 
@@ -217,27 +209,6 @@ def br_class(game: Game, names: dict[int, str] | None = None) -> BRClass:
 
 # --- census -----------------------------------------------------------------
 
-def _act_on_rank_pair(
-    pair: tuple[tuple[int, ...], tuple[int, ...]],
-    swap_row_actions: bool,
-    swap_col_actions: bool,
-    swap_players: bool,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The symmetry action on per-player rank tuples, matching `core.permute`."""
-    u, v = pair
-    if swap_players:
-        u, v = tuple(v[_TRANSPOSE[i]] for i in range(4)), tuple(
-            u[_TRANSPOSE[i]] for i in range(4)
-        )
-    if swap_row_actions:
-        u = tuple(u[_SWAP_ROW[i]] for i in range(4))
-        v = tuple(v[_SWAP_ROW[i]] for i in range(4))
-    if swap_col_actions:
-        u = tuple(u[_SWAP_COL[i]] for i in range(4))
-        v = tuple(v[_SWAP_COL[i]] for i in range(4))
-    return u, v
-
-
 def _count_orbits(pairs, flags) -> int:
     seen = set()
     count = 0
@@ -246,7 +217,7 @@ def _count_orbits(pairs, flags) -> int:
             continue
         count += 1
         for f in flags:
-            seen.add(_act_on_rank_pair(pair, *f))
+            seen.add(permute_cells(pair, *f))
     return count
 
 
@@ -261,8 +232,6 @@ def _dense_rank_tuples() -> tuple[tuple[int, ...], ...]:
 
 def census() -> CensusReport:
     """Exhaustive enumeration of the ordinal and best-response taxonomies."""
-    from .core import SYMMETRY_FLAGS
-
     strict = tuple(itertools.permutations((1, 2, 3, 4)))
     strict_pairs = tuple(itertools.product(strict, strict))
     strategy_flags = tuple(f for f in SYMMETRY_FLAGS if not f[2])
@@ -285,15 +254,13 @@ def census() -> CensusReport:
 
 def census_burnside_partial_ordinal() -> int:
     """Cross-check: orbit count of rank-tuple pairs via Burnside's lemma."""
-    from .core import SYMMETRY_FLAGS
-
     partial = _dense_rank_tuples()
     total = 0
     for flags in SYMMETRY_FLAGS:
         total += sum(
             1
             for pair in itertools.product(partial, partial)
-            if _act_on_rank_pair(pair, *flags) == pair
+            if permute_cells(pair, *flags) == pair
         )
     orbits, remainder = divmod(total, len(SYMMETRY_FLAGS))
     if remainder:

@@ -17,14 +17,16 @@ from fractions import Fraction
 
 from . import kernels
 from .core import (
+    ADVANTAGE_ACTION,
+    SYMMETRY_TABLE,
     Game,
     JointDistribution,
     MarginalPair,
     Player,
-    SYMMETRY_FLAGS,
     game_from_flat,
     format_rational,
     game_to_flat,
+    integerize,
     permute,
     product_joint,
     transform_affine,
@@ -46,10 +48,6 @@ from .graphs import br_class, br_graph, permute_br_graph
 
 GRID_STEPS = 100
 
-_SWAP_ROW = (2, 3, 0, 1)
-_SWAP_COL = (1, 0, 3, 2)
-_TRANSPOSE = (0, 2, 1, 3)
-
 
 def random_rational(rng: random.Random, num_bound: int = 12, den_bound: int = 6) -> Fraction:
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
@@ -65,13 +63,6 @@ def random_joint(rng: random.Random) -> JointDistribution:
         weights[rng.randrange(4)] = Fraction(1)
     total = sum(weights)
     return JointDistribution(tuple(w / total for w in weights))
-
-
-def integerize(payoffs) -> tuple[int, int, int, int]:
-    """Clear denominators with the lcm; a positive per-player scaling, so all
-    best-response and equilibrium decisions are unchanged."""
-    common = math.lcm(*(p.denominator for p in payoffs))
-    return tuple(p.numerator * (common // p.denominator) for p in payoffs)
 
 
 def grid_ranges(ns: NashSet, n: int) -> list[tuple[int, int, int, int]]:
@@ -143,8 +134,10 @@ def check_ne_samples(game: Game, rng: random.Random, samples: int = 12, n: int =
 
 def common_numerators(vertices) -> tuple[int, list[tuple[int, ...]]]:
     """The lcm D of every vertex coordinate's denominator, and each vertex times D."""
-    scale = math.lcm(*(p.denominator for v in vertices for p in v.prob))
-    return scale, [tuple(p.numerator * (scale // p.denominator) for p in v.prob) for v in vertices]
+    flat = integerize(p for v in vertices for p in v.prob)
+    numerators = [flat[k:k + 4] for k in range(0, len(flat), 4)]
+    # A vertex's coordinates sum to one, so its numerators sum to D.
+    return sum(numerators[0]), numerators
 
 
 def integer_mix(weights, numerators, scale: int) -> tuple[Fraction, ...]:
@@ -226,37 +219,19 @@ def check_affine_invariance(game: Game, rng: random.Random) -> list[str]:
     return failures
 
 
-def _map_marginals(m: MarginalPair, swap_row: bool, swap_col: bool, swap_players: bool) -> MarginalPair:
-    p, q = m.row_prob_a, m.col_prob_a
-    if swap_players:
-        p, q = q, p
-    if swap_row:
-        p = 1 - p
-    if swap_col:
-        q = 1 - q
-    return MarginalPair(p, q)
+def _map_box(box: Box, flags: tuple[bool, bool, bool]) -> Box:
+    """The image of a Nash box under one symmetry.
 
-
-def _map_box(box: Box, swap_row: bool, swap_col: bool, swap_players: bool) -> Box:
-    p_int, q_int = (box.p_low, box.p_high), (box.q_low, box.q_high)
-    if swap_players:
-        p_int, q_int = q_int, p_int
-    if swap_row:
-        p_int = (1 - p_int[1], 1 - p_int[0])
-    if swap_col:
-        q_int = (1 - q_int[1], 1 - q_int[0])
-    return Box(p_int[0], p_int[1], q_int[0], q_int[1])
-
-
-def _joint_permutation(swap_row: bool, swap_col: bool, swap_players: bool) -> tuple[int, ...]:
-    perm = (0, 1, 2, 3)
-    if swap_players:
-        perm = tuple(perm[_TRANSPOSE[i]] for i in range(4))
-    if swap_row:
-        perm = tuple(perm[_SWAP_ROW[i]] for i in range(4))
-    if swap_col:
-        perm = tuple(perm[_SWAP_COL[i]] for i in range(4))
-    return perm
+    Each player's marginal axis is the axis of the player whose advantages it
+    takes (components 0 and 2 of `ADVANTAGE_ACTION`), reversed when they are
+    negated, since a negated advantage means that player's actions are relabelled.
+    """
+    axes = ((box.p_low, box.p_high), (box.q_low, box.q_high))
+    (p_low, p_high), (q_low, q_high) = (
+        axes[k // 2] if sign > 0 else (1 - axes[k // 2][1], 1 - axes[k // 2][0])
+        for k, sign in ADVANTAGE_ACTION[flags][::2]
+    )
+    return Box(p_low, p_high, q_low, q_high)
 
 
 def check_permute_equivariance(game: Game) -> list[str]:
@@ -266,7 +241,7 @@ def check_permute_equivariance(game: Game) -> list[str]:
     base_embed = embed(game)
     base_nash = nash_set(game)
     base_vertices = {v.prob for v in cce_polytope(game).vertices}
-    for flags in SYMMETRY_FLAGS:
+    for flags, (perm, _) in SYMMETRY_TABLE.items():
         other = permute(game, *flags)
         if br_graph(other) != permute_br_graph(base_br, *flags):
             failures.append(f"br_graph equivariance broken for flags {flags}")
@@ -274,14 +249,13 @@ def check_permute_equivariance(game: Game) -> list[str]:
             failures.append(f"embedding equivariance broken for flags {flags}")
         mapped = {
             (b.p_low, b.p_high, b.q_low, b.q_high)
-            for b in (_map_box(box, *flags) for box in base_nash.components)
+            for b in (_map_box(box, flags) for box in base_nash.components)
         }
         actual = {
             (b.p_low, b.p_high, b.q_low, b.q_high) for b in nash_set(other).components
         }
         if mapped != actual:
             failures.append(f"nash_set equivariance broken for flags {flags}")
-        perm = _joint_permutation(*flags)
         mapped_vertices = {tuple(v[perm[i]] for i in range(4)) for v in base_vertices}
         actual_vertices = {v.prob for v in cce_polytope(other).vertices}
         if mapped_vertices != actual_vertices:

@@ -182,6 +182,13 @@ def test_render_joint_rejects_non_distribution(tmp_path, capsys):
     code, _, err = run_cli(capsys, "render", "--kind", "joint", "1", "1", "0", "0",
                            "-o", str(tmp_path / "x.svg"))
     assert code == 2 and "sum to 1" in err
+    # the probabilities are echoed as rationals, not as Python reprs
+    code, _, err = run_cli(capsys, "render", "--kind", "joint", "1", "1/2", ".5", "1",
+                           "-o", str(tmp_path / "x.svg"))
+    assert code == 2 and "joint probabilities must sum to 1, got 1 1/2 1/2 1\n" in err
+    code, _, err = run_cli(capsys, "render", "--kind", "joint", "-1", "1", "1", "0",
+                           "-o", str(tmp_path / "x.svg"))
+    assert code == 2 and "negative joint probability in -1 1 1 0\n" in err
 
 
 def test_render_unknown_kind_usage_error(tmp_path, capsys):

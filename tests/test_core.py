@@ -297,6 +297,39 @@ def _apply(flags, game):
     return permute(game, *flags)
 
 
+# The order-8 group spelled out by hand, independently of `core`: for each
+# (swap_row_actions, swap_col_actions, swap_players), the cell permutation pi
+# over (AA, AB, BA, BB) and whether the players trade tables.  The image's
+# payoff at cell i is the (possibly other player's) payoff at cell pi[i].
+HAND_TABLE = {
+    (False, False, False): ((0, 1, 2, 3), False),
+    (False, True, False): ((1, 0, 3, 2), False),
+    (True, False, False): ((2, 3, 0, 1), False),
+    (True, True, False): ((3, 2, 1, 0), False),
+    (False, False, True): ((0, 2, 1, 3), True),
+    (False, True, True): ((2, 0, 3, 1), True),
+    (True, False, True): ((1, 3, 0, 2), True),
+    (True, True, True): ((3, 1, 2, 0), True),
+}
+
+
+def test_permute_matches_hand_spelled_table():
+    assert set(HAND_TABLE) == set(SYMMETRY_FLAGS)
+    generic = game_from_flat(range(1, 9))
+    for flags, (pi, swap) in HAND_TABLE.items():
+        own, other = (generic.col, generic.row) if swap else (generic.row, generic.col)
+        image = _apply(flags, generic)
+        assert image.row == tuple(own[k] for k in pi)
+        assert image.col == tuple(other[k] for k in pi)
+    # the 8 elements are distinct and closed under composition:
+    # g after f sends cell i to f's pi[g's pi[i]] and swaps players if exactly one does
+    elements = set(HAND_TABLE.values())
+    assert len(elements) == 8
+    for pi_f, swap_f in elements:
+        for pi_g, swap_g in elements:
+            assert (tuple(pi_f[pi_g[i]] for i in range(4)), swap_f != swap_g) in elements
+
+
 def test_permute_is_a_group_action():
     """Composing flag applications always lands back in the 8-element set,
     and every element's order divides 4."""

@@ -1,9 +1,10 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
-from twobytwo import verify
+from twobytwo import core, equilibria, verify
 from twobytwo.core import JointDistribution, game_from_flat
 from twobytwo.equilibria import NashSet, cce_polytope
 
@@ -142,3 +143,60 @@ def test_run_records_per_check_timings():
         "check_embedding_consistency",
     ]
     assert all(calls == 3 and total_ns > 0 for calls, total_ns in report.timings.values())
+
+
+def test_negative_control_swapped_column_cce_rows(monkeypatch):
+    """Column rows built on the wrong cells (AB and BA swapped) must be caught.
+
+    Vertex feasibility and tightness use the same rows as the polytope, so they
+    agree with the mutation; `joint_in_cce` is written out separately and
+    rejects the resulting convex combinations.
+    """
+    real = equilibria.cce_constraints
+
+    def swap_column_cells(game):
+        row_a, row_b, col_a, col_b = real(game)
+        zero, c, _, d = col_a.coeffs
+        return (
+            row_a,
+            row_b,
+            dataclasses.replace(col_a, coeffs=(zero, zero, c, d)),
+            dataclasses.replace(col_b, coeffs=(-c, -d, zero, zero)),
+        )
+
+    monkeypatch.setattr(equilibria, "cce_constraints", swap_column_cells)
+    report = verify.run(seed=3, trials=4, combos=20)
+    assert len(report.failures) == 4
+    assert any(
+        m.startswith("convex combination") and m.endswith("outside the CCE set")
+        for failure in report.failures
+        for m in failure.messages
+    )
+
+
+def test_negative_control_swapped_column_advantages(monkeypatch):
+    """An advantage core that swaps the column player's pair must be caught.
+
+    br_graph, embed, nash_set and the CCE rows all derive from it and stay
+    consistent with each other; the grid oracle and the corner checks read the
+    raw payoffs and disagree.
+    """
+    real = core.advantages
+
+    def swap_column_pair(game):
+        a, b, c, d = real(game)
+        return (a, b, d, c)
+
+    for name, module in list(sys.modules.items()):
+        if name == "twobytwo" or name.startswith("twobytwo."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, swap_column_pair)
+    report = verify.run(seed=3, trials=4, combos=20)
+    assert len(report.failures) == 4
+    assert any(
+        m.startswith("grid oracle mismatch")
+        or (m.startswith("component corner") and " rejected by " in m)
+        for failure in report.failures
+        for m in failure.messages
+    )

@@ -4,6 +4,11 @@ Scenes use y-up coordinates in points; backends translate.  Output is fully
 deterministic: primitives are emitted in insertion order, colors are named by
 their hex value, and all numbers go through the fixed 6-significant-digit
 formatter.
+
+Two primitives stand for many drawn elements.  A `Heatmap` is a grid of
+filled cells and a `Circle` holds any number of centres with one radius and
+fill.  Each backend expands them into one element per cell or centre, in
+order, formatting each grid column, grid row, size and paint only once.
 """
 
 from __future__ import annotations
@@ -53,13 +58,29 @@ class Rect:
 
 
 @dataclass(frozen=True)
+class Heatmap:
+    """A grid of unstroked cells, `cols` to a row, filled in row-major order.
+
+    The first row is on top: cell (r, c) has its lower-left corner at
+    (x + c * cell_w, top - (r + 1) * cell_h).
+    """
+
+    x: float
+    top: float
+    cell_w: float
+    cell_h: float
+    cols: int
+    fills: tuple[Color, ...]
+    tag: str = ""
+
+
+@dataclass(frozen=True)
 class Circle:
-    cx: float
-    cy: float
+    """Filled circles of one radius, one per centre."""
+
+    centers: tuple[tuple[float, float], ...]
     r: float
     fill: Color | None
-    stroke: Color | None = None
-    width: float = 0.0
     tag: str = ""
 
 
@@ -83,7 +104,16 @@ class Text:
     tag: str = ""
 
 
-Primitive = Union[Line, ArrowLine, Rect, Circle, Polygon, Text]
+Primitive = Union[Line, ArrowLine, Rect, Heatmap, Circle, Polygon, Text]
+
+
+def _drawn(prim: Primitive) -> int:
+    """How many drawn elements `prim` stands for: its cells or centres, else one."""
+    if isinstance(prim, Heatmap):
+        return len(prim.fills)
+    if isinstance(prim, Circle):
+        return len(prim.centers)
+    return 1
 
 
 @dataclass
@@ -96,7 +126,8 @@ class Scene:
         self.prims.extend(prims)
 
     def count(self, tag: str) -> int:
-        return sum(1 for p in self.prims if getattr(p, "tag", "") == tag)
+        """The number of drawn elements with this tag: cells and centres count one each."""
+        return sum(_drawn(p) for p in self.prims if getattr(p, "tag", "") == tag)
 
     def tagged(self, tag: str) -> list[Primitive]:
         return [p for p in self.prims if getattr(p, "tag", "") == tag]
@@ -174,10 +205,23 @@ def to_svg(scene: Scene) -> str:
                 f'width="{fmt(prim.w)}" height="{fmt(prim.h)}" '
                 f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
             )
+        elif isinstance(prim, Heatmap):
+            cw, ch, cols = prim.cell_w, prim.cell_h, prim.cols
+            xs = [fmt(prim.x + c * cw) for c in range(cols)]
+            size = f'width="{fmt(cw)}" height="{fmt(ch)}" '
+            tail = {
+                fill: f"{paint(fill, None, 0.0)}{attr_class(prim.tag)}/>"
+                for fill in dict.fromkeys(prim.fills)
+            }
+            for r in range(len(prim.fills) // cols):
+                row_y = prim.top - (r + 1) * ch
+                middle = f'" y="{fmt(y(row_y + ch))}" {size}'
+                row = prim.fills[r * cols:(r + 1) * cols]
+                out.extend(f'<rect x="{x}{middle}{tail[fill]}' for x, fill in zip(xs, row))
         elif isinstance(prim, Circle):
-            out.append(
-                f'<circle cx="{fmt(prim.cx)}" cy="{fmt(y(prim.cy))}" r="{fmt(prim.r)}" '
-                f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
+            tail = f'" r="{fmt(prim.r)}" {paint(prim.fill, None, 0.0)}{attr_class(prim.tag)}/>'
+            out.extend(
+                f'<circle cx="{fmt(cx)}" cy="{fmt(y(cy))}{tail}' for cx, cy in prim.centers
             )
         elif isinstance(prim, Polygon):
             pts = " ".join(f"{fmt(px)},{fmt(y(py))}" for px, py in prim.points)
@@ -214,9 +258,13 @@ def _collect_colors(scene: Scene) -> list[Color]:
     for prim in scene.prims:
         if isinstance(prim, (Line, ArrowLine, Text)):
             seen[prim.color] = None
-        elif isinstance(prim, (Rect, Circle, Polygon)):
+        elif isinstance(prim, (Rect, Polygon)):
             seen[prim.fill] = None
             seen[prim.stroke] = None
+        elif isinstance(prim, Heatmap):
+            seen.update(dict.fromkeys(prim.fills))  # keeps earlier colors where they are
+        elif isinstance(prim, Circle):
+            seen[prim.fill] = None
     seen.pop(None, None)
     return list(seen)
 
@@ -255,11 +303,25 @@ def to_tikz(scene: Scene) -> str:
                 rf"({fmt(prim.x)},{fmt(prim.y)}) rectangle "
                 rf"({fmt(prim.x + prim.w)},{fmt(prim.y + prim.h)});"
             )
+        elif isinstance(prim, Heatmap):
+            cw, ch, cols = prim.cell_w, prim.cell_h, prim.cols
+            spans = [(fmt(x), fmt(x + cw)) for x in (prim.x + c * cw for c in range(cols))]
+            head = {
+                fill: rf"\path[{path_options(fill, None, 0.0)}] ("
+                for fill in dict.fromkeys(prim.fills)
+            }
+            for r in range(len(prim.fills) // cols):
+                row_y = prim.top - (r + 1) * ch
+                low, high = fmt(row_y), fmt(row_y + ch)
+                row = prim.fills[r * cols:(r + 1) * cols]
+                out.extend(
+                    f"{head[fill]}{x0},{low}) rectangle ({x1},{high});"
+                    for (x0, x1), fill in zip(spans, row)
+                )
         elif isinstance(prim, Circle):
-            out.append(
-                rf"\path[{path_options(prim.fill, prim.stroke, prim.width)}] "
-                rf"({fmt(prim.cx)},{fmt(prim.cy)}) circle[radius={fmt(prim.r)}];"
-            )
+            head = rf"\path[{path_options(prim.fill, None, 0.0)}] ("
+            tail = f") circle[radius={fmt(prim.r)}];"
+            out.extend(f"{head}{fmt(cx)},{fmt(cy)}{tail}" for cx, cy in prim.centers)
         elif isinstance(prim, Polygon):
             coords = " -- ".join(f"({fmt(px)},{fmt(py)})" for px, py in prim.points)
             out.append(

@@ -25,7 +25,7 @@ from ..core import (
 from ..embedding import EmbeddingPoint
 from ..equilibria import CcePolytope, NashSet, cce_polytope, nash_set
 from ..graphs import BRGraph, br_graph, class_from_br_graph, ordinal_graph
-from .canvas import ArrowLine, Circle, Line, Rect, Scene, Text
+from .canvas import ArrowLine, Circle, Heatmap, Line, Rect, Scene, Text
 from .geometry import (
     Projection,
     TETRA_EDGES,
@@ -318,8 +318,7 @@ def _offset(p1, p2, amount):
 
 
 def _add_nodes(scene: Scene, positions, size: float) -> None:
-    for x, y in positions:
-        scene.add(Circle(cx=x, cy=y, r=0.035 * size, fill=LIGHT_GRAY, tag="node"))
+    scene.add(Circle(centers=tuple(positions), r=0.035 * size, fill=LIGHT_GRAY, tag="node"))
 
 
 def _build_ord_graph(game: Game, style: StyleOptions) -> Scene:
@@ -451,14 +450,13 @@ def scene_from_polytope(ps: PolytopeScene, style: StyleOptions) -> Scene:
                 tag="cce-edge",
             )
         )
-    for x, y in vertex_xy:
-        scene.add(Circle(cx=x, cy=y, r=0.016 * s, fill=PURPLE, tag="cce-vertex"))
+    scene.add(Circle(centers=tuple(vertex_xy), r=0.016 * s, fill=PURPLE, tag="cce-vertex"))
 
     dot = 0.019 * s
     for box in ps.nash.components:
         if box.is_point:
             x, y = _marginal_position(box.p_low, box.q_low, projection, place)
-            scene.add(Circle(cx=x, cy=y, r=dot, fill=BLUE, tag="ne-point"))
+            scene.add(Circle(centers=((x, y),), r=dot, fill=BLUE, tag="ne-point"))
         elif box.is_segment:
             a = _marginal_position(box.p_low, box.q_low, projection, place)
             b = _marginal_position(box.p_high, box.q_high, projection, place)
@@ -560,21 +558,27 @@ def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:
         rows = data.heatmap
         values = [v for row in rows for v in row]
         low, high = min(values), max(values)
+        if not math.isfinite(high - low):
+            # high - low overflows a float: halving every value is exact and keeps each t.
+            values = [v / 2 for v in values]
+            low, high = low / 2, high / 2
+        span = high - low
+        fills = tuple(
+            lerp_color(WHITE, PURPLE, 0.5 if high == low else (value - low) / span)
+            for value in values
+        )
         n_rows, n_cols = len(rows), len(rows[0])
-        cw, ch = plot / n_cols, plot / n_rows
-        for r, row in enumerate(rows):
-            for c, value in enumerate(row):
-                t = 0.5 if high == low else (value - low) / (high - low)
-                scene.add(
-                    Rect(
-                        x=margin + c * cw,
-                        y=margin + plot - (r + 1) * ch,  # first matrix row on top
-                        w=cw,
-                        h=ch,
-                        fill=lerp_color(WHITE, PURPLE, t),
-                        tag="heatmap-cell",
-                    )
-                )
+        scene.add(
+            Heatmap(
+                x=margin,
+                top=margin + plot,  # first matrix row on top
+                cell_w=plot / n_cols,
+                cell_h=plot / n_rows,
+                cols=n_cols,
+                fills=fills,
+                tag="heatmap-cell",
+            )
+        )
 
     for angle in (90.0, 180.0, 270.0):
         x0, y0 = at(angle, 0.0)
@@ -626,9 +630,9 @@ def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:
                          size=0.038 * s, color=GRAY, anchor="center", tag="class-name")
                 )
 
-    for ax, ay in data.points:
-        x, y = at(ax % 360.0, ay % 360.0)
-        scene.add(Circle(cx=x, cy=y, r=0.016 * s, fill=BLUE, tag="embed-point"))
+    if data.points:
+        centers = tuple(at(ax % 360.0, ay % 360.0) for ax, ay in data.points)
+        scene.add(Circle(centers=centers, r=0.016 * s, fill=BLUE, tag="embed-point"))
     return scene
 
 
@@ -685,6 +689,13 @@ def render_polytope(game: Game, style: StyleOptions = StyleOptions(), format: st
     return render_figure(FigureSpec(FigureKind.POLYTOPE, game, style), format)
 
 
+def _require_finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {what} {value!r}")
+    return values
+
+
 def render_embedding(
     points,
     heatmap=None,
@@ -700,6 +711,8 @@ def render_embedding(
         rows = tuple(tuple(float(v) for v in row) for row in heatmap)
         if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("heatmap matrix must be rectangular and nonempty")
+        for row in rows:
+            _require_finite("heatmap value", row)
         heatmap = rows
     pairs: list[tuple[float, float]] = []
     for point in points:
@@ -710,6 +723,6 @@ def render_embedding(
             pairs.append((ra, ca))
         else:
             a, b = point
-            pairs.append((float(a), float(b)))
+            pairs.append(_require_finite("point coordinate", (float(a), float(b))))
     data = EmbeddingFigureData(points=tuple(pairs), heatmap=heatmap)
     return render_figure(FigureSpec(FigureKind.EMBEDDING, data, style), format)

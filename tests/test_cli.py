@@ -221,6 +221,25 @@ def test_render_embedding_with_game_point(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8").count('class="embed-point"') == 1
 
 
+def test_render_embedding_heatmap_span_beyond_float_range(tmp_path, capsys):
+    # The largest minus the smallest value overflows to inf; the figure still renders.
+    heat = tmp_path / "heat.dat"
+    heat.write_text("1e308 -1e308\n0 1\n", encoding="utf-8")
+    for suffix in ("svg", "tex"):
+        out_path = tmp_path / f"emb.{suffix}"
+        code, _, err = run_cli(capsys, "render", "--kind", "embedding",
+                               "--matrix", str(heat), "-o", str(out_path))
+        assert (code, err) == (0, "")
+        text = out_path.read_text(encoding="utf-8")
+        if suffix == "svg":
+            svg = ET.fromstring(text)
+            cells = [e for e in svg.iter() if e.get("class") == "heatmap-cell"]
+            # 1e308 is darkest, -1e308 lightest, and 0 and 1 sit halfway
+            assert [c.get("fill") for c in cells] == ["#800080", "#ffffff", "#c080c0", "#c080c0"]
+        else:
+            assert text.count("rectangle") == 5  # four cells and the frame
+
+
 def test_render_points_flag_outside_embedding_rejected(tmp_path, capsys):
     pts = tmp_path / "pts.dat"
     pts.write_text("1 2\n", encoding="utf-8")

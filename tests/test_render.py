@@ -2,7 +2,9 @@ import math
 import os
 import random
 import xml.etree.ElementTree as ET
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -31,10 +33,10 @@ from twobytwo.render import (
     save_points,
     scene_from_polytope,
 )
-from twobytwo.render.canvas import ArrowLine, Circle, Line, Polygon, Rect, Text
+from twobytwo.render.canvas import ArrowLine, Circle, Heatmap, Line, Polygon, Rect, Text
 from twobytwo.render.figures import _fit_to_canvas
 from twobytwo.render.geometry import TETRAHEDRON, simplex_position
-from twobytwo.render.style import BLACK, PURPLE, WHITE, fmt, hex_color, lerp_color, shade
+from twobytwo.render.style import BLACK, BLUE, PURPLE, WHITE, fmt, hex_color, lerp_color, shade
 
 from conftest import (
     ALL_ZERO,
@@ -142,14 +144,13 @@ def test_polytope_vertices_projected_exactly():
         place(ps.projection.project(simplex_position(tuple(float(x) for x in v.prob))))
         for v in ps.polytope.vertices
     ]
-    dots = [p for p in scene.tagged("cce-vertex") if isinstance(p, Circle)]
-    assert len(dots) == len(expected)
-    for dot, (x, y) in zip(dots, expected):
-        assert (dot.cx, dot.cy) == (x, y)
+    (dots,) = scene.tagged("cce-vertex")
+    assert isinstance(dots, Circle)
+    assert dots.centers == tuple(expected)
     # and the serialized coordinates are those values at output precision
     svg = render_figure(FigureSpec(FigureKind.POLYTOPE, game, style), "svg")
-    for dot in dots:
-        assert f'cx="{fmt(dot.cx)}"' in svg
+    for x, _ in dots.centers:
+        assert f'cx="{fmt(x)}"' in svg
 
 
 def test_tetrahedron_equidistant_and_hull_contains_vertices():
@@ -276,18 +277,20 @@ def test_embedding_point_at_atan2_angles():
             style,
         )
     )
-    dots = scene.tagged("embed-point")
-    assert len(dots) == 1
+    (dots,) = scene.tagged("embed-point")
+    assert len(dots.centers) == 1
     s = style.size_pt
     margin, plot = 0.14 * s, s - 0.14 * s - 0.06 * s
-    assert dots[0].cx == pytest.approx(margin + angle / 360.0 * plot)
+    assert dots.centers[0][0] == pytest.approx(margin + angle / 360.0 * plot)
 
 
 def test_embedding_constant_heatmap_uniform():
     data = EmbeddingFigureData(heatmap=((2.0, 2.0), (2.0, 2.0)))
     scene = build_scene(FigureSpec(FigureKind.EMBEDDING, data))
-    fills = {c.fill for c in scene.tagged("heatmap-cell") if isinstance(c, Rect)}
-    assert len(fills) == 1
+    (cells,) = scene.tagged("heatmap-cell")
+    assert isinstance(cells, Heatmap)
+    assert len(cells.fills) == 4
+    assert len(set(cells.fills)) == 1
 
 
 def test_embedding_rejects_ragged_heatmap():
@@ -394,11 +397,11 @@ def reference_hex_color(color):
 
 def reference_collect_colors(scene):
     seen = []
-    for prim in scene.prims:
+    for prim in expand_prims(scene):
         candidates = []
         if isinstance(prim, (Line, ArrowLine)):
             candidates = [prim.color]
-        elif isinstance(prim, (Rect, Circle, Polygon)):
+        elif isinstance(prim, (Rect, OneCircle, Polygon)):
             candidates = [prim.fill, prim.stroke]
         elif isinstance(prim, Text):
             candidates = [prim.color]
@@ -423,7 +426,9 @@ def test_large_heatmap_emission_matches_reference_helpers(format, monkeypatch):
     scene = build_scene(spec)
     colors = reference_collect_colors(scene)
     assert canvas._collect_colors(scene) == colors
-    assert 50 < len(colors) < scene.count("heatmap-cell") == 36 * 40
+    (cells,) = scene.tagged("heatmap-cell")
+    assert (cells.cols, len(cells.fills)) == (40, 36 * 40)
+    assert 50 < len(colors) < scene.count("heatmap-cell") == len(cells.fills)
     text = render_figure(spec, format)
     with monkeypatch.context() as patch:
         patch.setattr(canvas, "fmt", reference_fmt)
@@ -467,3 +472,268 @@ def test_lerp_and_hex_color_match_reference():
     # .5 rounds to even: 0.5 -> 0, 1.5 -> 2
     assert lerp_color(BLACK, (255, 128, 2), 0.25) == (64, 32, 0)
     assert lerp_color(BLACK, (255, 128, 2), 0.75) == (191, 96, 2)
+
+
+# --- grid and multi-centre primitives against a per-element reference ---------------
+# `expand_prims` turns a `Heatmap` back into one `Rect` per cell and a `Circle`
+# into one single-centre circle per centre; `reference_to_svg` and
+# `reference_to_tikz` emit the result one element at a time, as the backends
+# did before those primitives drew many elements each.
+
+
+@dataclass(frozen=True)
+class OneCircle:
+    cx: float
+    cy: float
+    r: float
+    fill: tuple | None
+    stroke: tuple | None = None
+    width: float = 0.0
+    tag: str = ""
+
+
+def expand_prims(scene):
+    prims = []
+    for prim in scene.prims:
+        if isinstance(prim, Heatmap):
+            for index, fill in enumerate(prim.fills):
+                r, c = divmod(index, prim.cols)
+                prims.append(Rect(x=prim.x + c * prim.cell_w, y=prim.top - (r + 1) * prim.cell_h,
+                                  w=prim.cell_w, h=prim.cell_h, fill=fill, tag=prim.tag))
+        elif isinstance(prim, Circle):
+            prims.extend(OneCircle(cx, cy, prim.r, prim.fill, tag=prim.tag) for cx, cy in prim.centers)
+        else:
+            prims.append(prim)
+    return prims
+
+
+def reference_to_svg(scene):
+    h = scene.height
+
+    def y(v):
+        return h - v
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(scene.width)}pt" '
+        f'height="{fmt(h)}pt" viewBox="0 0 {fmt(scene.width)} {fmt(h)}">',
+    ]
+
+    def attr_class(tag):
+        return f' class="{tag}"' if tag else ""
+
+    def paint(fill, stroke, width):
+        parts = [f'fill="{"#" + hex_color(fill) if fill else "none"}"']
+        if stroke is not None:
+            parts.append(f'stroke="#{hex_color(stroke)}" stroke-width="{fmt(width)}"')
+        return " ".join(parts)
+
+    for prim in expand_prims(scene):
+        if isinstance(prim, Line):
+            dash = ' stroke-dasharray="3 2"' if prim.dashed else ""
+            out.append(
+                f'<line x1="{fmt(prim.x1)}" y1="{fmt(y(prim.y1))}" x2="{fmt(prim.x2)}" '
+                f'y2="{fmt(y(prim.y2))}" stroke="#{hex_color(prim.color)}" '
+                f'stroke-width="{fmt(prim.width)}"{dash}{attr_class(prim.tag)}/>'
+            )
+        elif isinstance(prim, ArrowLine):
+            (bx, by), head = canvas._arrow_head(prim.x1, prim.y1, prim.x2, prim.y2, prim.width)
+            out.append(
+                f'<line x1="{fmt(prim.x1)}" y1="{fmt(y(prim.y1))}" x2="{fmt(bx)}" '
+                f'y2="{fmt(y(by))}" stroke="#{hex_color(prim.color)}" '
+                f'stroke-width="{fmt(prim.width)}"{attr_class(prim.tag)}/>'
+            )
+            pts = " ".join(f"{fmt(px)},{fmt(y(py))}" for px, py in head)
+            out.append(f'<polygon points="{pts}" fill="#{hex_color(prim.color)}"/>')
+        elif isinstance(prim, Rect):
+            out.append(
+                f'<rect x="{fmt(prim.x)}" y="{fmt(y(prim.y + prim.h))}" '
+                f'width="{fmt(prim.w)}" height="{fmt(prim.h)}" '
+                f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
+            )
+        elif isinstance(prim, OneCircle):
+            out.append(
+                f'<circle cx="{fmt(prim.cx)}" cy="{fmt(y(prim.cy))}" r="{fmt(prim.r)}" '
+                f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
+            )
+        elif isinstance(prim, Polygon):
+            pts = " ".join(f"{fmt(px)},{fmt(y(py))}" for px, py in prim.points)
+            out.append(
+                f'<polygon points="{pts}" '
+                f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
+            )
+        elif isinstance(prim, Text):
+            anchor, dy = canvas._SVG_ANCHOR[prim.anchor]
+            out.append(
+                f'<text x="{fmt(prim.x)}" y="{fmt(y(prim.y))}" dy="{dy}" '
+                f'font-size="{fmt(prim.size)}" text-anchor="{anchor}" '
+                f'fill="#{hex_color(prim.color)}"{attr_class(prim.tag)}>'
+                f"{canvas._svg_escape(prim.content)}</text>"
+            )
+        else:
+            raise TypeError(f"unknown primitive {prim!r}")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def reference_to_tikz(scene):
+    out = [r"\begin{tikzpicture}[x=1pt,y=1pt,line cap=round,line join=round]"]
+    names = {color: f"c{hex_color(color)}" for color in reference_collect_colors(scene)}
+    for (r, g, b), name in names.items():
+        out.append(rf"\definecolor{{{name}}}{{RGB}}{{{r},{g},{b}}}")
+    cname = names.__getitem__
+
+    def path_options(fill, stroke, width):
+        opts = []
+        if fill is not None:
+            opts.append(f"fill={cname(fill)}")
+        if stroke is not None:
+            opts.append(f"draw={cname(stroke)}")
+            opts.append(f"line width={fmt(width)}pt")
+        return ",".join(opts)
+
+    for prim in expand_prims(scene):
+        if isinstance(prim, Line):
+            dash = ",dashed" if prim.dashed else ""
+            out.append(
+                rf"\draw[color={cname(prim.color)},line width={fmt(prim.width)}pt{dash}] "
+                rf"({fmt(prim.x1)},{fmt(prim.y1)}) -- ({fmt(prim.x2)},{fmt(prim.y2)});"
+            )
+        elif isinstance(prim, ArrowLine):
+            out.append(
+                rf"\draw[->,color={cname(prim.color)},line width={fmt(prim.width)}pt] "
+                rf"({fmt(prim.x1)},{fmt(prim.y1)}) -- ({fmt(prim.x2)},{fmt(prim.y2)});"
+            )
+        elif isinstance(prim, Rect):
+            out.append(
+                rf"\path[{path_options(prim.fill, prim.stroke, prim.width)}] "
+                rf"({fmt(prim.x)},{fmt(prim.y)}) rectangle "
+                rf"({fmt(prim.x + prim.w)},{fmt(prim.y + prim.h)});"
+            )
+        elif isinstance(prim, OneCircle):
+            out.append(
+                rf"\path[{path_options(prim.fill, prim.stroke, prim.width)}] "
+                rf"({fmt(prim.cx)},{fmt(prim.cy)}) circle[radius={fmt(prim.r)}];"
+            )
+        elif isinstance(prim, Polygon):
+            coords = " -- ".join(f"({fmt(px)},{fmt(py)})" for px, py in prim.points)
+            out.append(
+                rf"\path[{path_options(prim.fill, prim.stroke, prim.width)}] {coords} -- cycle;"
+            )
+        elif isinstance(prim, Text):
+            size = fmt(prim.size)
+            baseline = fmt(prim.size * 1.2)
+            out.append(
+                rf"\node[anchor={prim.anchor},text={cname(prim.color)},inner sep=1pt,"
+                rf"font=\fontsize{{{size}}}{{{baseline}}}\selectfont] "
+                rf"at ({fmt(prim.x)},{fmt(prim.y)}) {{{canvas._tikz_escape(prim.content)}}};"
+            )
+        else:
+            raise TypeError(f"unknown primitive {prim!r}")
+    out.append(r"\end{tikzpicture}")
+    return "\n".join(out) + "\n"
+
+
+REFERENCE_BACKENDS = {"svg": (canvas.to_svg, reference_to_svg), "tikz": (canvas.to_tikz, reference_to_tikz)}
+
+STYLE_VARIANTS = (
+    StyleOptions(),
+    StyleOptions(show_axes_labels=False),
+    StyleOptions(show_tick_labels=False),
+    StyleOptions(show_best_response_names=False),
+    StyleOptions(show_axes_labels=False, show_tick_labels=False, show_best_response_names=False),
+)
+
+
+def _seeded_matrix(seed, rows, cols, low=-5.0, high=5.0):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.uniform(low, high) for _ in range(cols)) for _ in range(rows))
+
+
+def _seeded_points(seed, count):
+    rng = random.Random(seed)
+    return tuple((rng.uniform(-30, 400), rng.uniform(-30, 400)) for _ in range(count))
+
+
+EMBEDDING_SHAPES = {
+    "1x1-one-point": (((3.0,),), 1),
+    "1xn-no-points": (_seeded_matrix(1, 1, 9), 0),
+    "nx1-600-points": (_seeded_matrix(2, 9, 1), 600),
+    "constant": (((2.5,) * 4,) * 3, 1),
+    "all-negative": (_seeded_matrix(3, 6, 5, -9.0, -1.0), 600),
+    "36x40-one-point": (_seeded_matrix(4, 36, 40), 1),
+    "span-overflows": (((1e308, -1e308), (0.0, 1.0)), 0),
+    "no-heatmap-no-points": (None, 0),
+    "no-heatmap-600-points": (None, 600),
+}
+
+
+def _first_difference(text, reference):
+    lines, expected = text.splitlines(), reference.splitlines()
+    for number, (line, want) in enumerate(zip(lines, expected), start=1):
+        if line != want:
+            return f"line {number}: {line!r} != {want!r}"
+    return f"{len(lines)} lines != {len(expected)} lines"
+
+
+def _assert_matches_reference(scene, format):
+    emit, reference = REFERENCE_BACKENDS[format]
+    text, expected = emit(scene), reference(scene)
+    same = text == expected  # a bare flag: pytest's diff of two whole figures takes minutes
+    assert same, _first_difference(text, expected)
+    assert canvas._collect_colors(scene) == reference_collect_colors(scene)
+    drawn = Counter(prim.tag for prim in expand_prims(scene))
+    assert {tag: scene.count(tag) for tag in drawn} == drawn
+
+
+@pytest.mark.parametrize("format", ["svg", "tikz"])
+@pytest.mark.parametrize("shape", list(EMBEDDING_SHAPES))
+def test_embedding_emission_matches_per_element_reference(shape, format):
+    heatmap, count = EMBEDDING_SHAPES[shape]
+    data = EmbeddingFigureData(points=_seeded_points(len(shape), count), heatmap=heatmap)
+    for style in STYLE_VARIANTS:
+        scene = build_scene(FigureSpec(FigureKind.EMBEDDING, data, style))
+        assert scene.count("embed-point") == count
+        assert scene.count("heatmap-cell") == (0 if heatmap is None else len(heatmap) * len(heatmap[0]))
+        _assert_matches_reference(scene, format)
+
+
+@pytest.mark.parametrize("format", ["svg", "tikz"])
+def test_every_kind_matches_per_element_reference(format):
+    rng = random.Random(41)
+    cases = list(golden_specs().items())
+    for _ in range(20):
+        game = verify.random_game(rng)
+        cases += [(kind, game) for kind in (FigureKind.POLYTOPE, FigureKind.ORD_GRAPH, FigureKind.BR_GRAPH)]
+    cases += [(FigureKind.POLYTOPE, game_from_flat(flat))
+              for flat in (MATCHING_PENNIES, SAFETY, ALL_ZERO, HORSEPLAY)]
+    for kind, payload in cases:
+        for style in STYLE_VARIANTS[::4]:
+            _assert_matches_reference(build_scene(FigureSpec(kind, payload, style)), format)
+
+
+def test_heatmap_fills_follow_matrix_order():
+    rows = ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
+    (cells,) = build_scene(FigureSpec(FigureKind.EMBEDDING, EmbeddingFigureData(heatmap=rows))).tagged(
+        "heatmap-cell"
+    )
+    assert cells.cols == 3
+    assert cells.fills == tuple(lerp_color(WHITE, PURPLE, v / 5.0) for row in rows for v in row)
+
+
+def test_embedding_points_are_one_circle():
+    data = EmbeddingFigureData(points=_seeded_points(5, 600))
+    (dots,) = build_scene(FigureSpec(FigureKind.EMBEDDING, data)).tagged("embed-point")
+    assert (len(dots.centers), dots.fill) == (600, BLUE)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 10.0), (10.0, math.inf), (-math.inf, 0.0)])
+def test_render_embedding_rejects_non_finite_point(point):
+    with pytest.raises(ValueError, match="non-finite point coordinate (nan|inf|-inf)"):
+        render_embedding([point])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_render_embedding_rejects_non_finite_heatmap_value(value):
+    with pytest.raises(ValueError, match=f"non-finite heatmap value {value!r}"):
+        render_embedding([], heatmap=[[value, 0.0]])

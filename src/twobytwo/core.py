@@ -36,7 +36,12 @@ class Player(enum.Enum):
 #: the work of parsing one literal.
 MAX_LITERAL_DIGITS = 400
 
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+#: Every character a string literal may hold: ASCII digits, sign, point, slash,
+#: underscore and exponent mark.  `Fraction` alone would also take any Unicode
+#: decimal digit and surrounding whitespace.
+_LITERAL_CHARS = re.compile(r"[0-9+\-./_eE]*")
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
 
 
 def _literal_digits(token: str) -> int:
@@ -54,14 +59,17 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce a payoff literal to an exact rational.
 
     Decimal strings are parsed as exact decimal fractions (".4" -> 2/5),
-    never as binary floats.  Accepts "n/d" fraction syntax.  A string with
-    more than `MAX_LITERAL_DIGITS` digits is rejected before it is parsed.
+    never as binary floats.  Accepts "n/d" fraction syntax.  A string must be
+    ASCII with no whitespace, and one with more than `MAX_LITERAL_DIGITS`
+    digits is rejected before it is parsed.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _LITERAL_CHARS.fullmatch(value):
+            raise ValueError(f"invalid rational literal {value!r}")
         if _literal_digits(value) > MAX_LITERAL_DIGITS:
             raise ValueError(
                 f"rational literal {value!r} has more than {MAX_LITERAL_DIGITS} digits"

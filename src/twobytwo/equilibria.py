@@ -7,6 +7,9 @@ polytope in the joint-strategy simplex, enumerated exactly: every subset of
 three inequality constraints is solved against the sum-to-one equality and
 feasible solutions are kept.  The Nash boxes, the constraint rows and the
 membership test all read the players' advantages from `core.advantages`.
+The four CCE inequalities are written once, in `cce_holds`, on an advantage
+quadruple and unnormalized cell weights; `joint_in_cce` applies it to a
+joint, and the verifier applies it to integer numerators.
 Each row is cleared of denominators by `core.integerize`, so every solve is
 an integer determinant problem (Cramer's rule), and only the surviving
 vertices are converted to `Fraction`.  For two-action games the correlated
@@ -124,20 +127,27 @@ def cce_constraints(game: Game) -> tuple[DeviationConstraint, ...]:
     )
 
 
-def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
-    """Exact membership test: all four deviation constraints hold.
+def cce_holds(adv, weights) -> bool:
+    """The four CCE inequalities on an advantage quadruple and four cell weights.
 
-    The constraints are those of `cce_constraints`, written out from the two
-    advantage pairs so that a test costs eight products.
+    `adv` is `(a, b, c, d)` as `core.advantages` orders it and `weights` are
+    nonnegative weights on the cells AA, AB, BA, BB that need not sum to one.
+    The test is invariant under a positive scaling of each player's pair and
+    of the weights, so it is exact on `Fraction`s and on integers alike.
     """
-    a, b, c, d = advantages(game)
-    p_aa, p_ab, p_ba, p_bb = dist.prob
+    a, b, c, d = adv
+    w_aa, w_ab, w_ba, w_bb = weights
     return (
-        a * p_ba + b * p_bb <= 0  # row player deviating to A
-        and a * p_aa + b * p_ab >= 0  # row player deviating to B
-        and c * p_ab + d * p_bb <= 0  # column player deviating to A
-        and c * p_aa + d * p_ba >= 0  # column player deviating to B
+        a * w_ba + b * w_bb <= 0  # row player deviating to A
+        and a * w_aa + b * w_ab >= 0  # row player deviating to B
+        and c * w_ab + d * w_bb <= 0  # column player deviating to A
+        and c * w_aa + d * w_ba >= 0  # column player deviating to B
     )
+
+
+def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
+    """Exact membership test: `cce_holds` on the game's advantages and the joint."""
+    return cce_holds(advantages(game), dist.prob)
 
 
 # -sigma_i <= 0 for each cell i: the last four halfspace rows.
@@ -153,7 +163,8 @@ def halfspace_rows(game: Game) -> tuple[tuple[Fraction, ...], ...]:
     return _halfspaces(cce_constraints(game))
 
 
-def _matrix_rank(rows: list[tuple[Fraction, ...]]) -> int:
+def _matrix_rank(rows: list[tuple]) -> int:
+    """Rank by fraction-free elimination: exact on integers and `Fraction`s alike."""
     mat = [list(r) for r in rows]
     rank = 0
     cols = len(mat[0]) if mat else 0
@@ -162,12 +173,11 @@ def _matrix_rank(rows: list[tuple[Fraction, ...]]) -> int:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            factor = mat[r][col]
+            if factor != 0:
+                mat[r] = [top[col] * x - factor * y for x, y in zip(mat[r], top)]
         rank += 1
     return rank
 
@@ -246,8 +256,10 @@ def cce_polytope(game: Game) -> CcePolytope:
     if len(ordered) <= 1:
         dimension = 0
     else:
-        base = ordered[0]
-        diffs = [tuple(v[k] - base[k] for k in range(4)) for v in ordered[1:]]
+        # Vertex n / sum(n) minus the first vertex n0 / t0, times sum(n) * t0.
+        n0 = vertices[0][1]
+        t0 = sum(n0)
+        diffs = [tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for _, n in vertices[1:]]
         dimension = _matrix_rank(diffs)
     return CcePolytope(
         deviation_constraints=constraints,

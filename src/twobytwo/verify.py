@@ -10,6 +10,7 @@ All arithmetic is exact; a disagreement is a bug, never noise.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .core import (
     JointDistribution,
     MarginalPair,
     Player,
+    advantages,
     game_from_flat,
     format_rational,
     game_to_flat,
@@ -35,6 +37,7 @@ from .embedding import class_of_embedding, embed, permute_embedding
 from .equilibria import (
     Box,
     NashSet,
+    cce_holds,
     cce_polytope,
     deviation_gain,
     halfspace_rows,
@@ -154,10 +157,14 @@ def integer_mix(weights, numerators, scale: int) -> tuple[Fraction, ...]:
 def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     """Vertex feasibility, tightness rank, edge tightness, convexity, and NE containment.
 
+    The vertices are scaled once to integer numerators over one common
+    denominator, and each halfspace row and each player's advantage pair to
+    integers; every scaling is positive, so it keeps every sign and zero.
+    Feasibility and tightness are the signs of integer dot products.
     Convexity is tested on `combos` random convex combinations of the
-    vertices, drawn with integer weights 0..10.  The vertices are scaled once
-    to integer numerators over one common denominator, so each combination is
-    four integer sums and one exact `Fraction` per coordinate.
+    vertices, drawn with integer weights 0..10: `cce_holds` on the integer
+    advantages and the four integer numerator sums of a combination.  A
+    `Fraction` mix is built only to report a combination outside the set.
     """
     failures = []
     poly = cce_polytope(game)
@@ -166,27 +173,31 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
         failures.append("empty CCE polytope")
         return failures
 
+    scale, numerators = common_numerators(poly.vertices)
+    int_rows = [integerize(row) for row in rows]
     tight_sets = []
-    for vertex in poly.vertices:
-        values = [sum((vertex.prob[j] * row[j] for j in range(4)), Fraction(0)) for row in rows]
+    for vertex, nums in zip(poly.vertices, numerators):
+        values = [sum(map(operator.mul, row, nums)) for row in int_rows]
         if any(v > 0 for v in values):
             failures.append(f"vertex {vertex.prob} violates a halfspace")
         tight = [k for k, v in enumerate(values) if v == 0]
         tight_sets.append(tight)
-        if _matrix_rank([rows[k] for k in tight]) < 3:
+        if _matrix_rank([int_rows[k] for k in tight]) < 3:
             failures.append(f"vertex {vertex.prob} has fewer than 3 independent tight constraints")
 
     for i, j in poly.edges:
         if len(set(tight_sets[i]) & set(tight_sets[j])) < 2:
             failures.append(f"edge ({i},{j}) endpoints share fewer than 2 tight constraints")
 
-    scale, numerators = common_numerators(poly.vertices)
+    a, b, c, d = advantages(game)
+    adv = integerize((a, b)) + integerize((c, d))
+    columns = tuple(zip(*numerators))
     for _ in range(combos):
         weights = [rng.randint(0, 10) for _ in poly.vertices]
         if sum(weights) == 0:
             weights[0] = 1
-        mix = integer_mix(weights, numerators, scale)
-        if not joint_in_cce(game, JointDistribution(mix)):
+        if not cce_holds(adv, [sum(map(operator.mul, weights, col)) for col in columns]):
+            mix = integer_mix(weights, numerators, scale)
             failures.append(f"convex combination {mix} outside the CCE set")
 
     for dist in nash_product_joints(nash_set(game)):

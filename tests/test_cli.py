@@ -70,9 +70,11 @@ def test_analyze_bad_literal_names_token(capsys):
     code, _, err = run_cli(capsys, "analyze", "1", "2", "bogus", "4", "5", "6", "7", "8")
     assert code == 2
     assert "bogus" in err
-    code, _, err = run_cli(capsys, "analyze", "-1x", *["0"] * 7)
-    assert code == 2
-    assert "invalid payoff literal '-1x'" in err
+    # Arabic-Indic digits, surrounding whitespace and a vulgar fraction as well
+    for token in ("-1x", "\u0661", " 1", "1 ", "\u0663/\u0664", "\u00bd"):
+        code, _, err = run_cli(capsys, "analyze", token, *["0"] * 7)
+        assert code == 2
+        assert f"invalid payoff literal '{token}'" in err
 
 
 def test_analyze_deterministic(capsys):

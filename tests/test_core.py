@@ -44,9 +44,13 @@ def test_decimal_strings_parse_exactly():
     assert as_rational("-7/2") == F(-7, 2)
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1.2.3", "nan"])
+# After the first five, `Fraction` alone would take each: a literal is ASCII
+# with no whitespace.
+@pytest.mark.parametrize(
+    "bad", ["abc", "1/0", "", "1.2.3", "nan", "\u0661", "\u0663/\u0664", "\uff11", " 1", "1 ", "\t1", "1\n", "1\u00a0"]
+)
 def test_bad_rational_literals(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid rational literal"):
         as_rational(bad)
 
 

@@ -208,6 +208,37 @@ def test_cce_polytope_matches_fraction_reference():
         assert cce_polytope(game) == reference_cce_polytope(game), game
 
 
+def reference_matrix_rank(rows):
+    """Gauss-Jordan rank over `Fraction`s, the elimination the fraction-free one replaced."""
+    mat = [[F(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        mat[rank] = [x / mat[rank][col] for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                mat[r] = [x - mat[r][col] * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_matrix_rank_matches_fraction_reference():
+    rng = random.Random(4)
+    for _ in range(400):
+        rows = [tuple(rng.choice((0, 0, 1, -1, rng.randint(-2**70, 2**70))) for _ in range(4))
+                for _ in range(rng.randint(0, 8))]
+        if rows and rng.random() < 0.5:  # a combination of the others: rank-deficient
+            rows.append(tuple(sum(rng.randint(-3, 3) * r[k] for r in rows) for k in range(4)))
+        dens = [rng.randint(1, 2**64) for _ in rows]  # scaling a row keeps the rank
+        as_fractions = [tuple(F(x, den) for x in r) for r, den in zip(rows, dens)]
+        expected = reference_matrix_rank(rows)
+        assert _matrix_rank(rows) == expected == reference_matrix_rank(as_fractions)
+        assert _matrix_rank(as_fractions) == expected
+
+
 # --- nash sets -------------------------------------------------------------------
 
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobytwo import verify
-from twobytwo.core import JointDistribution, Player, game_from_flat
-from twobytwo.equilibria import cce_polytope, deviation_gain, joint_in_cce, nash_set
+from twobytwo.core import JointDistribution, Player, advantages, game_from_flat, integerize
+from twobytwo.equilibria import cce_holds, cce_polytope, deviation_gain, joint_in_cce, nash_set
 from twobytwo.kernels import grid_oracle
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -68,6 +68,34 @@ def test_joint_in_cce_matches_raw_deviation_sums(case):
         for action in (0, 1)
     )
     assert joint_in_cce(game, dist) == raw
+
+
+@st.composite
+def games_and_weights(draw):
+    """A game with four integer cell weights, some possibly zero: a CCE vertex's
+    numerators times a positive integer (on the boundary), or random weights."""
+    game = draw(games())
+    if draw(st.booleans()):
+        vertices = cce_polytope(game).vertices
+        vertex = vertices[draw(st.integers(0, len(vertices) - 1))]
+        factor = draw(st.integers(1, 3) | st.integers(1, 2 ** 80))
+        return game, [factor * n for n in integerize(vertex.prob)]
+    return game, draw(st.lists(weight, min_size=4, max_size=4).filter(any))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(games_and_weights())
+def test_cce_holds_on_integers_matches_joint_in_cce(case):
+    game, weights = case
+    a, b, c, d = advantages(game)
+    total = sum(weights)
+    dist = JointDistribution(tuple(Fraction(w, total) for w in weights))
+    raw = all(
+        deviation_gain(game, player, action, dist) <= 0
+        for player in (Player.ROW, Player.COL)
+        for action in (0, 1)
+    )
+    assert cce_holds(integerize((a, b)) + integerize((c, d)), weights) == joint_in_cce(game, dist) == raw
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

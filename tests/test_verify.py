@@ -6,7 +6,7 @@ from fractions import Fraction
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
 from twobytwo import core, equilibria, verify
 from twobytwo.core import JointDistribution, game_from_flat
-from twobytwo.equilibria import NashSet, cce_polytope
+from twobytwo.equilibria import NashSet, _matrix_rank, cce_polytope, halfspace_rows, nash_product_joints
 
 
 def test_suite_passes_on_seeded_games():
@@ -117,6 +117,90 @@ def test_check_cce_draws_the_same_rng_stream():
     assert rng.random() == 0.3073553902230812
 
 
+def reference_check_cce(game, rng, combos=100):
+    """The `Fraction` check that the integer one replaced, kept as the reference:
+    dot products on `Fraction` vertices, and each combination a normalized
+    `JointDistribution` tested by `joint_in_cce`."""
+    failures = []
+    poly = verify.cce_polytope(game)
+    rows = halfspace_rows(game)
+    if not poly.vertices:
+        failures.append("empty CCE polytope")
+        return failures
+
+    tight_sets = []
+    for vertex in poly.vertices:
+        values = [sum((vertex.prob[j] * row[j] for j in range(4)), Fraction(0)) for row in rows]
+        if any(v > 0 for v in values):
+            failures.append(f"vertex {vertex.prob} violates a halfspace")
+        tight = [k for k, v in enumerate(values) if v == 0]
+        tight_sets.append(tight)
+        if _matrix_rank([rows[k] for k in tight]) < 3:
+            failures.append(f"vertex {vertex.prob} has fewer than 3 independent tight constraints")
+
+    for i, j in poly.edges:
+        if len(set(tight_sets[i]) & set(tight_sets[j])) < 2:
+            failures.append(f"edge ({i},{j}) endpoints share fewer than 2 tight constraints")
+
+    scale, numerators = verify.common_numerators(poly.vertices)
+    for _ in range(combos):
+        weights = [rng.randint(0, 10) for _ in poly.vertices]
+        if sum(weights) == 0:
+            weights[0] = 1
+        mix = verify.integer_mix(weights, numerators, scale)
+        if not verify.joint_in_cce(game, JointDistribution(mix)):
+            failures.append(f"convex combination {mix} outside the CCE set")
+
+    for dist in nash_product_joints(verify.nash_set(game)):
+        if not verify.joint_in_cce(game, dist):
+            failures.append(f"NE product joint {dist.prob} outside the CCE set")
+    return failures
+
+
+def assert_check_cce_matches_reference(games, seed, combos=100):
+    """Same messages and the same rng state after, game by game."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for game in games:
+        expected = reference_check_cce(game, theirs, combos)
+        assert verify.check_cce(game, ours, combos) == expected, game
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_check_cce_matches_fraction_reference(monkeypatch):
+    rng = random.Random(21)
+    assert_check_cce_matches_reference([verify.random_game(rng) for _ in range(200)], seed=21)
+
+    big = 2**62 + 7
+    assert_check_cce_matches_reference(
+        [
+            game_from_flat(flat)
+            for flat in (PRISONERS_DILEMMA, MATCHING_PENNIES, COORDINATION, ALL_ZERO, TRAFFIC_LIGHTS)
+        ]
+        + [
+            game_from_flat((0, 0, 0, 0, 2, 0, 0, 1)),  # all-zero row player
+            game_from_flat((3, -1, 3, -1, 1, -2, 0, 5)),  # row player indifferent everywhere
+            game_from_flat((2, 0, 0, 1, 4, 4, -1, -1)),  # column player indifferent everywhere
+            game_from_flat((big * 3, -big, big, 2**70, 1, -(2**65), 7, 0)),  # beyond 2^62
+            game_from_flat((Fraction(1, big), Fraction(-1, big + 2), 0, Fraction(3, 2**63),
+                            Fraction(5, big), 0, Fraction(-1, 3), Fraction(2, big))),
+        ],
+        seed=5,
+        combos=40,
+    )
+
+    real = verify.cce_polytope
+
+    def add_bad_vertex(game):
+        poly = real(game)
+        bad = JointDistribution((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+        return dataclasses.replace(poly, vertices=poly.vertices + (bad,))
+
+    monkeypatch.setattr(verify, "cce_polytope", add_bad_vertex)
+    games = [game_from_flat(PRISONERS_DILEMMA)] + [verify.random_game(rng) for _ in range(20)]
+    assert verify.check_cce(games[0], random.Random(0))  # the bad vertex is reported
+    assert_check_cce_matches_reference(games, seed=9, combos=30)
+
+
 def test_negative_control_infeasible_cce_vertex(monkeypatch):
     """A polytope with a vertex outside the CCE set fails both the halfspace and the convexity test."""
     real = verify.cce_polytope
@@ -130,6 +214,20 @@ def test_negative_control_infeasible_cce_vertex(monkeypatch):
     failures = verify.check_cce(game_from_flat(PRISONERS_DILEMMA), random.Random(0))
     assert any("violates a halfspace" in f for f in failures)
     assert any(f.startswith("convex combination") and f.endswith("outside the CCE set") for f in failures)
+
+
+def test_negative_control_broken_cce_holds(monkeypatch):
+    """A flipped `cce_holds`, as the convexity test binds it, must reject every combination."""
+    real = verify.cce_holds
+    monkeypatch.setattr(verify, "cce_holds", lambda adv, weights: not real(adv, weights))
+    report = verify.run(seed=3, trials=4, combos=20)
+    assert len(report.failures) == 4
+    for failure in report.failures:
+        assert failure.messages
+        assert all(
+            m.startswith("convex combination") and m.endswith("outside the CCE set")
+            for m in failure.messages
+        )
 
 
 def test_run_records_per_check_timings():
@@ -149,8 +247,8 @@ def test_negative_control_swapped_column_cce_rows(monkeypatch):
     """Column rows built on the wrong cells (AB and BA swapped) must be caught.
 
     Vertex feasibility and tightness use the same rows as the polytope, so they
-    agree with the mutation; `joint_in_cce` is written out separately and
-    rejects the resulting convex combinations.
+    agree with the mutation; `cce_holds` reads the advantages, not the rows,
+    and rejects the resulting convex combinations.
     """
     real = equilibria.cce_constraints
 

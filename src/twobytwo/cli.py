@@ -15,6 +15,7 @@ import sys
 
 from .core import (
     Game,
+    JointDistribution,
     Player,
     as_rational,
     format_rational,
@@ -31,17 +32,16 @@ from .render import (
     FigureSpec,
     StyleOptions,
     UnsupportedFigureError,
+    angle_pairs,
     load_matrix,
     load_points,
     render_figure,
 )
+from .render.figures import _BUILDERS
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-_GAME_KINDS = {"ordgraph", "brgraph", "payoffs", "polytope"}
-_JOINT_KINDS = {"joint", "rowcond", "colcond", "marginal", "jointmarginal"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,33 +153,30 @@ def _style_from_flags(args) -> StyleOptions:
 
 
 def _render_payload(parser, args):
-    kind = args.kind
-    if kind in _GAME_KINDS:
-        if args.points or args.matrix:
-            parser.error("--points/--matrix are only valid with --kind embedding")
+    """The payload of the type `--kind` draws, from its literals and files."""
+    _, payload_type = _BUILDERS[FigureKind(args.kind)]
+    if payload_type is not EmbeddingFigureData and (args.points or args.matrix):
+        parser.error("--points/--matrix are only valid with --kind embedding")
+    if payload_type is Game:
         return game_from_flat(_parse_rationals(parser, args.payoffs, 8, "payoff"))
-    if kind in _JOINT_KINDS:
-        if args.points or args.matrix:
-            parser.error("--points/--matrix are only valid with --kind embedding")
+    if payload_type is JointDistribution:
         values = _parse_rationals(parser, args.payoffs, 4, "probability")
         try:
             return joint(values)
         except ValueError as exc:
             parser.error(str(exc))
     # embedding: an optional game plus optional point/heatmap files
-    pairs = []
+    pairs = ()
     if args.payoffs:
         game = game_from_flat(_parse_rationals(parser, args.payoffs, 8, "payoff"))
-        point = embed(game)
-        if point.row_angle_degrees is not None and point.col_angle_degrees is not None:
-            pairs.append((point.row_angle_degrees, point.col_angle_degrees))
+        pairs = angle_pairs([embed(game)])
     try:
         if args.points:
-            pairs.extend(load_points(args.points))
+            pairs += load_points(args.points)
         heatmap = load_matrix(args.matrix) if args.matrix else None
+        return EmbeddingFigureData(points=pairs, heatmap=heatmap)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    return EmbeddingFigureData(points=tuple(pairs), heatmap=heatmap)
 
 
 def _cmd_render(parser, args) -> int:

@@ -20,7 +20,6 @@ RationalLike = Union[Fraction, int, str]
 # Joint-action cells in flat order, row-major for the row player.
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CELL_NAMES = ("AA", "AB", "BA", "BB")
-ACTION_NAMES = ("A", "B")
 
 
 class Player(enum.Enum):

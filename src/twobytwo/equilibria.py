@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    CELLS,
     Game,
     JointDistribution,
     MarginalPair,
@@ -400,7 +401,7 @@ def is_nash(game: Game, m: MarginalPair) -> bool:
 def deviation_gain(game: Game, player: Player, deviation: int, dist: JointDistribution) -> Fraction:
     """The raw no-regret sum: expected gain from always switching to `deviation`."""
     total = _ZERO
-    for cell, (r_act, c_act) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+    for cell, (r_act, c_act) in enumerate(CELLS):
         if player is Player.ROW:
             gain = game.payoff(player, deviation, c_act) - game.payoff(player, r_act, c_act)
         else:

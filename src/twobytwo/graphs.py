@@ -6,7 +6,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .core import (
     ADVANTAGE_ACTION,
@@ -167,44 +166,18 @@ def _class_table() -> dict[BRGraph, tuple[BRGraph, int]]:
     return {g: (rep, index_of[rep]) for g, rep in canonical_of.items()}
 
 
-@functools.lru_cache(maxsize=1)
-def _default_names() -> dict[int, str]:
-    text = resources.files("twobytwo.data").joinpath("brclass_names.txt").read_text("utf-8")
-    return parse_name_table(text)
+#: The best-response classes with a name; every other class is `class-{index}`.
+_CLASS_NAMES = {6: "coordination", 7: "safety", 8: "cyclic", 10: "horseplay", 15: "zero"}
 
 
-def load_name_table(path) -> dict[int, str]:
-    """Load a class-name table from a file (same format as the bundled one)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_name_table(fh.read())
-
-
-def parse_name_table(text: str) -> dict[int, str]:
-    """Parse a class-name table: one `index<TAB>name` per line, indices 1..15."""
-    names: dict[int, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            index_text, name = line.split("\t", 1)
-            index = int(index_text)
-        except ValueError as exc:
-            raise ValueError(f"malformed name table line {lineno}: {line!r}") from exc
-        if not 1 <= index <= 15:
-            raise ValueError(f"class index {index} outside 1..15 on line {lineno}")
-        names[index] = name.strip()
-    return names
-
-
-def class_from_br_graph(graph: BRGraph, names: dict[int, str] | None = None) -> BRClass:
+def class_from_br_graph(graph: BRGraph) -> BRClass:
     canonical, index = _class_table()[graph]
-    table = _default_names() if names is None else names
-    return BRClass(canonical=canonical, index=index, name=table.get(index, f"class-{index}"))
+    return BRClass(canonical=canonical, index=index, name=_CLASS_NAMES.get(index, f"class-{index}"))
 
 
-def br_class(game: Game, names: dict[int, str] | None = None) -> BRClass:
+def br_class(game: Game) -> BRClass:
     """The game's best-response class: constant on symmetry orbits, 15 in total."""
-    return class_from_br_graph(br_graph(game), names)
+    return class_from_br_graph(br_graph(game))
 
 
 # --- census -----------------------------------------------------------------

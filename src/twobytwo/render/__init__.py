@@ -5,14 +5,12 @@ from .figures import (
     EmbeddingFigureData,
     FigureKind,
     FigureSpec,
-    PolytopeScene,
     UnsupportedFigureError,
-    build_polytope_scene,
+    angle_pairs,
     build_scene,
     render_embedding,
     render_figure,
     render_polytope,
-    scene_from_polytope,
 )
 from .files import load_matrix, load_points, save_matrix, save_points
 from .style import StyleOptions

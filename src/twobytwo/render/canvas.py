@@ -85,15 +85,6 @@ class Circle:
 
 
 @dataclass(frozen=True)
-class Polygon:
-    points: tuple[tuple[float, float], ...]
-    fill: Color | None
-    stroke: Color | None = None
-    width: float = 0.0
-    tag: str = ""
-
-
-@dataclass(frozen=True)
 class Text:
     x: float
     y: float
@@ -104,7 +95,7 @@ class Text:
     tag: str = ""
 
 
-Primitive = Union[Line, ArrowLine, Rect, Heatmap, Circle, Polygon, Text]
+Primitive = Union[Line, ArrowLine, Rect, Heatmap, Circle, Text]
 
 
 def _drawn(prim: Primitive) -> int:
@@ -223,12 +214,6 @@ def to_svg(scene: Scene) -> str:
             out.extend(
                 f'<circle cx="{fmt(cx)}" cy="{fmt(y(cy))}{tail}' for cx, cy in prim.centers
             )
-        elif isinstance(prim, Polygon):
-            pts = " ".join(f"{fmt(px)},{fmt(y(py))}" for px, py in prim.points)
-            out.append(
-                f'<polygon points="{pts}" '
-                f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
-            )
         elif isinstance(prim, Text):
             anchor, dy = _SVG_ANCHOR[prim.anchor]
             out.append(
@@ -258,7 +243,7 @@ def _collect_colors(scene: Scene) -> list[Color]:
     for prim in scene.prims:
         if isinstance(prim, (Line, ArrowLine, Text)):
             seen[prim.color] = None
-        elif isinstance(prim, (Rect, Polygon)):
+        elif isinstance(prim, Rect):
             seen[prim.fill] = None
             seen[prim.stroke] = None
         elif isinstance(prim, Heatmap):
@@ -322,11 +307,6 @@ def to_tikz(scene: Scene) -> str:
             head = rf"\path[{path_options(prim.fill, None, 0.0)}] ("
             tail = f") circle[radius={fmt(prim.r)}];"
             out.extend(f"{head}{fmt(cx)},{fmt(cy)}{tail}" for cx, cy in prim.centers)
-        elif isinstance(prim, Polygon):
-            coords = " -- ".join(f"({fmt(px)},{fmt(py)})" for px, py in prim.points)
-            out.append(
-                rf"\path[{path_options(prim.fill, prim.stroke, prim.width)}] {coords} -- cycle;"
-            )
         elif isinstance(prim, Text):
             size = fmt(prim.size)
             baseline = fmt(prim.size * 1.2)

@@ -1,13 +1,20 @@
 """Builders for every figure family, plus the format dispatch.
 
-Each builder produces a `Scene` of primitives; `render_figure` serializes it
-through the TikZ or SVG backend.  Primitives carry tags so tests (and SVG
-consumers) can count semantic elements: "cce-edge", "ne-point", and so on.
+`_BUILDERS` is the one table from a `FigureKind` to its builder and payload
+type: a `Game`, a `JointDistribution` or an `EmbeddingFigureData`.  The CLI
+reads the payload type from it too.  Each builder draws its payload straight
+into a `Scene` of primitives; `render_figure` serializes the scene through the
+TikZ or SVG backend.  Primitives carry tags so tests (and SVG consumers) can
+count semantic elements: "cce-edge", "ne-point", and so on.
+
+`EmbeddingFigureData` checks its points and heatmap when it is built, so every
+embedding payload that reaches a builder is finite and rectangular.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +30,7 @@ from ..core import (
     format_rational,
 )
 from ..embedding import EmbeddingPoint
-from ..equilibria import CcePolytope, NashSet, cce_polytope, nash_set
+from ..equilibria import cce_polytope, nash_set
 from ..graphs import BRGraph, br_graph, class_from_br_graph, ordinal_graph
 from .canvas import ArrowLine, Circle, Heatmap, Line, Rect, Scene, Text
 from .geometry import (
@@ -65,24 +72,31 @@ class FigureKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EmbeddingFigureData:
-    """Raw plotting data: angle pairs in degrees plus an optional heatmap."""
+    """Raw plotting data: angle pairs in degrees plus an optional heatmap.
+
+    Construction checks that every point is a finite pair and that the
+    heatmap, if given, is a nonempty rectangular matrix of finite values.
+    """
 
     points: tuple[tuple[float, float], ...] = ()
     heatmap: tuple[tuple[float, ...], ...] | None = None
 
-    @classmethod
-    def from_embedding_points(
-        cls,
-        points,
-        heatmap=None,
-    ) -> "EmbeddingFigureData":
-        pairs = []
-        for point in points:
-            ra, ca = point.row_angle_degrees, point.col_angle_degrees
-            if ra is None or ca is None:
-                continue  # trivial players have no angle; they are not plotted
-            pairs.append((ra, ca))
-        return cls(points=tuple(pairs), heatmap=heatmap)
+    def __post_init__(self) -> None:
+        isfinite = math.isfinite
+        rows = self.heatmap
+        if rows is not None:
+            if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+                raise ValueError("heatmap matrix must be rectangular and nonempty")
+            for row in rows:
+                for value in row:
+                    if not isfinite(value):
+                        raise ValueError(f"non-finite heatmap value {value!r}")
+        for point in self.points:
+            if len(point) != 2:
+                raise ValueError(f"point {point!r} is not a (row angle, column angle) pair")
+            if not (isfinite(point[0]) and isfinite(point[1])):
+                value = point[0] if not isfinite(point[0]) else point[1]
+                raise ValueError(f"non-finite point coordinate {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,40 +106,24 @@ class FigureSpec:
     style: StyleOptions = StyleOptions()
 
 
-@dataclass(frozen=True)
-class PolytopeScene:
-    """The 3D content of a polytope figure before 2D serialization."""
-
-    simplex_vertices: tuple[tuple[float, float, float], ...]
-    polytope: CcePolytope
-    nash: NashSet
-    projection: Projection
-
-
 # --- distribution glyphs --------------------------------------------------------
 
 
-def _cell_rect(scene, x, y, w, h, fill, stroke, width, tag):
-    scene.add(Rect(x=x, y=y, w=w, h=h, fill=fill, stroke=stroke, width=width, tag=tag))
+def _joint_cells(scene: Scene, dist: JointDistribution, style: StyleOptions, cell, y0) -> None:
+    """The four joint cells, shaded by probability, with the bottom row at `y0`."""
+    for idx, prob in enumerate(dist.prob):
+        r, c = divmod(idx, 2)
+        scene.add(
+            Rect(x=c * cell, y=y0 + (1 - r) * cell, w=cell, h=cell,
+                 fill=shade(BLACK, float(prob)), stroke=BLACK,
+                 width=style.stroke_width_pt, tag="joint-cell")
+        )
 
 
 def _build_joint(dist: JointDistribution, style: StyleOptions) -> Scene:
     s = style.size_pt
-    cell = s / 2.0
     scene = Scene(width=s, height=s)
-    for idx, prob in enumerate(dist.prob):
-        r, c = divmod(idx, 2)
-        _cell_rect(
-            scene,
-            c * cell,
-            (1 - r) * cell,
-            cell,
-            cell,
-            shade(BLACK, float(prob)),
-            BLACK,
-            style.stroke_width_pt,
-            "joint-cell",
-        )
+    _joint_cells(scene, dist, style, s / 2.0, 0.0)
     return scene
 
 
@@ -133,100 +131,45 @@ def _build_conditional(dist: JointDistribution, style: StyleOptions, player: Pla
     s = style.size_pt
     cell = s / 2.0
     scene = Scene(width=s, height=s)
-    table = conditional(dist, player)
     color = style.player_colors[player.value]
-    for which, row in enumerate(table.rows):
-        for other, prob in enumerate(row) if row is not None else ():
+    for which, row in enumerate(conditional(dist, player).rows):
+        for other in range(2):
             r, c = (which, other) if player is Player.ROW else (other, which)
-            _cell_rect(
-                scene,
-                c * cell,
-                (1 - r) * cell,
-                cell,
-                cell,
-                shade(color, float(prob)),
-                BLACK,
-                style.stroke_width_pt,
-                "cond-cell",
+            if row is None:  # zero conditioning probability: nothing to shade
+                fill, stroke, tag = WHITE, LIGHT_GRAY, "absent-cell"
+            else:
+                fill, stroke, tag = shade(color, float(row[other])), BLACK, "cond-cell"
+            scene.add(
+                Rect(x=c * cell, y=(1 - r) * cell, w=cell, h=cell, fill=fill,
+                     stroke=stroke, width=style.stroke_width_pt, tag=tag)
             )
-        if row is None:
-            for other in range(2):
-                r, c = (which, other) if player is Player.ROW else (other, which)
-                _cell_rect(
-                    scene,
-                    c * cell,
-                    (1 - r) * cell,
-                    cell,
-                    cell,
-                    WHITE,
-                    LIGHT_GRAY,
-                    style.stroke_width_pt,
-                    "absent-cell",
-                )
     return scene
 
 
-def _marginal_bars(scene, m: MarginalPair, style: StyleOptions, origin, joint_side, bar):
-    ox, oy = origin
-    gap = 0.06 * joint_side
+def _build_marginal(dist: JointDistribution, style: StyleOptions, with_joint: bool = False) -> Scene:
+    """Marginal bars right of and below the joint square, which is drawn only `with_joint`."""
+    s = style.size_pt
+    bar = 0.22 * s
+    joint_side = s - bar - 0.06 * s
     cell = joint_side / 2.0
+    gap = 0.06 * joint_side
+    scene = Scene(width=s, height=s)
+    if with_joint:
+        _joint_cells(scene, dist, style, cell, bar + gap)
+    m = marginals_from_joint(dist)
     row_color, col_color = style.player_colors
     for r, prob in enumerate((m.row_prob_a, 1 - m.row_prob_a)):
-        _cell_rect(
-            scene,
-            ox + joint_side + gap,
-            oy + bar + gap + (1 - r) * cell,
-            bar,
-            cell,
-            shade(row_color, float(prob)),
-            BLACK,
-            style.stroke_width_pt,
-            "marginal-row-cell",
+        scene.add(
+            Rect(x=joint_side + gap, y=bar + gap + (1 - r) * cell, w=bar, h=cell,
+                 fill=shade(row_color, float(prob)), stroke=BLACK,
+                 width=style.stroke_width_pt, tag="marginal-row-cell")
         )
     for c, prob in enumerate((m.col_prob_a, 1 - m.col_prob_a)):
-        _cell_rect(
-            scene,
-            ox + c * cell,
-            oy,
-            cell,
-            bar,
-            shade(col_color, float(prob)),
-            BLACK,
-            style.stroke_width_pt,
-            "marginal-col-cell",
+        scene.add(
+            Rect(x=c * cell, y=0.0, w=cell, h=bar,
+                 fill=shade(col_color, float(prob)), stroke=BLACK,
+                 width=style.stroke_width_pt, tag="marginal-col-cell")
         )
-
-
-def _build_marginal(dist: JointDistribution, style: StyleOptions) -> Scene:
-    s = style.size_pt
-    bar = 0.22 * s
-    joint_side = s - bar - 0.06 * s
-    scene = Scene(width=s, height=s)
-    _marginal_bars(scene, marginals_from_joint(dist), style, (0.0, 0.0), joint_side, bar)
-    return scene
-
-
-def _build_joint_marginal(dist: JointDistribution, style: StyleOptions) -> Scene:
-    s = style.size_pt
-    bar = 0.22 * s
-    joint_side = s - bar - 0.06 * s
-    cell = joint_side / 2.0
-    gap = 0.06 * joint_side
-    scene = Scene(width=s, height=s)
-    for idx, prob in enumerate(dist.prob):
-        r, c = divmod(idx, 2)
-        _cell_rect(
-            scene,
-            c * cell,
-            bar + gap + (1 - r) * cell,
-            cell,
-            cell,
-            shade(BLACK, float(prob)),
-            BLACK,
-            style.stroke_width_pt,
-            "joint-cell",
-        )
-    _marginal_bars(scene, marginals_from_joint(dist), style, (0.0, 0.0), joint_side, bar)
     return scene
 
 
@@ -245,7 +188,10 @@ def _build_payoff_table(game: Game, style: StyleOptions) -> Scene:
     for r in range(2):
         for c in range(2):
             x0, y0 = header + c * cell, (1 - r) * cell
-            _cell_rect(scene, x0, y0, cell, cell, None, BLACK, style.stroke_width_pt, "payoff-cell")
+            scene.add(
+                Rect(x=x0, y=y0, w=cell, h=cell, fill=None, stroke=BLACK,
+                     width=style.stroke_width_pt, tag="payoff-cell")
+            )
             cx, cy = x0 + cell / 2.0, y0 + cell / 2.0
             scene.add(
                 Text(
@@ -379,15 +325,6 @@ def _build_br_graph(game: Game, style: StyleOptions) -> Scene:
 # --- polytope ------------------------------------------------------------------------
 
 
-def build_polytope_scene(game: Game, style: StyleOptions = StyleOptions()) -> PolytopeScene:
-    return PolytopeScene(
-        simplex_vertices=TETRAHEDRON,
-        polytope=cce_polytope(game),
-        nash=nash_set(game),
-        projection=Projection(style.camera_azimuth_deg, style.camera_elevation_deg),
-    )
-
-
 def _fit_to_canvas(points_2d, size: float, margin: float):
     xs = [p[0] for p in points_2d]
     ys = [p[1] for p in points_2d]
@@ -403,111 +340,58 @@ def _fit_to_canvas(points_2d, size: float, margin: float):
     return place
 
 
-def _box_iso_fractions():
-    return (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+# Where a full 2D Nash component draws its iso-probability rules, both ways.
+_ISO_FRACTIONS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
 
-def _marginal_position(p: Fraction, q: Fraction, projection, place):
-    dist = product_joint(MarginalPair(p, q))
-    pos3 = simplex_position(tuple(float(v) for v in dist.prob))
-    return place(projection.project(pos3))
-
-
-def scene_from_polytope(ps: PolytopeScene, style: StyleOptions) -> Scene:
+def _build_polytope(game: Game, style: StyleOptions) -> Scene:
     s = style.size_pt
+    width = style.stroke_width_pt
     scene = Scene(width=s, height=s)
-    projection = ps.projection
-    place = _fit_to_canvas(
-        [projection.project(v) for v in ps.simplex_vertices], s, 0.12 * s
-    )
-    corners = [place(projection.project(v)) for v in ps.simplex_vertices]
+    projection = Projection(style.camera_azimuth_deg, style.camera_elevation_deg)
+    place = _fit_to_canvas([projection.project(v) for v in TETRAHEDRON], s, 0.12 * s)
+    corners = [place(projection.project(v)) for v in TETRAHEDRON]
     hidden = hidden_tetra_edges(projection)
+
+    def at(prob) -> tuple[float, float]:
+        return place(projection.project(simplex_position(tuple(float(x) for x in prob))))
+
+    def at_marginals(p: Fraction, q: Fraction) -> tuple[float, float]:
+        return at(product_joint(MarginalPair(p, q)).prob)
+
+    def line(a, b, color, line_width, tag, dashed=False) -> None:
+        scene.add(Line(x1=a[0], y1=a[1], x2=b[0], y2=b[1], color=color,
+                       width=line_width, dashed=dashed, tag=tag))
 
     for i, j in TETRA_EDGES:
         if (i, j) in hidden:
-            scene.add(
-                Line(
-                    x1=corners[i][0], y1=corners[i][1],
-                    x2=corners[j][0], y2=corners[j][1],
-                    color=LIGHT_GRAY,
-                    width=style.stroke_width_pt * 0.8,
-                    dashed=True,
-                    tag="tetra-edge-hidden",
-                )
-            )
+            line(corners[i], corners[j], LIGHT_GRAY, width * 0.8, "tetra-edge-hidden", dashed=True)
 
-    vertex_xy = [
-        place(projection.project(simplex_position(tuple(float(x) for x in v.prob))))
-        for v in ps.polytope.vertices
-    ]
-    for i, j in ps.polytope.edges:
-        scene.add(
-            Line(
-                x1=vertex_xy[i][0], y1=vertex_xy[i][1],
-                x2=vertex_xy[j][0], y2=vertex_xy[j][1],
-                color=PURPLE,
-                width=style.stroke_width_pt * 1.4,
-                tag="cce-edge",
-            )
-        )
+    polytope = cce_polytope(game)
+    vertex_xy = [at(v.prob) for v in polytope.vertices]
+    for i, j in polytope.edges:
+        line(vertex_xy[i], vertex_xy[j], PURPLE, width * 1.4, "cce-edge")
     scene.add(Circle(centers=tuple(vertex_xy), r=0.016 * s, fill=PURPLE, tag="cce-vertex"))
 
-    dot = 0.019 * s
-    for box in ps.nash.components:
+    for box in nash_set(game).components:
         if box.is_point:
-            x, y = _marginal_position(box.p_low, box.q_low, projection, place)
-            scene.add(Circle(centers=((x, y),), r=dot, fill=BLUE, tag="ne-point"))
+            scene.add(Circle(centers=(at_marginals(box.p_low, box.q_low),), r=0.019 * s,
+                             fill=BLUE, tag="ne-point"))
         elif box.is_segment:
-            a = _marginal_position(box.p_low, box.q_low, projection, place)
-            b = _marginal_position(box.p_high, box.q_high, projection, place)
-            scene.add(
-                Line(
-                    x1=a[0], y1=a[1], x2=b[0], y2=b[1],
-                    color=BLUE,
-                    width=style.stroke_width_pt * 1.2,
-                    dashed=True,
-                    tag="ne-segment",
-                )
-            )
+            line(at_marginals(box.p_low, box.q_low), at_marginals(box.p_high, box.q_high),
+                 BLUE, width * 1.2, "ne-segment", dashed=True)
         else:
-            # Full 2D component: draw straight iso-probability rules both ways.
-            for t in _box_iso_fractions():
+            for t in _ISO_FRACTIONS:
                 p = box.p_low + t * (box.p_high - box.p_low)
-                a = _marginal_position(p, box.q_low, projection, place)
-                b = _marginal_position(p, box.q_high, projection, place)
-                scene.add(
-                    Line(
-                        x1=a[0], y1=a[1], x2=b[0], y2=b[1],
-                        color=BLUE,
-                        width=style.stroke_width_pt * 0.9,
-                        dashed=True,
-                        tag="ne-surface",
-                    )
-                )
+                line(at_marginals(p, box.q_low), at_marginals(p, box.q_high),
+                     BLUE, width * 0.9, "ne-surface", dashed=True)
                 q = box.q_low + t * (box.q_high - box.q_low)
-                a = _marginal_position(box.p_low, q, projection, place)
-                b = _marginal_position(box.p_high, q, projection, place)
-                scene.add(
-                    Line(
-                        x1=a[0], y1=a[1], x2=b[0], y2=b[1],
-                        color=BLUE,
-                        width=style.stroke_width_pt * 0.9,
-                        dashed=True,
-                        tag="ne-surface",
-                    )
-                )
+                line(at_marginals(box.p_low, q), at_marginals(box.p_high, q),
+                     BLUE, width * 0.9, "ne-surface", dashed=True)
 
     for i, j in TETRA_EDGES:
         if (i, j) not in hidden:
-            scene.add(
-                Line(
-                    x1=corners[i][0], y1=corners[i][1],
-                    x2=corners[j][0], y2=corners[j][1],
-                    color=BLACK,
-                    width=style.stroke_width_pt,
-                    tag="tetra-edge",
-                )
-            )
+            line(corners[i], corners[j], BLACK, width, "tetra-edge")
 
     if style.show_axes_labels:
         center_x = sum(c[0] for c in corners) / 4.0
@@ -527,10 +411,6 @@ def scene_from_polytope(ps: PolytopeScene, style: StyleOptions) -> Scene:
                 )
             )
     return scene
-
-
-def _build_polytope(game: Game, style: StyleOptions) -> Scene:
-    return scene_from_polytope(build_polytope_scene(game, style), style)
 
 
 # --- embedding -----------------------------------------------------------------------
@@ -643,16 +523,10 @@ _BUILDERS = {
     FigureKind.BR_GRAPH: (_build_br_graph, Game),
     FigureKind.PAYOFF_TABLE: (_build_payoff_table, Game),
     FigureKind.JOINT: (_build_joint, JointDistribution),
-    FigureKind.ROW_COND: (
-        lambda dist, style: _build_conditional(dist, style, Player.ROW),
-        JointDistribution,
-    ),
-    FigureKind.COL_COND: (
-        lambda dist, style: _build_conditional(dist, style, Player.COL),
-        JointDistribution,
-    ),
+    FigureKind.ROW_COND: (functools.partial(_build_conditional, player=Player.ROW), JointDistribution),
+    FigureKind.COL_COND: (functools.partial(_build_conditional, player=Player.COL), JointDistribution),
     FigureKind.MARGINAL: (_build_marginal, JointDistribution),
-    FigureKind.JOINT_MARGINAL: (_build_joint_marginal, JointDistribution),
+    FigureKind.JOINT_MARGINAL: (functools.partial(_build_marginal, with_joint=True), JointDistribution),
     FigureKind.POLYTOPE: (_build_polytope, Game),
     FigureKind.EMBEDDING: (_build_embedding, EmbeddingFigureData),
 }
@@ -689,11 +563,20 @@ def render_polytope(game: Game, style: StyleOptions = StyleOptions(), format: st
     return render_figure(FigureSpec(FigureKind.POLYTOPE, game, style), format)
 
 
-def _require_finite(what: str, values: tuple[float, ...]) -> tuple[float, ...]:
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite {what} {value!r}")
-    return values
+def angle_pairs(points) -> tuple[tuple[float, float], ...]:
+    """(row angle, column angle) pairs in degrees, one per point that has both angles.
+
+    An `EmbeddingPoint` with a trivial player has no angle and is skipped; any
+    other item is taken as a raw pair of numbers.
+    """
+    pairs = []
+    for point in points:
+        if isinstance(point, EmbeddingPoint):
+            point = (point.row_angle_degrees, point.col_angle_degrees)
+            if None in point:
+                continue
+        pairs.append(tuple(map(float, point)))
+    return tuple(pairs)
 
 
 def render_embedding(
@@ -708,21 +591,6 @@ def render_embedding(
     pairs in degrees.
     """
     if heatmap is not None:
-        rows = tuple(tuple(float(v) for v in row) for row in heatmap)
-        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("heatmap matrix must be rectangular and nonempty")
-        for row in rows:
-            _require_finite("heatmap value", row)
-        heatmap = rows
-    pairs: list[tuple[float, float]] = []
-    for point in points:
-        if isinstance(point, EmbeddingPoint):
-            ra, ca = point.row_angle_degrees, point.col_angle_degrees
-            if ra is None or ca is None:
-                continue  # trivial player: no angle to plot
-            pairs.append((ra, ca))
-        else:
-            a, b = point
-            pairs.append(_require_finite("point coordinate", (float(a), float(b))))
-    data = EmbeddingFigureData(points=tuple(pairs), heatmap=heatmap)
+        heatmap = tuple(tuple(float(v) for v in row) for row in heatmap)
+    data = EmbeddingFigureData(points=angle_pairs(points), heatmap=heatmap)
     return render_figure(FigureSpec(FigureKind.EMBEDDING, data, style), format)

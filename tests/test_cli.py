@@ -2,12 +2,21 @@ import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import pytest
+
 from twobytwo import verify
 from twobytwo.cli import _analysis_report, main
-from twobytwo.core import MAX_LITERAL_DIGITS, as_rational, format_rational, game_from_flat
+from twobytwo.core import MAX_LITERAL_DIGITS, as_rational, format_rational, game_from_flat, joint
 from twobytwo.embedding import embed
 from twobytwo.equilibria import NashSet
-from twobytwo.render import render_embedding
+from twobytwo.render import (
+    EmbeddingFigureData,
+    FigureKind,
+    FigureSpec,
+    angle_pairs,
+    render_embedding,
+    render_figure,
+)
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +257,44 @@ def test_render_points_flag_outside_embedding_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "render", "--kind", "polytope", *(["0"] * 8),
                            "--points", str(pts), "-o", str(tmp_path / "x.svg"))
     assert code == 2 and "embedding" in err
+
+
+GAME_LITERALS = ("2", "0", "0", "1", "2", "0", "1/2", "-1")
+JOINT_LITERALS = (".4", ".3", ".1", ".2")
+GAME, JOINT = game_from_flat(GAME_LITERALS), joint(JOINT_LITERALS)
+
+# Every figure kind with the literals `render` takes for it and the payload they stand
+# for.  Neither player of GAME is trivial, so the embedding payload holds one point.
+KIND_CASES = {
+    FigureKind.ORD_GRAPH: (GAME_LITERALS, GAME),
+    FigureKind.BR_GRAPH: (GAME_LITERALS, GAME),
+    FigureKind.PAYOFF_TABLE: (GAME_LITERALS, GAME),
+    FigureKind.POLYTOPE: (GAME_LITERALS, GAME),
+    FigureKind.JOINT: (JOINT_LITERALS, JOINT),
+    FigureKind.ROW_COND: (JOINT_LITERALS, JOINT),
+    FigureKind.COL_COND: (JOINT_LITERALS, JOINT),
+    FigureKind.MARGINAL: (JOINT_LITERALS, JOINT),
+    FigureKind.JOINT_MARGINAL: (JOINT_LITERALS, JOINT),
+    FigureKind.EMBEDDING: (GAME_LITERALS, EmbeddingFigureData(points=angle_pairs([embed(GAME)]))),
+}
+
+
+@pytest.mark.parametrize("format", ["svg", "tikz"])
+@pytest.mark.parametrize("kind", list(FigureKind))
+def test_render_every_kind_matches_library(kind, format, tmp_path, capsys):
+    literals, payload = KIND_CASES[kind]
+    out_path = tmp_path / "fig.out"
+    code, out, err = run_cli(capsys, "render", "--kind", kind.value, "--format", format,
+                             *literals, "-o", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text(encoding="utf-8") == render_figure(FigureSpec(kind, payload), format)
+    if kind is not FigureKind.EMBEDDING:
+        pts = tmp_path / "pts.dat"
+        pts.write_text("1 2\n", encoding="utf-8")
+        for flag in ("--points", "--matrix"):
+            code, _, err = run_cli(capsys, "render", "--kind", kind.value, *literals,
+                                   flag, str(pts), "-o", str(tmp_path / "x.svg"))
+            assert code == 2 and "--points/--matrix are only valid with --kind embedding" in err
 
 
 def test_render_ragged_matrix_usage_error(tmp_path, capsys):

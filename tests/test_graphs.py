@@ -3,8 +3,6 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
-import pytest
-
 from twobytwo.core import Player, SYMMETRY_FLAGS, game_from_flat, permute, transform_affine
 from twobytwo.graphs import (
     BRGraph,
@@ -17,7 +15,6 @@ from twobytwo.graphs import (
     dense_ranks,
     format_ordinal_levels,
     ordinal_graph,
-    parse_name_table,
     permute_br_graph,
 )
 
@@ -166,34 +163,19 @@ def test_class_indices_stable_and_canonical_minimal():
         assert cls.canonical.encode() == min(g.encode() for g in orbit)
 
 
-# --- name table --------------------------------------------------------------------
+# --- class names ---------------------------------------------------------------------
 
 
-def test_parse_name_table_round_trip(tmp_path):
-    text = "1\talpha\n2\tbeta\n"
-    names = parse_name_table(text)
-    assert names == {1: "alpha", 2: "beta"}
-
-
-def test_parse_name_table_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_name_table("not a table line\n")
-    with pytest.raises(ValueError):
-        parse_name_table("99\ttoo-big\n")
-
-
-def test_custom_names_override(mp):
-    names = {i: f"n{i}" for i in range(1, 16)}
-    assert br_class(mp, names=names).name == f"n{br_class(mp).index}"
-
-
-def test_load_name_table_from_file(tmp_path, mp):
-    from twobytwo.graphs import load_name_table
-
-    path = tmp_path / "names.txt"
-    path.write_text("".join(f"{i}\tname-{i}\n" for i in range(1, 16)), encoding="utf-8")
-    names = load_name_table(path)
-    assert br_class(mp, names=names).name == f"name-{br_class(mp).index}"
+def test_class_names_pinned():
+    names = {}
+    for graph in all_br_graphs():
+        cls = class_from_br_graph(graph)
+        names[cls.index] = cls.name
+    assert sorted(names.items()) == [
+        (1, "class-1"), (2, "class-2"), (3, "class-3"), (4, "class-4"), (5, "class-5"),
+        (6, "coordination"), (7, "safety"), (8, "cyclic"), (9, "class-9"), (10, "horseplay"),
+        (11, "class-11"), (12, "class-12"), (13, "class-13"), (14, "class-14"), (15, "zero"),
+    ]
 
 
 # --- census --------------------------------------------------------------------------

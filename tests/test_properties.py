@@ -2,16 +2,24 @@
 magnitudes around and beyond 2**62, and large denominators.
 
 The verifier's own checks serve as the properties, so a failure shrinks to a
-minimal game.  Examples are derandomized, so every run tries the same games.
+minimal game.  A last property feeds generated point and matrix files to the
+embedding render command.  Examples are derandomized, so every run tries the
+same inputs.
 """
 
+import contextlib
+import io
 import random
+import re
+import tempfile
+import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobytwo import verify
+from twobytwo import cli, verify
 from twobytwo.core import JointDistribution, Player, advantages, game_from_flat, integerize
 from twobytwo.equilibria import cce_holds, cce_polytope, deviation_gain, joint_in_cce, nash_set
 from twobytwo.kernels import grid_oracle
@@ -148,3 +156,61 @@ def test_nash_set_box_corners_are_nash_by_raw_deviation_sums(game):
                 for player in (Player.ROW, Player.COL):
                     for action in (0, 1):
                         assert deviation_gain(game, player, action, dist) <= 0, (p, q, player, action)
+
+
+# --- the embedding render command on generated data files -------------------------
+
+finite_field = st.sampled_from(["0", "-0", "1", "-2.5", "360", "1e308", "-1e308"]) | st.floats(
+    allow_nan=False, allow_infinity=False
+).map(repr)
+field = st.one_of(finite_field, finite_field, finite_field, st.sampled_from(["nan", "inf", "-inf", "x"]))
+
+
+@st.composite
+def data_files(draw, widths):
+    """None (no file) or the text of a file of up to five lines.
+
+    A clean file holds rows of one of `widths` finite numbers, and blank lines.
+    Any other file may also hold nan, inf, words and rows of other lengths, or
+    be empty.
+    """
+    if draw(st.booleans()) and draw(st.booleans()):
+        return None
+    width = draw(st.sampled_from(widths))
+    if draw(st.booleans()):
+        row = st.lists(finite_field, min_size=width, max_size=width)
+        lines = st.lists(st.one_of(row, row, st.just([])), min_size=1, max_size=5)
+    else:
+        row = st.lists(field, min_size=width, max_size=width)
+        lines = st.lists(st.one_of(row, st.just([]), st.lists(field, max_size=4)), max_size=5)
+    return "".join(" ".join(fields) + "\n" for fields in draw(lines))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(data_files([2]), data_files([1, 2, 3]), st.sampled_from(["svg", "tikz"]))
+def test_render_embedding_from_files_exits_cleanly(points, matrix, format):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["render", "--kind", "embedding", "--format", format, "-o", str(Path(tmp) / "fig")]
+        paths = []
+        for flag, text in (("--points", points), ("--matrix", matrix)):
+            if text is not None:
+                path = Path(tmp) / flag[2:]
+                path.write_text(text, encoding="utf-8")
+                argv += [flag, str(path)]
+                paths.append(str(path))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        if code == 2:
+            assert any(path in err.getvalue() for path in paths), err.getvalue()
+            return
+        assert (code, err.getvalue()) == (0, "")
+        text = (Path(tmp) / "fig").read_text(encoding="utf-8")
+    if format == "svg":
+        ET.fromstring(text)
+        assert not re.search("nan|inf", text), text
+    else:
+        assert text.startswith("\\begin{tikzpicture}") and text.endswith("\\end{tikzpicture}\n")

@@ -20,7 +20,6 @@ from twobytwo.render import (
     FigureSpec,
     StyleOptions,
     UnsupportedFigureError,
-    build_polytope_scene,
     build_scene,
     canvas,
     figures,
@@ -31,11 +30,10 @@ from twobytwo.render import (
     render_polytope,
     save_matrix,
     save_points,
-    scene_from_polytope,
 )
-from twobytwo.render.canvas import ArrowLine, Circle, Heatmap, Line, Polygon, Rect, Text
+from twobytwo.render.canvas import ArrowLine, Circle, Heatmap, Line, Rect, Text
 from twobytwo.render.figures import _fit_to_canvas
-from twobytwo.render.geometry import TETRAHEDRON, simplex_position
+from twobytwo.render.geometry import TETRAHEDRON, Projection, simplex_position
 from twobytwo.render.style import BLACK, BLUE, PURPLE, WHITE, fmt, hex_color, lerp_color, shade
 
 from conftest import (
@@ -135,14 +133,14 @@ def test_joint_glyph_shades_match_probabilities():
 def test_polytope_vertices_projected_exactly():
     game = game_from_flat(COORDINATION)
     style = StyleOptions()
-    ps = build_polytope_scene(game, style)
-    scene = scene_from_polytope(ps, style)
+    scene = build_scene(FigureSpec(FigureKind.POLYTOPE, game, style))
+    projection = Projection(style.camera_azimuth_deg, style.camera_elevation_deg)
     place = _fit_to_canvas(
-        [ps.projection.project(v) for v in ps.simplex_vertices], style.size_pt, 0.12 * style.size_pt
+        [projection.project(v) for v in TETRAHEDRON], style.size_pt, 0.12 * style.size_pt
     )
     expected = [
-        place(ps.projection.project(simplex_position(tuple(float(x) for x in v.prob))))
-        for v in ps.polytope.vertices
+        place(projection.project(simplex_position(tuple(float(x) for x in v.prob))))
+        for v in cce_polytope(game).vertices
     ]
     (dots,) = scene.tagged("cce-vertex")
     assert isinstance(dots, Circle)
@@ -166,12 +164,12 @@ def test_tetrahedron_equidistant_and_hull_contains_vertices():
 
     rng = random.Random(37)
     games = [game_from_flat(COORDINATION)] + [verify.random_game(rng) for _ in range(10)]
+    style = StyleOptions()
+    projection = Projection(style.camera_azimuth_deg, style.camera_elevation_deg)
+    hull = _convex_hull([projection.project(v) for v in TETRAHEDRON])
     for game in games:
-        ps = build_polytope_scene(game)
-        projected_corners = [ps.projection.project(v) for v in ps.simplex_vertices]
-        hull = _convex_hull(projected_corners)
-        for vertex in ps.polytope.vertices:
-            point = ps.projection.project(simplex_position(tuple(float(x) for x in vertex.prob)))
+        for vertex in cce_polytope(game).vertices:
+            point = projection.project(simplex_position(tuple(float(x) for x in vertex.prob)))
             assert _inside_hull(hull, point)
 
 
@@ -401,7 +399,7 @@ def reference_collect_colors(scene):
         candidates = []
         if isinstance(prim, (Line, ArrowLine)):
             candidates = [prim.color]
-        elif isinstance(prim, (Rect, OneCircle, Polygon)):
+        elif isinstance(prim, (Rect, OneCircle)):
             candidates = [prim.fill, prim.stroke]
         elif isinstance(prim, Text):
             candidates = [prim.color]
@@ -556,12 +554,6 @@ def reference_to_svg(scene):
                 f'<circle cx="{fmt(prim.cx)}" cy="{fmt(y(prim.cy))}" r="{fmt(prim.r)}" '
                 f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
             )
-        elif isinstance(prim, Polygon):
-            pts = " ".join(f"{fmt(px)},{fmt(y(py))}" for px, py in prim.points)
-            out.append(
-                f'<polygon points="{pts}" '
-                f"{paint(prim.fill, prim.stroke, prim.width)}{attr_class(prim.tag)}/>"
-            )
         elif isinstance(prim, Text):
             anchor, dy = canvas._SVG_ANCHOR[prim.anchor]
             out.append(
@@ -614,11 +606,6 @@ def reference_to_tikz(scene):
             out.append(
                 rf"\path[{path_options(prim.fill, prim.stroke, prim.width)}] "
                 rf"({fmt(prim.cx)},{fmt(prim.cy)}) circle[radius={fmt(prim.r)}];"
-            )
-        elif isinstance(prim, Polygon):
-            coords = " -- ".join(f"({fmt(px)},{fmt(py)})" for px, py in prim.points)
-            out.append(
-                rf"\path[{path_options(prim.fill, prim.stroke, prim.width)}] {coords} -- cycle;"
             )
         elif isinstance(prim, Text):
             size = fmt(prim.size)
@@ -737,3 +724,20 @@ def test_render_embedding_rejects_non_finite_point(point):
 def test_render_embedding_rejects_non_finite_heatmap_value(value):
     with pytest.raises(ValueError, match=f"non-finite heatmap value {value!r}"):
         render_embedding([], heatmap=[[value, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"points": ((math.nan, 1.0),)}, "non-finite point coordinate nan"),
+        ({"points": ((1.0,),)}, r"point \(1\.0,\) is not a \(row angle, column angle\) pair"),
+        ({"heatmap": ((),)}, "heatmap matrix must be rectangular and nonempty"),
+        ({"heatmap": ((math.inf, 0.0),)}, "non-finite heatmap value inf"),
+        ({"heatmap": ((1.0,), (1.0, 2.0))}, "heatmap matrix must be rectangular and nonempty"),
+    ],
+)
+def test_embedding_data_checked_when_built(fields, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddingFigureData(**fields)
+    with pytest.raises(ValueError, match=message):
+        build_scene(FigureSpec(FigureKind.EMBEDDING, EmbeddingFigureData(**fields)))

@@ -151,8 +151,9 @@ def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
     return cce_holds(advantages(game), dist.prob)
 
 
-# -sigma_i <= 0 for each cell i: the last four halfspace rows.
+# -sigma_i <= 0 for each cell i: the last four halfspace rows, and their integer form.
 _NONNEGATIVITY = tuple(tuple(-_ONE if j == i else _ZERO for j in range(4)) for i in range(4))
+_INT_NONNEGATIVITY = tuple(map(integerize, _NONNEGATIVITY))
 
 
 def _halfspaces(constraints: tuple[DeviationConstraint, ...]) -> tuple[tuple[Fraction, ...], ...]:
@@ -189,10 +190,15 @@ def _vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]
     Each 3-subset of `rows`, made tight, plus sum-to-one is solved by Cramer's
     rule: coordinate l is the cofactor of the sum row's entry in column l
     over the determinant, and the four cofactors sum to that determinant.
+    Every cofactor expands along the subset's first row r over the six 2x2
+    minors of the other two rows s, t.  The loop therefore runs over the pair
+    (s, t) first and over every earlier row r second, so each pair's minors
+    are computed once rather than once per subset.
     """
+    dev0, dev1, dev2, dev3 = rows[:4]
     found = set()
-    for i, j, k in itertools.combinations(range(8), 3):
-        r, s, t = rows[i], rows[j], rows[k]
+    for j, k in itertools.combinations(range(8), 2):
+        s, t = rows[j], rows[k]
         # m_pq: the 2x2 minor of rows s, t on columns p, q.
         m01 = s[0] * t[1] - s[1] * t[0]
         m02 = s[0] * t[2] - s[2] * t[0]
@@ -200,21 +206,28 @@ def _vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]
         m12 = s[1] * t[2] - s[2] * t[1]
         m13 = s[1] * t[3] - s[3] * t[1]
         m23 = s[2] * t[3] - s[3] * t[2]
-        n0 = r[1] * m23 - r[2] * m13 + r[3] * m12
-        n1 = r[2] * m03 - r[0] * m23 - r[3] * m02
-        n2 = r[0] * m13 - r[1] * m03 + r[3] * m01
-        n3 = r[1] * m02 - r[0] * m12 - r[2] * m01
-        det = n0 + n1 + n2 + n3
-        if det == 0:
-            continue
-        if det < 0:
-            n0, n1, n2, n3 = -n0, -n1, -n2, -n3
-        if n0 < 0 or n1 < 0 or n2 < 0 or n3 < 0:
-            continue
-        if any(row[0] * n0 + row[1] * n1 + row[2] * n2 + row[3] * n3 > 0 for row in rows[:4]):
-            continue
-        g = math.gcd(n0, n1, n2, n3)
-        found.add((n0 // g, n1 // g, n2 // g, n3 // g))
+        for r in rows[:j]:
+            n0 = r[1] * m23 - r[2] * m13 + r[3] * m12
+            n1 = r[2] * m03 - r[0] * m23 - r[3] * m02
+            n2 = r[0] * m13 - r[1] * m03 + r[3] * m01
+            n3 = r[1] * m02 - r[0] * m12 - r[2] * m01
+            det = n0 + n1 + n2 + n3
+            if det == 0:
+                continue
+            if det < 0:
+                n0, n1, n2, n3 = -n0, -n1, -n2, -n3
+            if n0 < 0 or n1 < 0 or n2 < 0 or n3 < 0:
+                continue
+            # Feasibility on the four deviation rows; the nonnegativity rows hold.
+            if (
+                dev0[0] * n0 + dev0[1] * n1 + dev0[2] * n2 + dev0[3] * n3 > 0
+                or dev1[0] * n0 + dev1[1] * n1 + dev1[2] * n2 + dev1[3] * n3 > 0
+                or dev2[0] * n0 + dev2[1] * n1 + dev2[2] * n2 + dev2[3] * n3 > 0
+                or dev3[0] * n0 + dev3[1] * n1 + dev3[2] * n2 + dev3[3] * n3 > 0
+            ):
+                continue
+            g = math.gcd(n0, n1, n2, n3)
+            found.add((n0 // g, n1 // g, n2 // g, n3 // g))
     return found
 
 
@@ -228,7 +241,7 @@ def cce_polytope(game: Game) -> CcePolytope:
     """
     constraints = cce_constraints(game)
     halfspaces = _halfspaces(constraints)
-    rows = tuple(map(integerize, halfspaces))
+    rows = tuple(integerize(con.coeffs) for con in constraints) + _INT_NONNEGATIVITY
     vertices = []
     for n in _vertex_numerators(rows):
         total = sum(n)
@@ -399,14 +412,20 @@ def is_nash(game: Game, m: MarginalPair) -> bool:
 
 
 def deviation_gain(game: Game, player: Player, deviation: int, dist: JointDistribution) -> Fraction:
-    """The raw no-regret sum: expected gain from always switching to `deviation`."""
+    """The raw no-regret sum: expected gain from always switching to `deviation`.
+
+    The two cells where the player already plays `deviation` gain exactly 0
+    and are skipped.
+    """
+    table = game.payoffs(player)
+    prob = dist.prob
     total = _ZERO
     for cell, (r_act, c_act) in enumerate(CELLS):
         if player is Player.ROW:
-            gain = game.payoff(player, deviation, c_act) - game.payoff(player, r_act, c_act)
-        else:
-            gain = game.payoff(player, r_act, deviation) - game.payoff(player, r_act, c_act)
-        total += dist.prob[cell] * gain
+            if r_act != deviation:
+                total += prob[cell] * (table[2 * deviation + c_act] - table[cell])
+        elif c_act != deviation:
+            total += prob[cell] * (table[2 * r_act + deviation] - table[cell])
     return total
 
 

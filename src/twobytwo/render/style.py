@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -34,6 +35,15 @@ class StyleOptions:
     camera_elevation_deg: float = 18.0
 
     def __post_init__(self) -> None:
+        # Sizes and angles reach the output as numbers: a nan, inf or
+        # nonpositive size would be written as is, so such values are refused.
+        if not (math.isfinite(self.size_pt) and self.size_pt > 0):
+            raise ValueError(f"size_pt must be finite and > 0, got {self.size_pt!r}")
+        if not (math.isfinite(self.stroke_width_pt) and self.stroke_width_pt >= 0):
+            raise ValueError(f"stroke_width_pt must be finite and >= 0, got {self.stroke_width_pt!r}")
+        for name in ("camera_azimuth_deg", "camera_elevation_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         # The backends key colors by value and format them as tuples, so
         # colors given as lists are stored as (r, g, b) tuples.
         object.__setattr__(self, "player_colors", tuple(tuple(color) for color in self.player_colors))

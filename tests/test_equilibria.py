@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 from twobytwo.core import (
+    CELLS,
     JointDistribution,
     MarginalPair,
     Player,
@@ -334,6 +335,36 @@ def test_joint_in_cce_agrees_with_deviation_gains():
             deviation_gain(g, p, a, dist) <= 0 for p in Player for a in (0, 1)
         )
         assert joint_in_cce(g, dist) == direct
+
+
+def reference_deviation_gain(game, player, deviation, dist):
+    """The cell-by-cell loop that `deviation_gain` replaced: two payoff reads per cell."""
+    total = F(0)
+    for cell, (r_act, c_act) in enumerate(CELLS):
+        if player is Player.ROW:
+            gain = game.payoff(player, deviation, c_act) - game.payoff(player, r_act, c_act)
+        else:
+            gain = game.payoff(player, r_act, deviation) - game.payoff(player, r_act, c_act)
+        total += dist.prob[cell] * gain
+    return total
+
+
+def test_deviation_gain_matches_reference():
+    rng = random.Random(17)
+    pure = [joint(tuple(int(k == cell) for k in range(4))) for cell in range(4)]
+    # Degenerate joints: two-cell supports along each row, column and diagonal, and uniform.
+    degenerate = [
+        joint(tuple(F(int(k in pair), 2) for k in range(4)))
+        for pair in itertools.combinations(range(4), 2)
+    ] + [joint((F(1, 4),) * 4)]
+    for _ in range(200):
+        g = verify.random_game(rng)
+        for dist in pure + degenerate + [verify.random_joint(rng) for _ in range(3)]:
+            for player in Player:
+                for deviation in (0, 1):
+                    expected = reference_deviation_gain(g, player, deviation, dist)
+                    actual = deviation_gain(g, player, deviation, dist)
+                    assert actual == expected, (g, player, deviation, dist)
 
 
 # --- cross-module invariants ----------------------------------------------------------

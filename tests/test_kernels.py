@@ -174,8 +174,9 @@ def test_row_oracle_matches_reference():
 
 def test_row_oracle_reports_broken_deviation_sum_where_reference_does():
     # Make the column player's deviation to B strict in both oracles: route 2
-    # then rejects profiles where that gain is exactly zero.
-    broken = mutated(grid_oracle, "cb_aa * j + cb_ba * j <= 0", "cb_aa * j + cb_ba * j < 0")
+    # then rejects profiles where that gain is exactly zero.  On integers,
+    # 1 + cb*j <= 0 is cb*j < 0, so the strict span is the span of 1 + cb*j.
+    broken = mutated(grid_oracle, "_span(0, cb, n)", "_span(1, cb, n)")
     broken_reference = mutated(
         reference_grid_oracle, "k_cb_aa * s_aa + k_cb_ba * s_ba <= 0", "k_cb_aa * s_aa + k_cb_ba * s_ba < 0"
     )

@@ -24,6 +24,8 @@ from twobytwo.core import JointDistribution, Player, advantages, game_from_flat,
 from twobytwo.equilibria import cce_holds, cce_polytope, deviation_gain, joint_in_cce, nash_set
 from twobytwo.kernels import grid_oracle
 
+from test_kernels import box_variants, reference_grid_oracle
+
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
 small = st.integers(-3, 3)  # small values make ties likely
@@ -117,6 +119,16 @@ def test_check_cce_passes(game, seed):
 def test_grid_oracle_agrees_at_small_n(game, n):
     ranges = verify.grid_ranges(nash_set(game), n)
     assert grid_oracle(n, verify.integerize(game.row), verify.integerize(game.col), ranges) is None
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(games(), st.integers(1, 12), st.integers(0, 9))
+def test_grid_oracle_matches_point_reference(game, n, variant):
+    # The intact box list (variant 0) or a corrupted copy, so the first
+    # mismatch's (code, i, j) is compared too.
+    boxes = box_variants(verify.grid_ranges(nash_set(game), n), n)[variant]
+    h_row, h_col = verify.integerize(game.row), verify.integerize(game.col)
+    assert grid_oracle(n, h_row, h_col, boxes) == reference_grid_oracle(n, h_row, h_col, boxes)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)

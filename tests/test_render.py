@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -330,6 +331,40 @@ def test_player_colors_given_as_lists(format):
         assert render_figure(FigureSpec(kind, game, as_lists), format) == render_figure(
             FigureSpec(kind, game), format
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("size_pt", float("nan")),
+        ("size_pt", float("inf")),
+        ("size_pt", 0.0),
+        ("size_pt", -5.0),
+        ("stroke_width_pt", float("nan")),
+        ("stroke_width_pt", float("inf")),
+        ("stroke_width_pt", -0.5),
+        ("camera_azimuth_deg", float("nan")),
+        ("camera_azimuth_deg", float("-inf")),
+        ("camera_elevation_deg", float("nan")),
+        ("camera_elevation_deg", float("inf")),
+    ],
+)
+def test_style_options_reject_bad_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        StyleOptions(**{field: value})
+
+
+def test_style_options_accept_edge_numbers():
+    style = StyleOptions(
+        size_pt=1e-3, stroke_width_pt=0.0, camera_azimuth_deg=-720.0, camera_elevation_deg=90.0
+    )
+    for kind, payload in (
+        (FigureKind.JOINT, joint((".4", ".3", ".1", ".2"))),
+        (FigureKind.POLYTOPE, game_from_flat(COORDINATION)),
+    ):
+        svg = render_figure(FigureSpec(kind, payload, style), "svg")
+        ET.fromstring(svg)
+        assert not re.search("nan|inf", svg)
 
 
 def test_unsupported_format_rejected():

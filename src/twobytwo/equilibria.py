@@ -3,15 +3,17 @@
 Nash equilibria are found by a closed-form case analysis on the sign of each
 player's payoff advantage line; the result is a finite union of axis-aligned
 boxes in marginal space.  The coarse-correlated-equilibrium set is a convex
-polytope in the joint-strategy simplex, enumerated exactly: every subset of
-three inequality constraints is solved against the sum-to-one equality and
-feasible solutions are kept.  The Nash boxes, the constraint rows and the
-membership test all read the players' advantages from `core.advantages`.
+polytope in the joint-strategy simplex, enumerated exactly by a walk around
+the cell cycle AA-AB-BB-BA: each deviation row touches two cells adjacent on
+that cycle, so every vertex is supported on a run of consecutive cells whose
+internal edges are tight, and only 16 runs need to be tried.  The Nash boxes,
+the constraint rows and the membership test all read the players' advantages
+from `core.advantages`.
 The four CCE inequalities are written once, in `cce_holds`, on an advantage
 quadruple and unnormalized cell weights; `joint_in_cce` applies it to a
 joint, and the verifier applies it to integer numerators.
-Each row is cleared of denominators by `core.integerize`, so every solve is
-an integer determinant problem (Cramer's rule), and only the surviving
+Each row is cleared of denominators by `core.integerize`, so every candidate
+vertex is a product of integer coefficients, and only the surviving
 vertices are converted to `Fraction`.  For two-action games the correlated
 and coarse-correlated sets coincide, so this polytope serves as both.
 
@@ -102,16 +104,13 @@ class NashSet:
 
 @dataclass(frozen=True)
 class CcePolytope:
-    """Vertices, edges, and defining halfspaces of the CCE set inside the simplex.
+    """Vertices and edges of the CCE set inside the simplex, and its dimension.
 
-    `halfspaces` holds 8 coefficient rows r with the meaning r . sigma <= 0:
-    the four deviation constraints first, then the four nonnegativity rows.
     Vertices are deduplicated and sorted lexicographically by coordinates;
-    edges are index pairs into the vertex list.
+    edges are index pairs into the vertex list.  The defining rows are
+    `halfspace_rows(game)`.
     """
 
-    deviation_constraints: tuple[DeviationConstraint, ...]
-    halfspaces: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
     vertices: tuple[JointDistribution, ...]
     edges: tuple[tuple[int, int], ...]
     dimension: int
@@ -156,13 +155,9 @@ _NONNEGATIVITY = tuple(tuple(-_ONE if j == i else _ZERO for j in range(4)) for i
 _INT_NONNEGATIVITY = tuple(map(integerize, _NONNEGATIVITY))
 
 
-def _halfspaces(constraints: tuple[DeviationConstraint, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(con.coeffs for con in constraints) + _NONNEGATIVITY
-
-
 def halfspace_rows(game: Game) -> tuple[tuple[Fraction, ...], ...]:
     """All 8 inequality rows r with r . sigma <= 0 (deviations, then nonnegativity)."""
-    return _halfspaces(cce_constraints(game))
+    return tuple(con.coeffs for con in cce_constraints(game)) + _NONNEGATIVITY
 
 
 def _matrix_rank(rows: list[tuple]) -> int:
@@ -184,66 +179,64 @@ def _matrix_rank(rows: list[tuple]) -> int:
     return rank
 
 
-def _vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
-    """Every feasible basic solution as coprime numerators n >= 0; the vertex is n / sum(n).
+# The cells in order around the cycle AA-AB-BB-BA, and for the edge from each
+# cell to the next, the deviation row that touches both: (row, column of the
+# first cell, column of the second).
+_CYCLE = (0, 1, 3, 2)
+_EDGE_ROWS = ((1, 0, 1), (2, 1, 3), (0, 3, 2), (3, 2, 0))
 
-    Each 3-subset of `rows`, made tight, plus sum-to-one is solved by Cramer's
-    rule: coordinate l is the cofactor of the sum row's entry in column l
-    over the determinant, and the four cofactors sum to that determinant.
-    Every cofactor expands along the subset's first row r over the six 2x2
-    minors of the other two rows s, t.  The loop therefore runs over the pair
-    (s, t) first and over every earlier row r second, so each pair's minors
-    are computed once rather than once per subset.
+
+def _cycle_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
+    """Every vertex as coprime numerators n >= 0; the vertex is n / sum(n).
+
+    Only the four deviation rows are read.  A vertex's support is a run of
+    consecutive cells on the cycle (a diagonal pair meets no row on both of
+    its cells), and every edge inside the run must be tight, which needs
+    coefficients of strictly opposite sign: u * x + v * y = 0 gives
+    y / x = |u| / |v|.  The candidates are the 4 pure cells and the runs of
+    2, 3 and 4 cells from each start, 16 in all; a run of 4 leaves its last
+    edge untested.  Each is the products of the absolute coefficients along
+    the run, kept if all four deviation rows hold and reduced by its gcd.
     """
     dev0, dev1, dev2, dev3 = rows[:4]
+    edges = [(rows[r][i], rows[r][j]) for r, i, j in _EDGE_ROWS]
+    candidates = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    for start in range(4):
+        run = [1]
+        for step in range(3):
+            u, v = edges[(start + step) % 4]
+            if not (u < 0 < v or v < 0 < u):
+                break
+            run = [w * abs(v) for w in run] + [run[-1] * abs(u)]
+            n = [0, 0, 0, 0]
+            for offset, w in enumerate(run):
+                n[_CYCLE[(start + offset) % 4]] = w
+            candidates.append(n)
     found = set()
-    for j, k in itertools.combinations(range(8), 2):
-        s, t = rows[j], rows[k]
-        # m_pq: the 2x2 minor of rows s, t on columns p, q.
-        m01 = s[0] * t[1] - s[1] * t[0]
-        m02 = s[0] * t[2] - s[2] * t[0]
-        m03 = s[0] * t[3] - s[3] * t[0]
-        m12 = s[1] * t[2] - s[2] * t[1]
-        m13 = s[1] * t[3] - s[3] * t[1]
-        m23 = s[2] * t[3] - s[3] * t[2]
-        for r in rows[:j]:
-            n0 = r[1] * m23 - r[2] * m13 + r[3] * m12
-            n1 = r[2] * m03 - r[0] * m23 - r[3] * m02
-            n2 = r[0] * m13 - r[1] * m03 + r[3] * m01
-            n3 = r[1] * m02 - r[0] * m12 - r[2] * m01
-            det = n0 + n1 + n2 + n3
-            if det == 0:
-                continue
-            if det < 0:
-                n0, n1, n2, n3 = -n0, -n1, -n2, -n3
-            if n0 < 0 or n1 < 0 or n2 < 0 or n3 < 0:
-                continue
-            # Feasibility on the four deviation rows; the nonnegativity rows hold.
-            if (
-                dev0[0] * n0 + dev0[1] * n1 + dev0[2] * n2 + dev0[3] * n3 > 0
-                or dev1[0] * n0 + dev1[1] * n1 + dev1[2] * n2 + dev1[3] * n3 > 0
-                or dev2[0] * n0 + dev2[1] * n1 + dev2[2] * n2 + dev2[3] * n3 > 0
-                or dev3[0] * n0 + dev3[1] * n1 + dev3[2] * n2 + dev3[3] * n3 > 0
-            ):
-                continue
-            g = math.gcd(n0, n1, n2, n3)
-            found.add((n0 // g, n1 // g, n2 // g, n3 // g))
+    for n0, n1, n2, n3 in candidates:
+        if (
+            dev0[0] * n0 + dev0[1] * n1 + dev0[2] * n2 + dev0[3] * n3 > 0
+            or dev1[0] * n0 + dev1[1] * n1 + dev1[2] * n2 + dev1[3] * n3 > 0
+            or dev2[0] * n0 + dev2[1] * n1 + dev2[2] * n2 + dev2[3] * n3 > 0
+            or dev3[0] * n0 + dev3[1] * n1 + dev3[2] * n2 + dev3[3] * n3 > 0
+        ):
+            continue
+        g = math.gcd(n0, n1, n2, n3)
+        found.add((n0 // g, n1 // g, n2 // g, n3 // g))
     return found
 
 
 def cce_polytope(game: Game) -> CcePolytope:
     """Exact vertex enumeration of the CCE polytope in integer arithmetic.
 
-    The halfspace rows are scaled to integers row by row, every 3-subset is
-    solved against sum-to-one with integer determinants (at most C(8,3)
-    solves), and feasibility and tightness are decided on the integer
-    numerators; only the surviving vertices become `Fraction`s.
+    The halfspace rows are scaled to integers row by row, the 16 runs of the
+    cell-cycle walk are built and tested on the integer deviation rows, and
+    tightness is decided on the integer numerators; only the surviving
+    vertices become `Fraction`s.
     """
-    constraints = cce_constraints(game)
-    halfspaces = _halfspaces(constraints)
-    rows = tuple(integerize(con.coeffs) for con in constraints) + _INT_NONNEGATIVITY
+    rows = tuple(integerize(con.coeffs) for con in cce_constraints(game)) + _INT_NONNEGATIVITY
     vertices = []
-    for n in _vertex_numerators(rows):
+    for n in _cycle_vertex_numerators(rows):
         total = sum(n)
         vertices.append((tuple(Fraction(x, total) for x in n), n))
     vertices.sort()  # distinct coprime numerators are distinct points: sorted by point alone
@@ -275,13 +268,7 @@ def cce_polytope(game: Game) -> CcePolytope:
         t0 = sum(n0)
         diffs = [tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for _, n in vertices[1:]]
         dimension = _matrix_rank(diffs)
-    return CcePolytope(
-        deviation_constraints=constraints,
-        halfspaces=halfspaces,
-        vertices=joints,
-        edges=tuple(edges),
-        dimension=dimension,
-    )
+    return CcePolytope(vertices=joints, edges=tuple(edges), dimension=dimension)
 
 
 def _reaction_boxes(

@@ -9,6 +9,7 @@ All arithmetic is exact; a disagreement is a bug, never noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -154,8 +155,59 @@ def integer_mix(weights, numerators, scale: int) -> tuple[Fraction, ...]:
     )
 
 
+def cramer_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
+    """Every feasible basic solution as coprime numerators n >= 0; the vertex is n / sum(n).
+
+    The completeness route of `check_cce`.  It shares nothing with the cell-cycle
+    walk of `equilibria.cce_polytope` but the rows: it knows neither the cycle
+    nor which cells a row touches, and tries every basis instead.
+    Each 3-subset of `rows`, made tight, plus sum-to-one is solved by Cramer's
+    rule: coordinate l is the cofactor of the sum row's entry in column l
+    over the determinant, and the four cofactors sum to that determinant.
+    Every cofactor expands along the subset's first row r over the six 2x2
+    minors of the other two rows s, t.  The loop therefore runs over the pair
+    (s, t) first and over every earlier row r second, so each pair's minors
+    are computed once rather than once per subset.
+    """
+    dev0, dev1, dev2, dev3 = rows[:4]
+    found = set()
+    for j, k in itertools.combinations(range(8), 2):
+        s, t = rows[j], rows[k]
+        # m_pq: the 2x2 minor of rows s, t on columns p, q.
+        m01 = s[0] * t[1] - s[1] * t[0]
+        m02 = s[0] * t[2] - s[2] * t[0]
+        m03 = s[0] * t[3] - s[3] * t[0]
+        m12 = s[1] * t[2] - s[2] * t[1]
+        m13 = s[1] * t[3] - s[3] * t[1]
+        m23 = s[2] * t[3] - s[3] * t[2]
+        for r in rows[:j]:
+            n0 = r[1] * m23 - r[2] * m13 + r[3] * m12
+            n1 = r[2] * m03 - r[0] * m23 - r[3] * m02
+            n2 = r[0] * m13 - r[1] * m03 + r[3] * m01
+            n3 = r[1] * m02 - r[0] * m12 - r[2] * m01
+            det = n0 + n1 + n2 + n3
+            if det == 0:
+                continue
+            if det < 0:
+                n0, n1, n2, n3 = -n0, -n1, -n2, -n3
+            if n0 < 0 or n1 < 0 or n2 < 0 or n3 < 0:
+                continue
+            # Feasibility on the four deviation rows; the nonnegativity rows hold.
+            if (
+                dev0[0] * n0 + dev0[1] * n1 + dev0[2] * n2 + dev0[3] * n3 > 0
+                or dev1[0] * n0 + dev1[1] * n1 + dev1[2] * n2 + dev1[3] * n3 > 0
+                or dev2[0] * n0 + dev2[1] * n1 + dev2[2] * n2 + dev2[3] * n3 > 0
+                or dev3[0] * n0 + dev3[1] * n1 + dev3[2] * n2 + dev3[3] * n3 > 0
+            ):
+                continue
+            g = math.gcd(n0, n1, n2, n3)
+            found.add((n0 // g, n1 // g, n2 // g, n3 // g))
+    return found
+
+
 def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
-    """Vertex feasibility, tightness rank, edge tightness, convexity, and NE containment.
+    """Vertex feasibility, tightness rank, edge tightness, completeness,
+    convexity, and NE containment.
 
     The vertices are scaled once to integer numerators over one common
     denominator, and each halfspace row and each player's advantage pair to
@@ -165,6 +217,8 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     vertices, drawn with integer weights 0..10: `cce_holds` on the integer
     advantages and the four integer numerator sums of a combination.  A
     `Fraction` mix is built only to report a combination outside the set.
+    Completeness: every vertex that `cramer_vertex_numerators` finds on the
+    integer rows must be in the polytope, compared as coprime numerators.
     """
     failures = []
     poly = cce_polytope(game)
@@ -185,9 +239,17 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
         if _matrix_rank([int_rows[k] for k in tight]) < 3:
             failures.append(f"vertex {vertex.prob} has fewer than 3 independent tight constraints")
 
+    indices = range(len(tight_sets))
     for i, j in poly.edges:
-        if len(set(tight_sets[i]) & set(tight_sets[j])) < 2:
+        if i not in indices or j not in indices:
+            failures.append(f"edge ({i},{j}) names a missing vertex")
+        elif len(set(tight_sets[i]) & set(tight_sets[j])) < 2:
             failures.append(f"edge ({i},{j}) endpoints share fewer than 2 tight constraints")
+
+    coprime = {tuple(x // math.gcd(*nums) for x in nums) for nums in numerators}
+    for n in sorted(cramer_vertex_numerators(int_rows) - coprime):
+        total = sum(n)
+        failures.append(f"missing CCE vertex {tuple(Fraction(x, total) for x in n)}")
 
     a, b, c, d = advantages(game)
     adv = integerize((a, b)) + integerize((c, d))

@@ -10,6 +10,7 @@ from twobytwo.core import (
     SYMMETRY_FLAGS,
     game_from_flat,
     game_to_flat,
+    integerize,
     joint,
     permute,
     product_joint,
@@ -25,6 +26,7 @@ from twobytwo.equilibria import (
     joint_in_cce,
     nash_product_joints,
     nash_set,
+    _cycle_vertex_numerators,
     _matrix_rank,
 )
 from twobytwo.graphs import BRGraph, br_graph
@@ -177,8 +179,6 @@ def reference_cce_polytope(game):
             [tuple(v[k] - ordered[0][k] for k in range(4)) for v in ordered[1:]]
         )
     return CcePolytope(
-        deviation_constraints=cce_constraints(game),
-        halfspaces=rows,
         vertices=tuple(JointDistribution(v) for v in ordered),
         edges=edges,
         dimension=dimension,
@@ -207,6 +207,24 @@ def test_cce_polytope_matches_fraction_reference():
     games.append(game_from_flat(scaled_flat))
     for game in games:
         assert cce_polytope(game) == reference_cce_polytope(game), game
+
+
+def test_cycle_walk_matches_cramer_route():
+    """The cell-cycle walk and the verifier's Cramer enumeration find the same
+    coprime vertex numerators on the same integer rows."""
+    rng = random.Random(17)
+    # Every advantage quadruple (a, b, c, d) in {-2..2}^4: ties, zero rows, all-zero.
+    games = [game_from_flat((a, b, 0, 0, c, 0, d, 0)) for a, b, c, d in itertools.product(range(-2, 3), repeat=4)]
+    games += [verify.random_game(rng) for _ in range(200)]
+    games += [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(300)]
+    games += [game_from_flat([rng.randint(-(2**80), 2**80) for _ in range(8)]) for _ in range(100)]
+    games += [
+        game_from_flat([F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**20)) for _ in range(8)])
+        for _ in range(100)
+    ]
+    for game in games:
+        rows = tuple(integerize(row) for row in halfspace_rows(game))
+        assert _cycle_vertex_numerators(rows) == verify.cramer_vertex_numerators(rows), game
 
 
 def reference_matrix_rank(rows):

@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 
 from twobytwo import cli, verify
 from twobytwo.core import JointDistribution, Player, advantages, game_from_flat, integerize
-from twobytwo.equilibria import cce_holds, cce_polytope, deviation_gain, joint_in_cce, nash_set
+from twobytwo.equilibria import (
+    _cycle_vertex_numerators,
+    cce_holds,
+    cce_polytope,
+    deviation_gain,
+    halfspace_rows,
+    joint_in_cce,
+    nash_set,
+)
 from twobytwo.kernels import grid_oracle
 
 from test_kernels import box_variants, reference_grid_oracle
@@ -106,6 +114,13 @@ def test_cce_holds_on_integers_matches_joint_in_cce(case):
         for action in (0, 1)
     )
     assert cce_holds(integerize((a, b)) + integerize((c, d)), weights) == joint_in_cce(game, dist) == raw
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(games())
+def test_cycle_walk_matches_cramer_route(game):
+    rows = tuple(integerize(row) for row in halfspace_rows(game))
+    assert _cycle_vertex_numerators(rows) == verify.cramer_vertex_numerators(rows)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

@@ -298,3 +298,47 @@ def test_negative_control_swapped_column_advantages(monkeypatch):
         for failure in report.failures
         for m in failure.messages
     )
+
+
+def drop_vertex(poly, k):
+    """The polytope without vertex k: edges naming it go, the rest are re-indexed."""
+    edges = tuple((i - (i > k), j - (j > k)) for i, j in poly.edges if k not in (i, j))
+    return dataclasses.replace(poly, vertices=poly.vertices[:k] + poly.vertices[k + 1:], edges=edges)
+
+
+def test_negative_control_dropped_cce_vertex(monkeypatch):
+    """A polytope that loses a vertex stays feasible, tight and convex; the
+    completeness route must name the vertex it lacks."""
+    real = verify.cce_polytope
+
+    def drop_first(game):
+        poly = real(game)
+        return drop_vertex(poly, 0) if len(poly.vertices) > 1 else poly
+
+    monkeypatch.setattr(verify, "cce_polytope", drop_first)
+    coordination = game_from_flat((2, 0, 0, 1, 2, 0, 0, 1))
+    assert len(real(coordination).vertices) == 5
+    failures = verify.check_cce(coordination, random.Random(0))
+    assert failures == ["missing CCE vertex (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"]
+
+    report = verify.run(seed=1, trials=3, combos=20)
+    assert report.failures
+    for failure in report.failures:
+        assert len(real(failure.game).vertices) > 1
+        assert any(m.startswith("missing CCE vertex (") for m in failure.messages)
+
+
+def test_check_cce_reports_edge_to_missing_vertex(monkeypatch):
+    """Edges that name an index past the vertex list are reported, not an IndexError."""
+    real = verify.cce_polytope
+
+    def drop_last_keep_edges(game):
+        poly = real(game)
+        return dataclasses.replace(poly, vertices=poly.vertices[:-1])
+
+    monkeypatch.setattr(verify, "cce_polytope", drop_last_keep_edges)
+    failures = verify.check_cce(game_from_flat((2, 0, 0, 1, 2, 0, 0, 1)), random.Random(0))
+    assert [f for f in failures if "names a missing vertex" in f] == [
+        f"edge ({i},4) names a missing vertex" for i in range(4)
+    ]
+    assert "missing CCE vertex (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))" in failures

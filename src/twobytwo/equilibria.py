@@ -2,13 +2,15 @@
 
 Nash equilibria are found by a closed-form case analysis on the sign of each
 player's payoff advantage line; the result is a finite union of axis-aligned
-boxes in marginal space.  The coarse-correlated-equilibrium set is a convex
-polytope in the joint-strategy simplex, enumerated exactly by a walk around
-the cell cycle AA-AB-BB-BA: each deviation row touches two cells adjacent on
-that cycle, so every vertex is supported on a run of consecutive cells whose
-internal edges are tight, and only 16 runs need to be tried.  The Nash boxes,
-the constraint rows and the membership test all read the players' advantages
-from `core.advantages`.
+boxes in marginal space.  Every box endpoint on an axis is 0, 1 or one
+player's indifference point, so the box algebra runs on endpoint ranks 0/1/2
+per axis and builds `Fraction` endpoints only for the final boxes.  The
+coarse-correlated-equilibrium set is a convex polytope in the joint-strategy
+simplex, enumerated exactly by a walk around the cell cycle AA-AB-BB-BA: each
+deviation row touches two cells adjacent on that cycle, so every vertex is
+supported on a run of consecutive cells whose internal edges are tight, and
+only 16 runs need to be tried.  The Nash boxes, the constraint rows and the
+membership test all read the players' advantages from `core.advantages`.
 The four CCE inequalities are written once, in `cce_holds`, on an advantage
 quadruple and unnormalized cell weights; `joint_in_cce` applies it to a
 joint, and the verifier applies it to integer numerators.
@@ -18,7 +20,8 @@ vertices are converted to `Fraction`.  For two-action games the correlated
 and coarse-correlated sets coincide, so this polytope serves as both.
 
 `is_nash` and `deviation_gain` read the raw payoffs instead: the verifier
-uses them as routes independent of the advantage computation.
+uses `is_nash` as a route independent of the advantage computation, and
+`deviation_gain` is the reference for the verifier's integer deviation sums.
 """
 
 from __future__ import annotations
@@ -271,86 +274,67 @@ def cce_polytope(game: Game) -> CcePolytope:
     return CcePolytope(vertices=joints, edges=tuple(edges), dimension=dimension)
 
 
-def _reaction_boxes(
-    adv: tuple[Fraction, Fraction]
-) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Boxes (own_low, own_high, opp_low, opp_high) of best-response-consistent profiles.
+def _reaction_boxes(a: Fraction, b: Fraction) -> tuple[Fraction | None, list[tuple[int, int, int, int]]]:
+    """The interior indifference point, and the boxes (own_low, own_high,
+    opp_low, opp_high) of best-response-consistent profiles.
 
-    `adv` is the payoff advantage of the player's action A against each
-    opponent pure action; the advantage at opponent mix y is
-    y*adv[0] + (1-y)*adv[1].
+    `a` and `b` are the payoff advantage of the player's action A against
+    each opponent pure action; the advantage at opponent mix y is
+    y*a + (1-y)*b.  Box endpoints are ranks 0, 1, 2 on each axis, standing
+    for 0, the indifference point y* = b / (b - a) on the opponent's axis,
+    and 1; the own axis never takes rank 1.  y* is None unless `a` and `b`
+    have strictly opposite signs, which puts it strictly inside (0, 1).
+    Only the signs decide the boxes, and a rational's sign is its numerator's.
     """
-    a, b = adv
-    if a == 0 and b == 0:
-        return [(_ZERO, _ONE, _ZERO, _ONE)]
-    if a >= 0 and b >= 0:
-        boxes = [(_ONE, _ONE, _ZERO, _ONE)]
-        if a == 0:  # indifferent exactly when the opponent plays A surely
-            boxes.append((_ZERO, _ONE, _ONE, _ONE))
-        if b == 0:
-            boxes.append((_ZERO, _ONE, _ZERO, _ZERO))
-        return boxes
-    if a <= 0 and b <= 0:
-        boxes = [(_ZERO, _ZERO, _ZERO, _ONE)]
-        if a == 0:
-            boxes.append((_ZERO, _ONE, _ONE, _ONE))
-        if b == 0:
-            boxes.append((_ZERO, _ONE, _ZERO, _ZERO))
-        return boxes
-    ystar = b / (b - a)  # unique interior indifference point
-    if a > 0:  # prefers B below ystar, A above
-        return [
-            (_ZERO, _ZERO, _ZERO, ystar),
-            (_ZERO, _ONE, ystar, ystar),
-            (_ONE, _ONE, ystar, _ONE),
-        ]
-    return [
-        (_ONE, _ONE, _ZERO, ystar),
-        (_ZERO, _ONE, ystar, ystar),
-        (_ZERO, _ZERO, ystar, _ONE),
-    ]
+    sa, sb = a.numerator, b.numerator
+    if sa == 0 and sb == 0:
+        return None, [(0, 2, 0, 2)]
+    if sa >= 0 and sb >= 0:
+        boxes = [(2, 2, 0, 2)]
+    elif sa <= 0 and sb <= 0:
+        boxes = [(0, 0, 0, 2)]
+    elif sa > 0:  # prefers B below y*, A above
+        return b / (b - a), [(0, 0, 0, 1), (0, 2, 1, 1), (2, 2, 1, 2)]
+    else:
+        return b / (b - a), [(2, 2, 0, 1), (0, 2, 1, 1), (0, 0, 1, 2)]
+    if sa == 0:  # indifferent exactly when the opponent plays A surely
+        boxes.append((0, 2, 2, 2))
+    if sb == 0:
+        boxes.append((0, 2, 0, 0))
+    return None, boxes
 
 
-def _intersect(b1: Box, b2: Box) -> Box | None:
-    p_low, p_high = max(b1.p_low, b2.p_low), min(b1.p_high, b2.p_high)
-    q_low, q_high = max(b1.q_low, b2.q_low), min(b1.q_high, b2.q_high)
-    if p_low > p_high or q_low > q_high:
-        return None
-    return Box(p_low, p_high, q_low, q_high)
-
-
-def _contains_box(outer: Box, inner: Box) -> bool:
-    return (
-        outer.p_low <= inner.p_low
-        and inner.p_high <= outer.p_high
-        and outer.q_low <= inner.q_low
-        and inner.q_high <= outer.q_high
-    )
-
-
-def _merge(b1: Box, b2: Box) -> Box | None:
+def _merge(b1: tuple, b2: tuple) -> tuple | None:
     """The union if it is itself a box (shared interval on one axis, touching on the other)."""
-    if (b1.p_low, b1.p_high) == (b2.p_low, b2.p_high):
-        if b1.q_low <= b2.q_high and b2.q_low <= b1.q_high:
-            return Box(b1.p_low, b1.p_high, min(b1.q_low, b2.q_low), max(b1.q_high, b2.q_high))
-    if (b1.q_low, b1.q_high) == (b2.q_low, b2.q_high):
-        if b1.p_low <= b2.p_high and b2.p_low <= b1.p_high:
-            return Box(min(b1.p_low, b2.p_low), max(b1.p_high, b2.p_high), b1.q_low, b1.q_high)
+    p_low1, p_high1, q_low1, q_high1 = b1
+    p_low2, p_high2, q_low2, q_high2 = b2
+    if p_low1 == p_low2 and p_high1 == p_high2 and q_low1 <= q_high2 and q_low2 <= q_high1:
+        return (p_low1, p_high1, min(q_low1, q_low2), max(q_high1, q_high2))
+    if q_low1 == q_low2 and q_high1 == q_high2 and p_low1 <= p_high2 and p_low2 <= p_high1:
+        return (min(p_low1, p_low2), max(p_high1, p_high2), q_low1, q_high1)
     return None
 
 
-def _normalize(boxes: list[Box]) -> tuple[Box, ...]:
+def _contains_box(outer: tuple, inner: tuple) -> bool:
+    return (
+        outer[0] <= inner[0]
+        and inner[1] <= outer[1]
+        and outer[2] <= inner[2]
+        and inner[3] <= outer[3]
+    )
+
+
+def _normalize(boxes: list[tuple]) -> list[tuple]:
+    """Drop nested and repeated boxes and merge pairs whose union is a box, until
+    nothing changes; sorted by (p_low, p_high, q_low, q_high)."""
     work = list(boxes)
     changed = True
     while changed:
         changed = False
         # drop boxes nested inside another
-        kept: list[Box] = []
+        kept: list[tuple] = []
         for box in work:
-            if any(
-                other is not box and _contains_box(other, box) and other != box
-                for other in work
-            ) or box in kept:
+            if any(other != box and _contains_box(other, box) for other in work) or box in kept:
                 continue
             kept.append(box)
         if len(kept) != len(work):
@@ -366,27 +350,37 @@ def _normalize(boxes: list[Box]) -> tuple[Box, ...]:
                 work = [b for k, b in enumerate(work) if k != j]
                 changed = True
                 break
-    return tuple(sorted(work, key=lambda b: (b.p_low, b.p_high, b.q_low, b.q_high)))
+    return sorted(work)
 
 
 def nash_set(game: Game) -> NashSet:
-    """The complete Nash set, from the sign analysis of both advantage lines."""
+    """The complete Nash set, from the sign analysis of both advantage lines.
+
+    The box algebra runs on endpoint ranks (see `_reaction_boxes`); the row
+    player's own axis is p and the column player's is q.  Rank order is
+    value order, since each indifference point lies strictly between 0 and 1,
+    so every intersection, nesting test, merge and the final sort come out as
+    on the values.  `Fraction`s are built only for the final components.
+    """
     a, b, c, d = advantages(game)
-    row_boxes = [
-        Box(p_low=own_lo, p_high=own_hi, q_low=opp_lo, q_high=opp_hi)
-        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((a, b))
-    ]
-    col_boxes = [
-        Box(p_low=opp_lo, p_high=opp_hi, q_low=own_lo, q_high=own_hi)
-        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((c, d))
-    ]
+    q_star, row_boxes = _reaction_boxes(a, b)
+    p_star, col_boxes = _reaction_boxes(c, d)
     pieces = []
-    for rb in row_boxes:
-        for cb in col_boxes:
-            hit = _intersect(rb, cb)
-            if hit is not None:
-                pieces.append(hit)
-    return NashSet(components=_normalize(pieces))
+    for p_low, p_high, q_low, q_high in row_boxes:
+        for q_low2, q_high2, p_low2, p_high2 in col_boxes:
+            lo_p, hi_p = max(p_low, p_low2), min(p_high, p_high2)
+            lo_q, hi_q = max(q_low, q_low2), min(q_high, q_high2)
+            if lo_p <= hi_p and lo_q <= hi_q:
+                pieces.append((lo_p, hi_p, lo_q, hi_q))
+    ps, qs = (_ZERO, p_star, _ONE), (_ZERO, q_star, _ONE)
+    # A list, not a generator: `tuple` of a generator allocates 10 slots and
+    # shrinks, and each freed result then fills CPython's free list of short
+    # tuples, which raised the verifier's peak memory.
+    components = [
+        Box(ps[p_low], ps[p_high], qs[q_low], qs[q_high])
+        for p_low, p_high, q_low, q_high in _normalize(pieces)
+    ]
+    return NashSet(components=tuple(components))
 
 
 def is_nash(game: Game, m: MarginalPair) -> bool:
@@ -418,5 +412,5 @@ def deviation_gain(game: Game, player: Player, deviation: int, dist: JointDistri
 
 def nash_product_joints(ns: NashSet) -> tuple[JointDistribution, ...]:
     """Product joints of the corner profiles of every component (dedup, sorted)."""
-    joints = {product_joint(m).prob for box in ns.components for m in box.corners()}
-    return tuple(JointDistribution(p) for p in sorted(joints))
+    joints = {product_joint(m) for box in ns.components for m in box.corners()}
+    return tuple(sorted(joints, key=lambda dist: dist.prob))

@@ -31,7 +31,6 @@ from .core import (
     game_to_flat,
     integerize,
     permute,
-    product_joint,
     transform_affine,
 )
 from .embedding import class_of_embedding, embed, permute_embedding
@@ -40,7 +39,6 @@ from .equilibria import (
     NashSet,
     cce_holds,
     cce_polytope,
-    deviation_gain,
     halfspace_rows,
     is_nash,
     joint_in_cce,
@@ -82,13 +80,25 @@ def grid_ranges(ns: NashSet, n: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def _direct_nash(game: Game, m: MarginalPair) -> bool:
-    # Independent route: evaluate all four deviation-gain sums on the product joint.
-    dist = product_joint(m)
-    return all(
-        deviation_gain(game, player, action, dist) <= 0
-        for player in (Player.ROW, Player.COL)
-        for action in (0, 1)
+def _direct_nash(h_row: tuple[int, ...], h_col: tuple[int, ...], m: MarginalPair) -> bool:
+    """Independent route: all four deviation-gain sums on the product joint.
+
+    It reads only the integerized raw payoffs `h_row`, `h_col` and the
+    marginals.  For p = a/b and q = c/d the product joint times b*d has the
+    integer cell weights (a*c, a*(d-c), (b-a)*c, (b-a)*(d-c)).  Both b*d and
+    each player's integerizing scale are positive, so every sum keeps its
+    sign and each test is exact on integers.
+    """
+    a, b = m.row_prob_a.numerator, m.row_prob_a.denominator
+    c, d = m.col_prob_a.numerator, m.col_prob_a.denominator
+    w_aa, w_ab, w_ba, w_bb = a * c, a * (d - c), (b - a) * c, (b - a) * (d - c)
+    r_aa, r_ab, r_ba, r_bb = h_row
+    c_aa, c_ab, c_ba, c_bb = h_col
+    return (
+        w_ba * (r_aa - r_ba) + w_bb * (r_ab - r_bb) <= 0  # row player deviating to A
+        and w_aa * (r_ba - r_aa) + w_ab * (r_bb - r_ab) <= 0  # row player deviating to B
+        and w_ab * (c_aa - c_ab) + w_bb * (c_ba - c_bb) <= 0  # column player deviating to A
+        and w_aa * (c_ab - c_aa) + w_ba * (c_bb - c_ba) <= 0  # column player deviating to B
     )
 
 
@@ -96,9 +106,8 @@ def check_ne_grid(game: Game, n: int = GRID_STEPS) -> list[str]:
     """Three-route grid classification plus exact spot checks at component corners."""
     failures = []
     ns = nash_set(game)
-    mismatch = kernels.grid_oracle(
-        n, integerize(game.row), integerize(game.col), grid_ranges(ns, n)
-    )
+    h_row, h_col = integerize(game.row), integerize(game.col)
+    mismatch = kernels.grid_oracle(n, h_row, h_col, grid_ranges(ns, n))
     if mismatch is not None:
         code, i, j = mismatch
         kind = "sign-route vs deviation-sum" if code == 1 else "routes vs nash_set boxes"
@@ -112,7 +121,7 @@ def check_ne_grid(game: Game, n: int = GRID_STEPS) -> list[str]:
                 failures.append(
                     f"component corner ({m.row_prob_a},{m.col_prob_a}) rejected by is_nash"
                 )
-            if not _direct_nash(game, m):
+            if not _direct_nash(h_row, h_col, m):
                 failures.append(
                     f"component corner ({m.row_prob_a},{m.col_prob_a}) rejected by deviation sums"
                 )
@@ -125,9 +134,10 @@ def check_ne_samples(game: Game, rng: random.Random, samples: int = 12, n: int =
     """Tie the public exact routes together on sampled profiles."""
     failures = []
     ns = nash_set(game)
+    h_row, h_col = integerize(game.row), integerize(game.col)
     for _ in range(samples):
         m = MarginalPair(Fraction(rng.randint(0, n), n), Fraction(rng.randint(0, n), n))
-        routes = (is_nash(game, m), _direct_nash(game, m), ns.contains(m))
+        routes = (is_nash(game, m), _direct_nash(h_row, h_col, m), ns.contains(m))
         if len(set(routes)) != 1:
             failures.append(
                 f"route disagreement at ({m.row_prob_a},{m.col_prob_a}): "

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 from twobytwo.core import (
@@ -8,6 +9,7 @@ from twobytwo.core import (
     MarginalPair,
     Player,
     SYMMETRY_FLAGS,
+    advantages,
     game_from_flat,
     game_to_flat,
     integerize,
@@ -17,7 +19,9 @@ from twobytwo.core import (
     transform_affine,
 )
 from twobytwo.equilibria import (
+    Box,
     CcePolytope,
+    NashSet,
     cce_constraints,
     cce_polytope,
     deviation_gain,
@@ -304,6 +308,154 @@ def test_nash_components_never_nested():
                     and a.q_low <= b.q_low and b.q_high <= a.q_high
                 )
                 assert not nested
+
+
+# The `Fraction` box algebra that the rank algebra of `nash_set` replaced,
+# kept as the reference: every endpoint is a `Fraction` from the start.
+
+_ZERO, _ONE = F(0), F(1)
+
+
+def _reaction_boxes(
+    adv: tuple[Fraction, Fraction]
+) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """Boxes (own_low, own_high, opp_low, opp_high) of best-response-consistent profiles.
+
+    `adv` is the payoff advantage of the player's action A against each
+    opponent pure action; the advantage at opponent mix y is
+    y*adv[0] + (1-y)*adv[1].
+    """
+    a, b = adv
+    if a == 0 and b == 0:
+        return [(_ZERO, _ONE, _ZERO, _ONE)]
+    if a >= 0 and b >= 0:
+        boxes = [(_ONE, _ONE, _ZERO, _ONE)]
+        if a == 0:  # indifferent exactly when the opponent plays A surely
+            boxes.append((_ZERO, _ONE, _ONE, _ONE))
+        if b == 0:
+            boxes.append((_ZERO, _ONE, _ZERO, _ZERO))
+        return boxes
+    if a <= 0 and b <= 0:
+        boxes = [(_ZERO, _ZERO, _ZERO, _ONE)]
+        if a == 0:
+            boxes.append((_ZERO, _ONE, _ONE, _ONE))
+        if b == 0:
+            boxes.append((_ZERO, _ONE, _ZERO, _ZERO))
+        return boxes
+    ystar = b / (b - a)  # unique interior indifference point
+    if a > 0:  # prefers B below ystar, A above
+        return [
+            (_ZERO, _ZERO, _ZERO, ystar),
+            (_ZERO, _ONE, ystar, ystar),
+            (_ONE, _ONE, ystar, _ONE),
+        ]
+    return [
+        (_ONE, _ONE, _ZERO, ystar),
+        (_ZERO, _ONE, ystar, ystar),
+        (_ZERO, _ZERO, ystar, _ONE),
+    ]
+
+
+def _intersect(b1: Box, b2: Box) -> Box | None:
+    p_low, p_high = max(b1.p_low, b2.p_low), min(b1.p_high, b2.p_high)
+    q_low, q_high = max(b1.q_low, b2.q_low), min(b1.q_high, b2.q_high)
+    if p_low > p_high or q_low > q_high:
+        return None
+    return Box(p_low, p_high, q_low, q_high)
+
+
+def _contains_box(outer: Box, inner: Box) -> bool:
+    return (
+        outer.p_low <= inner.p_low
+        and inner.p_high <= outer.p_high
+        and outer.q_low <= inner.q_low
+        and inner.q_high <= outer.q_high
+    )
+
+
+def _merge(b1: Box, b2: Box) -> Box | None:
+    """The union if it is itself a box (shared interval on one axis, touching on the other)."""
+    if (b1.p_low, b1.p_high) == (b2.p_low, b2.p_high):
+        if b1.q_low <= b2.q_high and b2.q_low <= b1.q_high:
+            return Box(b1.p_low, b1.p_high, min(b1.q_low, b2.q_low), max(b1.q_high, b2.q_high))
+    if (b1.q_low, b1.q_high) == (b2.q_low, b2.q_high):
+        if b1.p_low <= b2.p_high and b2.p_low <= b1.p_high:
+            return Box(min(b1.p_low, b2.p_low), max(b1.p_high, b2.p_high), b1.q_low, b1.q_high)
+    return None
+
+
+def _normalize(boxes: list[Box]) -> tuple[Box, ...]:
+    work = list(boxes)
+    changed = True
+    while changed:
+        changed = False
+        # drop boxes nested inside another
+        kept: list[Box] = []
+        for box in work:
+            if any(
+                other is not box and _contains_box(other, box) and other != box
+                for other in work
+            ) or box in kept:
+                continue
+            kept.append(box)
+        if len(kept) != len(work):
+            work, changed = kept, True
+            continue
+        for i, j in itertools.combinations(range(len(work)), 2):
+            merged = _merge(work[i], work[j])
+            if merged is not None and merged != work[i]:
+                work = [b for k, b in enumerate(work) if k not in (i, j)] + [merged]
+                changed = True
+                break
+            if merged is not None and merged == work[i]:
+                work = [b for k, b in enumerate(work) if k != j]
+                changed = True
+                break
+    return tuple(sorted(work, key=lambda b: (b.p_low, b.p_high, b.q_low, b.q_high)))
+
+
+def reference_nash_set(game):
+    a, b, c, d = advantages(game)
+    row_boxes = [
+        Box(p_low=own_lo, p_high=own_hi, q_low=opp_lo, q_high=opp_hi)
+        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((a, b))
+    ]
+    col_boxes = [
+        Box(p_low=opp_lo, p_high=opp_hi, q_low=own_lo, q_high=own_hi)
+        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((c, d))
+    ]
+    pieces = []
+    for rb in row_boxes:
+        for cb in col_boxes:
+            hit = _intersect(rb, cb)
+            if hit is not None:
+                pieces.append(hit)
+    return NashSet(components=_normalize(pieces))
+
+
+def reference_nash_product_joints(ns):
+    """Product joints of the component corners, each built twice as before:
+    once by `product_joint`, then again from its probabilities."""
+    joints = {product_joint(m).prob for box in ns.components for m in box.corners()}
+    return tuple(JointDistribution(p) for p in sorted(joints))
+
+
+def test_nash_set_matches_fraction_reference():
+    """The rank algebra gives the same components, in the same order, as the
+    `Fraction` algebra, and the same product joints."""
+    rng = random.Random(29)
+    # Every advantage quadruple (a, b, c, d) in {-2..2}^4: all 81 sign patterns.
+    games = [game_from_flat((a, b, 0, 0, c, 0, d, 0)) for a, b, c, d in itertools.product(range(-2, 3), repeat=4)]
+    games += [verify.random_game(rng) for _ in range(2000)]
+    games += [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(500)]
+    games += [
+        game_from_flat([F(rng.randint(-(10**30), 10**30), rng.randint(10**19, 10**20)) for _ in range(8)])
+        for _ in range(200)
+    ]
+    for game in games:
+        ns = nash_set(game)
+        assert ns == reference_nash_set(game), game
+        assert nash_product_joints(ns) == reference_nash_product_joints(ns), game
 
 
 # --- membership tests ---------------------------------------------------------------

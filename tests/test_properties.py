@@ -32,6 +32,7 @@ from twobytwo.equilibria import (
 )
 from twobytwo.kernels import grid_oracle
 
+from test_equilibria import reference_nash_set
 from test_kernels import box_variants, reference_grid_oracle
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -168,6 +169,12 @@ def test_check_permute_equivariance_passes(game):
 @given(games())
 def test_check_embedding_consistency_passes(game):
     assert verify.check_embedding_consistency(game) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(games())
+def test_nash_set_matches_fraction_reference(game):
+    assert nash_set(game) == reference_nash_set(game)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)

@@ -5,8 +5,15 @@ from fractions import Fraction
 
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
 from twobytwo import core, equilibria, verify
-from twobytwo.core import JointDistribution, game_from_flat
-from twobytwo.equilibria import NashSet, _matrix_rank, cce_polytope, halfspace_rows, nash_product_joints
+from twobytwo.core import JointDistribution, MarginalPair, Player, game_from_flat, integerize, product_joint
+from twobytwo.equilibria import (
+    NashSet,
+    _matrix_rank,
+    cce_polytope,
+    deviation_gain,
+    halfspace_rows,
+    nash_product_joints,
+)
 
 
 def test_suite_passes_on_seeded_games():
@@ -69,6 +76,57 @@ def test_negative_control_dropped_nash_component(monkeypatch):
     for failure in report.failures:
         assert len(real(failure.game).components) > 1
         assert any("routes vs nash_set boxes" in m for m in failure.messages)
+
+
+def reference_direct_nash(game, m):
+    """The `Fraction` route that the integer one replaced: the product joint
+    and the four `deviation_gain` sums."""
+    dist = product_joint(m)
+    return all(
+        deviation_gain(game, player, action, dist) <= 0
+        for player in (Player.ROW, Player.COL)
+        for action in (0, 1)
+    )
+
+
+def test_direct_nash_matches_fraction_reference():
+    """Grid points, component corners and marginals with large denominators."""
+    rng = random.Random(31)
+    games = [verify.random_game(rng) for _ in range(200)]
+    games += [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(100)]
+    games += [game_from_flat([rng.randint(-(2**80), 2**80) for _ in range(8)]) for _ in range(20)]
+    games += [
+        game_from_flat([Fraction(rng.randint(-(10**30), 10**30), rng.randint(10**19, 10**20)) for _ in range(8)])
+        for _ in range(20)
+    ]
+    games += [game_from_flat(flat) for flat in (ALL_ZERO, COORDINATION, MATCHING_PENNIES, TRAFFIC_LIGHTS)]
+    big = 2**70 + 1
+    for game in games:
+        points = [MarginalPair(Fraction(i, 4), Fraction(j, 4)) for i in range(5) for j in range(5)]
+        points += [
+            MarginalPair(Fraction(rng.randint(0, 100), 100), Fraction(rng.randint(0, 100), 100))
+            for _ in range(5)
+        ]
+        points += [m for box in verify.nash_set(game).components for m in box.corners()]
+        points += [
+            MarginalPair(Fraction(rng.randint(0, big), big), Fraction(rng.randint(0, 2**64), 2**64 + 3))
+            for _ in range(5)
+        ]
+        h_row, h_col = integerize(game.row), integerize(game.col)
+        for m in points:
+            assert verify._direct_nash(h_row, h_col, m) == reference_direct_nash(game, m), (game, m)
+
+
+def test_negative_control_broken_direct_nash(monkeypatch):
+    """A flipped deviation-sum route must reject component corners and
+    disagree with the other routes on sampled profiles."""
+    real = verify._direct_nash
+    monkeypatch.setattr(verify, "_direct_nash", lambda h_row, h_col, m: not real(h_row, h_col, m))
+    report = verify.run(seed=3, trials=3)
+    assert not report.ok
+    messages = [m for failure in report.failures for m in failure.messages]
+    assert any(m.startswith("component corner") and m.endswith("rejected by deviation sums") for m in messages)
+    assert any(m.startswith("route disagreement") for m in messages)
 
 
 def test_grid_ranges_exact_rounding():

@@ -19,8 +19,8 @@ from .core import (
     product_joint,
     transform_affine,
 )
-from .embedding import advantage, class_of_embedding, embed
-from .equilibria import cce_constraints, cce_polytope, is_nash, joint_in_cce, nash_set
+from .embedding import class_of_embedding, embed
+from .equilibria import cce_polytope, is_nash, joint_in_cce, nash_set
 from .graphs import br_class, br_graph, census, ordinal_graph
 
 __version__ = "0.1.0"

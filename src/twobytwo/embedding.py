@@ -15,16 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ADVANTAGE_ACTION, Game, Player, advantages, integerize
+from .core import ADVANTAGE_ACTION, Game, advantages, integerize
 from .graphs import BRClass, BRGraph, _preference, class_from_br_graph
-
-
-@dataclass(frozen=True)
-class AdvantageVector:
-    """Payoff advantage of action A over B against each opponent pure action."""
-
-    given_opponent_a: Fraction
-    given_opponent_b: Fraction
 
 
 @dataclass(frozen=True)
@@ -60,11 +52,6 @@ def _angle(direction: tuple[int, int] | None) -> float | None:
         # from both, which keeps their ratio, and so the angle, to float precision.
         shift = max(abs(x).bit_length(), abs(y).bit_length()) - 1000
         return math.degrees(math.atan2(y >> shift, x >> shift)) % 360.0
-
-
-def advantage(game: Game, player: Player) -> AdvantageVector:
-    adv = advantages(game)
-    return AdvantageVector(*(adv[:2] if player is Player.ROW else adv[2:]))
 
 
 def _direction(x: Fraction, y: Fraction) -> tuple[int, int] | None:

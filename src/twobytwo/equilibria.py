@@ -11,13 +11,15 @@ deviation row touches two cells adjacent on that cycle, so every vertex is
 supported on a run of consecutive cells whose internal edges are tight, and
 only 16 runs need to be tried.  The Nash boxes, the constraint rows and the
 membership test all read the players' advantages from `core.advantages`.
-The four CCE inequalities are written once, in `cce_holds`, on an advantage
-quadruple and unnormalized cell weights; `joint_in_cce` applies it to a
-joint, and the verifier applies it to integer numerators.
-Each row is cleared of denominators by `core.integerize`, so every candidate
-vertex is a product of integer coefficients, and only the surviving
-vertices are converted to `Fraction`.  For two-action games the correlated
-and coarse-correlated sets coincide, so this polytope serves as both.
+The constraint system has one form, the eight integer rows of
+`halfspace_rows`: each player's advantage pair is cleared of denominators
+once by `core.integerize`, so every candidate vertex is a product of integer
+coefficients, and only the surviving vertices are converted to `Fraction`.
+The four CCE inequalities are also written, independently of those rows, in
+`cce_holds`, on an advantage quadruple and unnormalized cell weights;
+`joint_in_cce` applies it to a joint, and the verifier applies it to integer
+numerators.  For two-action games the correlated and coarse-correlated sets
+coincide, so this polytope serves as both.
 
 `is_nash` and `deviation_gain` read the raw payoffs instead: the verifier
 uses `is_nash` as a route independent of the advantage computation, and
@@ -45,19 +47,6 @@ from .core import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class DeviationConstraint:
-    """One linear no-gain constraint: sum_a sigma(a) * coeffs[a] <= 0.
-
-    coeffs[a] is the player's payoff gain at cell `a` from switching to the
-    deviation action; it is zero on cells already playing that action.
-    """
-
-    player: Player
-    deviation_action: int
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -110,24 +99,13 @@ class CcePolytope:
     """Vertices and edges of the CCE set inside the simplex, and its dimension.
 
     Vertices are deduplicated and sorted lexicographically by coordinates;
-    edges are index pairs into the vertex list.  The defining rows are
-    `halfspace_rows(game)`.
+    edges are index pairs into the vertex list.  The defining rows are the
+    integer rows of `halfspace_rows(game)`.
     """
 
     vertices: tuple[JointDistribution, ...]
     edges: tuple[tuple[int, int], ...]
     dimension: int
-
-
-def cce_constraints(game: Game) -> tuple[DeviationConstraint, ...]:
-    """The four no-gain constraints, one per (player, deviation action)."""
-    a, b, c, d = advantages(game)
-    return (
-        DeviationConstraint(Player.ROW, 0, (_ZERO, _ZERO, a, b)),
-        DeviationConstraint(Player.ROW, 1, (-a, -b, _ZERO, _ZERO)),
-        DeviationConstraint(Player.COL, 0, (_ZERO, c, _ZERO, d)),
-        DeviationConstraint(Player.COL, 1, (-c, _ZERO, -d, _ZERO)),
-    )
 
 
 def cce_holds(adv, weights) -> bool:
@@ -153,14 +131,23 @@ def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
     return cce_holds(advantages(game), dist.prob)
 
 
-# -sigma_i <= 0 for each cell i: the last four halfspace rows, and their integer form.
-_NONNEGATIVITY = tuple(tuple(-_ONE if j == i else _ZERO for j in range(4)) for i in range(4))
-_INT_NONNEGATIVITY = tuple(map(integerize, _NONNEGATIVITY))
+# -sigma_i <= 0 for each cell i: the last four halfspace rows.
+_NONNEGATIVITY = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
 
 
-def halfspace_rows(game: Game) -> tuple[tuple[Fraction, ...], ...]:
-    """All 8 inequality rows r with r . sigma <= 0 (deviations, then nonnegativity)."""
-    return tuple(con.coeffs for con in cce_constraints(game)) + _NONNEGATIVITY
+def halfspace_rows(game: Game) -> tuple[tuple[int, int, int, int], ...]:
+    """All 8 integer inequality rows r with r . sigma <= 0.
+
+    First the four no-gain rows, for (player, deviation action) (row, A),
+    (row, B), (column, A), (column, B): each entry is the player's gain at
+    that cell from deviating, times the lcm of the denominators of the
+    player's advantage pair (one `core.integerize` per player).  Then the
+    four nonnegativity rows.
+    """
+    a, b, c, d = advantages(game)
+    a, b = integerize((a, b))
+    c, d = integerize((c, d))
+    return ((0, 0, a, b), (-a, -b, 0, 0), (0, c, 0, d), (-c, 0, -d, 0)) + _NONNEGATIVITY
 
 
 def _matrix_rank(rows: list[tuple]) -> int:
@@ -232,12 +219,11 @@ def _cycle_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int
 def cce_polytope(game: Game) -> CcePolytope:
     """Exact vertex enumeration of the CCE polytope in integer arithmetic.
 
-    The halfspace rows are scaled to integers row by row, the 16 runs of the
-    cell-cycle walk are built and tested on the integer deviation rows, and
-    tightness is decided on the integer numerators; only the surviving
-    vertices become `Fraction`s.
+    The 16 runs of the cell-cycle walk are built and tested on the integer
+    deviation rows of `halfspace_rows`, and tightness is decided on the
+    integer numerators; only the surviving vertices become `Fraction`s.
     """
-    rows = tuple(integerize(con.coeffs) for con in cce_constraints(game)) + _INT_NONNEGATIVITY
+    rows = halfspace_rows(game)
     vertices = []
     for n in _cycle_vertex_numerators(rows):
         total = sum(n)

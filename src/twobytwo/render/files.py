@@ -2,7 +2,9 @@
 
 Point files are two whitespace-separated numeric columns, one point per line;
 heatmap files are a whitespace-separated numeric matrix, one row per line.
-Values are plotting data, so floats are fine here, but they must be finite.
+Values are plotting data, so floats are fine here, but they must be finite
+and ASCII, as payoff literals are: `float` alone would also take any Unicode
+decimal digit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import os
 
 
 def _finite(path, lineno: int, fields: list[str]) -> tuple[float, ...]:
+    if not "".join(fields).isascii():  # joined: one call per line, cheaper than one per field
+        raise ValueError(f"{path}:{lineno}: non-numeric value")
     try:
         values = tuple(map(float, fields))
     except ValueError as exc:

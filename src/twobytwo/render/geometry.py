@@ -43,23 +43,26 @@ def _normalize(a: Vec3) -> Vec3:
     return (a[0] / n, a[1] / n, a[2] / n)
 
 
+# The camera's distance from the origin and the focal length of the projection.
+CAMERA_DISTANCE = 4.0
+FOCAL_LENGTH = 2.4
+
+
 @dataclass(frozen=True)
 class Projection:
     """Perspective camera looking at the origin from (azimuth, elevation)."""
 
     azimuth_deg: float
     elevation_deg: float
-    distance: float = 4.0
-    focal: float = 2.4
 
     @property
     def camera(self) -> Vec3:
         az = math.radians(self.azimuth_deg)
         el = math.radians(self.elevation_deg)
         return (
-            self.distance * math.cos(el) * math.cos(az),
-            self.distance * math.cos(el) * math.sin(az),
-            self.distance * math.sin(el),
+            CAMERA_DISTANCE * math.cos(el) * math.cos(az),
+            CAMERA_DISTANCE * math.cos(el) * math.sin(az),
+            CAMERA_DISTANCE * math.sin(el),
         )
 
     def _basis(self) -> tuple[Vec3, Vec3, Vec3]:
@@ -79,7 +82,7 @@ class Projection:
         right, up, forward = self._basis()
         v = _sub(point, cam)
         depth = _dot(v, forward)
-        return (self.focal * _dot(v, right) / depth, self.focal * _dot(v, up) / depth)
+        return (FOCAL_LENGTH * _dot(v, right) / depth, FOCAL_LENGTH * _dot(v, up) / depth)
 
 
 def hidden_tetra_edges(projection: Projection) -> frozenset[tuple[int, int]]:

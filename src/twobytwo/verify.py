@@ -220,8 +220,9 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     convexity, and NE containment.
 
     The vertices are scaled once to integer numerators over one common
-    denominator, and each halfspace row and each player's advantage pair to
-    integers; every scaling is positive, so it keeps every sign and zero.
+    denominator, and each player's advantage pair to integers; every scaling
+    is positive, so it keeps every sign and zero.  The halfspace rows are
+    integers already.
     Feasibility and tightness are the signs of integer dot products.
     Convexity is tested on `combos` random convex combinations of the
     vertices, drawn with integer weights 0..10: `cce_holds` on the integer
@@ -238,15 +239,14 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
         return failures
 
     scale, numerators = common_numerators(poly.vertices)
-    int_rows = [integerize(row) for row in rows]
     tight_sets = []
     for vertex, nums in zip(poly.vertices, numerators):
-        values = [sum(map(operator.mul, row, nums)) for row in int_rows]
+        values = [sum(map(operator.mul, row, nums)) for row in rows]
         if any(v > 0 for v in values):
             failures.append(f"vertex {vertex.prob} violates a halfspace")
         tight = [k for k, v in enumerate(values) if v == 0]
         tight_sets.append(tight)
-        if _matrix_rank([int_rows[k] for k in tight]) < 3:
+        if _matrix_rank([rows[k] for k in tight]) < 3:
             failures.append(f"vertex {vertex.prob} has fewer than 3 independent tight constraints")
 
     indices = range(len(tight_sets))
@@ -257,7 +257,7 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
             failures.append(f"edge ({i},{j}) endpoints share fewer than 2 tight constraints")
 
     coprime = {tuple(x // math.gcd(*nums) for x in nums) for nums in numerators}
-    for n in sorted(cramer_vertex_numerators(int_rows) - coprime):
+    for n in sorted(cramer_vertex_numerators(rows) - coprime):
         total = sum(n)
         failures.append(f"missing CCE vertex {tuple(Fraction(x, total) for x in n)}")
 
@@ -330,14 +330,8 @@ def check_permute_equivariance(game: Game) -> list[str]:
             failures.append(f"br_graph equivariance broken for flags {flags}")
         if embed(other) != permute_embedding(base_embed, *flags):
             failures.append(f"embedding equivariance broken for flags {flags}")
-        mapped = {
-            (b.p_low, b.p_high, b.q_low, b.q_high)
-            for b in (_map_box(box, flags) for box in base_nash.components)
-        }
-        actual = {
-            (b.p_low, b.p_high, b.q_low, b.q_high) for b in nash_set(other).components
-        }
-        if mapped != actual:
+        mapped = {_map_box(box, flags) for box in base_nash.components}
+        if mapped != set(nash_set(other).components):
             failures.append(f"nash_set equivariance broken for flags {flags}")
         mapped_vertices = {tuple(v[perm[i]] for i in range(4)) for v in base_vertices}
         actual_vertices = {v.prob for v in cce_polytope(other).vertices}

@@ -3,10 +3,9 @@ import math
 import random
 from fractions import Fraction as F
 
-from twobytwo.core import Player, SYMMETRY_FLAGS, game_from_flat, permute, transform_affine
+from twobytwo.core import Player, SYMMETRY_FLAGS, advantages, game_from_flat, permute, transform_affine
 from twobytwo.embedding import (
     EmbeddingPoint,
-    advantage,
     class_of_embedding,
     embed,
     permute_embedding,
@@ -25,21 +24,16 @@ def game_from_advantages(row_adv, col_adv):
 
 
 def test_advantage_coordination(coordination):
-    vec = advantage(coordination, Player.ROW)
-    assert (vec.given_opponent_a, vec.given_opponent_b) == (2, -1)
+    assert advantages(coordination)[:2] == (2, -1)  # the row player's pair
 
 
 def test_advantage_all_zero(all_zero):
-    for p in Player:
-        vec = advantage(all_zero, p)
-        assert (vec.given_opponent_a, vec.given_opponent_b) == (0, 0)
+    assert advantages(all_zero) == (0, 0, 0, 0)
 
 
 def test_advantage_matching_pennies(mp):
-    row = advantage(mp, Player.ROW)
-    col = advantage(mp, Player.COL)
-    assert (row.given_opponent_a, row.given_opponent_b) == (2, -2)
-    assert (col.given_opponent_a, col.given_opponent_b) == (-2, 2)
+    assert advantages(mp)[:2] == (2, -2)
+    assert advantages(mp)[2:] == (-2, 2)
 
 
 def test_advantage_offsets_cancel():
@@ -47,8 +41,9 @@ def test_advantage_offsets_cancel():
     for _ in range(60):
         g = verify.random_game(rng)
         p = rng.choice((Player.ROW, Player.COL))
+        pair = slice(0, 2) if p is Player.ROW else slice(2, 4)
         g2 = transform_affine(g, p, 1, verify.random_rational(rng), verify.random_rational(rng))
-        assert advantage(g2, p) == advantage(g, p)
+        assert advantages(g2)[pair] == advantages(g)[pair]
 
 
 # --- embedding points --------------------------------------------------------------

@@ -22,7 +22,6 @@ from twobytwo.equilibria import (
     Box,
     CcePolytope,
     NashSet,
-    cce_constraints,
     cce_polytope,
     deviation_gain,
     halfspace_rows,
@@ -46,32 +45,61 @@ def boxes(ns):
 # --- constraints ----------------------------------------------------------------
 
 
+def reference_halfspace_rows(game):
+    """The `Fraction` rows that the integer ones replaced, kept as the reference:
+    the four no-gain rows on the advantages, then -sigma_i <= 0 per cell."""
+    zero, one = F(0), F(1)
+    a, b, c, d = advantages(game)
+    return (
+        (zero, zero, a, b),
+        (-a, -b, zero, zero),
+        (zero, c, zero, d),
+        (-c, zero, -d, zero),
+    ) + tuple(tuple(-one if j == i else zero for j in range(4)) for i in range(4))
+
+
 def test_cce_constraints_matching_pennies_row_to_a(mp):
-    con = cce_constraints(mp)[0]
-    assert con.player is Player.ROW and con.deviation_action == 0
-    assert con.coeffs == (0, 0, 2, -2)
+    row_to_a = halfspace_rows(mp)[0]  # the row player deviating to A
+    assert row_to_a == (0, 0, 2, -2)
 
 
 def test_cce_constraints_all_zero(all_zero):
-    for con in cce_constraints(all_zero):
-        assert con.coeffs == (0, 0, 0, 0)
+    for row in halfspace_rows(all_zero)[:4]:
+        assert row == (0, 0, 0, 0)
 
 
 def test_cce_constraints_pd_row_to_b(pd):
-    con = cce_constraints(pd)[1]
-    assert con.player is Player.ROW and con.deviation_action == 1
-    assert con.coeffs == (1, 1, 0, 0)
+    row_to_b = halfspace_rows(pd)[1]  # the row player deviating to B
+    assert row_to_b == (1, 1, 0, 0)
 
 
 def test_constraint_coeffs_vanish_on_own_action_cells():
+    # The (player, deviation action) of each no-gain row, in row order.
+    labels = ((Player.ROW, 0), (Player.ROW, 1), (Player.COL, 0), (Player.COL, 1))
     rng = random.Random(2)
     for _ in range(40):
         g = verify.random_game(rng)
-        for con in cce_constraints(g):
-            for cell, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                own = r if con.player is Player.ROW else c
-                if own == con.deviation_action:
-                    assert con.coeffs[cell] == 0
+        for (player, deviation), row in zip(labels, halfspace_rows(g)):
+            for cell, (r, c) in enumerate(CELLS):
+                own = r if player is Player.ROW else c
+                if own == deviation:
+                    assert row[cell] == 0
+
+
+def test_halfspace_rows_are_the_integerized_fraction_rows():
+    """Seeded, {-1, 0, 1}, 30-digit and all-zero-player games."""
+    rng = random.Random(23)
+    games = [verify.random_game(rng) for _ in range(200)]
+    games += [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(200)]
+    games += [
+        game_from_flat([F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30)) for _ in range(8)])
+        for _ in range(100)
+    ]
+    games += [game_from_flat(flat) for flat in ([0] * 8, [0, 0, 0, 0, 2, 0, 0, 1], [2, 0, 0, 1, 0, 0, 0, 0])]
+    for game in games:
+        rows = halfspace_rows(game)
+        assert rows == tuple(integerize(r) for r in reference_halfspace_rows(game)), game
+        assert all(type(x) is int for row in rows for x in row)
 
 
 # --- polytopes ------------------------------------------------------------------
@@ -153,7 +181,7 @@ def _reference_solve_tight(rows):
 
 def reference_cce_polytope(game):
     """The Fraction enumeration that the integer solve replaced, kept as the reference."""
-    rows = halfspace_rows(game)
+    rows = reference_halfspace_rows(game)
 
     def dot(v, row):
         return sum((v[j] * row[j] for j in range(4)), F(0))
@@ -227,7 +255,7 @@ def test_cycle_walk_matches_cramer_route():
         for _ in range(100)
     ]
     for game in games:
-        rows = tuple(integerize(row) for row in halfspace_rows(game))
+        rows = halfspace_rows(game)
         assert _cycle_vertex_numerators(rows) == verify.cramer_vertex_numerators(rows), game
 
 

@@ -32,7 +32,7 @@ from twobytwo.equilibria import (
 )
 from twobytwo.kernels import grid_oracle
 
-from test_equilibria import reference_nash_set
+from test_equilibria import reference_halfspace_rows, reference_nash_set
 from test_kernels import box_variants, reference_grid_oracle
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -119,8 +119,14 @@ def test_cce_holds_on_integers_matches_joint_in_cce(case):
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
 @given(games())
+def test_halfspace_rows_are_the_integerized_fraction_rows(game):
+    assert halfspace_rows(game) == tuple(integerize(row) for row in reference_halfspace_rows(game))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(games())
 def test_cycle_walk_matches_cramer_route(game):
-    rows = tuple(integerize(row) for row in halfspace_rows(game))
+    rows = halfspace_rows(game)
     assert _cycle_vertex_numerators(rows) == verify.cramer_vertex_numerators(rows)
 
 

@@ -405,6 +405,19 @@ def test_point_file_rejects_wrong_arity(tmp_path):
         load_points(path)
 
 
+def test_data_files_take_only_ascii_literals(tmp_path):
+    """Both loaders reject the non-ASCII digits that `float` would take, with
+    `path:line`, as payoff literals do; ASCII forms such as `1_0` still load."""
+    path = tmp_path / "data.dat"
+    for loader in (load_points, load_matrix):
+        for bad in ("\u0661\u0662 \u0663", "1 \uff12", "\u0661 2"):
+            path.write_text(f"1 2\n{bad}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: non-numeric value$"):
+                loader(path)
+        path.write_text("1_0 2\n", encoding="utf-8")
+        assert loader(path) == ((10.0, 2.0),)
+
+
 # --- emission helpers against their reference versions -------------------------------
 # The straightforward versions of the per-value helpers and of TikZ color
 # collection; the library's faster versions must give the same results.

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
+from test_equilibria import reference_halfspace_rows
 from twobytwo import core, equilibria, verify
 from twobytwo.core import JointDistribution, MarginalPair, Player, game_from_flat, integerize, product_joint
 from twobytwo.equilibria import (
@@ -11,7 +12,6 @@ from twobytwo.equilibria import (
     _matrix_rank,
     cce_polytope,
     deviation_gain,
-    halfspace_rows,
     nash_product_joints,
 )
 
@@ -181,7 +181,7 @@ def reference_check_cce(game, rng, combos=100):
     `JointDistribution` tested by `joint_in_cce`."""
     failures = []
     poly = verify.cce_polytope(game)
-    rows = halfspace_rows(game)
+    rows = reference_halfspace_rows(game)
     if not poly.vertices:
         failures.append("empty CCE polytope")
         return failures
@@ -308,19 +308,16 @@ def test_negative_control_swapped_column_cce_rows(monkeypatch):
     agree with the mutation; `cce_holds` reads the advantages, not the rows,
     and rejects the resulting convex combinations.
     """
-    real = equilibria.cce_constraints
+    real = equilibria.halfspace_rows
 
     def swap_column_cells(game):
-        row_a, row_b, col_a, col_b = real(game)
-        zero, c, _, d = col_a.coeffs
-        return (
-            row_a,
-            row_b,
-            dataclasses.replace(col_a, coeffs=(zero, zero, c, d)),
-            dataclasses.replace(col_b, coeffs=(-c, -d, zero, zero)),
-        )
+        rows = real(game)
+        _, c, _, d = rows[2]
+        return rows[:2] + ((0, 0, c, d), (-c, -d, 0, 0)) + rows[4:]
 
-    monkeypatch.setattr(equilibria, "cce_constraints", swap_column_cells)
+    # Every binding site: `cce_polytope` reads the rows in `equilibria`, `check_cce` in `verify`.
+    monkeypatch.setattr(equilibria, "halfspace_rows", swap_column_cells)
+    monkeypatch.setattr(verify, "halfspace_rows", swap_column_cells)
     report = verify.run(seed=3, trials=4, combos=20)
     assert len(report.failures) == 4
     assert any(

@@ -2,7 +2,11 @@
 
 All payoffs and probabilities are `fractions.Fraction` values, so every
 comparison (ties, indifference, constraint feasibility) is decided exactly.
-No floating point enters any equilibrium-bearing computation.
+No floating point enters any equilibrium-bearing computation.  Most decisions
+are signs, and those are taken on integers: each player's advantage pair is
+computed once per `Game` in lowest integer terms (`advantages`), and a best
+response or the validity of a joint is decided on numerators cleared of their
+denominators.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -87,16 +91,39 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _cleared_differences(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction) -> tuple[int, int]:
+    """(x0 - x1, y0 - y1) times the lcm of the pair's denominators, as integers.
+
+    Both differences are first cleared by the lcm L of the four denominators,
+    giving integers A and B; dividing by gcd(A, B, L) leaves exactly the lcm
+    of the two differences' own denominators, so the result equals
+    `integerize((x0 - x1, y0 - y1))` without building a `Fraction`.
+    """
+    common = math.lcm(x0.denominator, x1.denominator, y0.denominator, y1.denominator)
+    a = x0.numerator * (common // x0.denominator) - x1.numerator * (common // x1.denominator)
+    b = y0.numerator * (common // y0.denominator) - y1.numerator * (common // y1.denominator)
+    g = math.gcd(a, b, common)
+    return a // g, b // g
+
+
 @dataclass(frozen=True)
 class Game:
     """A 2x2 game: one payoff per player per joint action.
 
     Payoff tuples are in flat cell order (AA, AB, BA, BB); the first action
-    index is the row player's, the second the column player's.
+    index is the row player's, the second the column player's.  The players'
+    advantages are computed once, when the game is built; read them through
+    `advantages`.
     """
 
     row: tuple[Fraction, Fraction, Fraction, Fraction]
     col: tuple[Fraction, Fraction, Fraction, Fraction]
+    _advantages: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        r, c = self.row, self.col
+        adv = _cleared_differences(r[0], r[2], r[1], r[3]) + _cleared_differences(c[0], c[1], c[2], c[3])
+        object.__setattr__(self, "_advantages", adv)
 
     def payoff(self, player: Player, row_action: int, col_action: int) -> Fraction:
         table = self.row if player is Player.ROW else self.col
@@ -113,11 +140,19 @@ class JointDistribution:
     prob: tuple[Fraction, Fraction, Fraction, Fraction]
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.prob):
-            shown = " ".join(map(format_rational, self.prob))
+        # Both tests run on integers: no numerator is negative, and the
+        # numerators scaled to the lcm of the denominators sum to that lcm.
+        prob = self.prob
+        try:
+            common = math.lcm(*[p.denominator for p in prob])
+        except AttributeError:
+            bad = next(p for p in prob if not hasattr(p, "denominator"))
+            raise ValueError(f"joint probability {bad!r} is not an int or Fraction") from None
+        if any(p.numerator < 0 for p in prob):
+            shown = " ".join(map(format_rational, prob))
             raise ValueError(f"negative joint probability in {shown}")
-        if sum(self.prob) != 1:
-            shown = " ".join(map(format_rational, self.prob))
+        if sum([p.numerator * (common // p.denominator) for p in prob]) != common:
+            shown = " ".join(map(format_rational, prob))
             raise ValueError(f"joint probabilities must sum to 1, got {shown}")
 
     def __getitem__(self, cell: int) -> Fraction:
@@ -167,16 +202,19 @@ def game_to_flat(game: Game) -> tuple[Fraction, ...]:
     return game.row + game.col
 
 
-def advantages(game: Game) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def advantages(game: Game) -> tuple[int, int, int, int]:
     """Each player's payoff advantage of action A over B against each opposing pure action.
 
     In order: the row player's against column action A, then B; the column
-    player's against row action A, then B.  The best-response graph is their
-    signs, the embedding their reduced directions, and the Nash set and the
-    CCE constraints are functions of them.
+    player's against row action A, then B.  Each player's pair is the exact
+    differences times the lcm of their denominators, so it is an integer pair
+    with the signs, zeros and ratio of the differences:
+    `integerize((r0 - r2, r1 - r3)) + integerize((c0 - c1, c2 - c3))`.  It is
+    computed once per `Game`, when the game is built.  The best-response
+    graph is their signs, the embedding their reduced directions, and the
+    Nash set and the CCE constraints are functions of them.
     """
-    r, c = game.row, game.col
-    return (r[0] - r[2], r[1] - r[3], c[0] - c[1], c[2] - c[3])
+    return game._advantages
 
 
 def integerize(values: Iterable[Fraction]) -> tuple[int, ...]:
@@ -205,15 +243,17 @@ def best_response_set(
     actions are returned exactly when the expected payoffs tie.
     """
     q = as_rational(opponent_mix)
-    if not 0 <= q <= 1:
+    n, d = q.numerator, q.denominator
+    if not 0 <= n <= d:
         raise ValueError(f"opponent mix {q} outside [0, 1]")
-    table = game.payoffs(player)
+    # Both expected payoffs on the table cleared of denominators, times d.
+    h = integerize(game.payoffs(player))
     if player is Player.ROW:
-        value_a = q * table[0] + (1 - q) * table[1]
-        value_b = q * table[2] + (1 - q) * table[3]
+        value_a = n * h[0] + (d - n) * h[1]
+        value_b = n * h[2] + (d - n) * h[3]
     else:
-        value_a = q * table[0] + (1 - q) * table[2]
-        value_b = q * table[1] + (1 - q) * table[3]
+        value_a = n * h[0] + (d - n) * h[2]
+        value_b = n * h[1] + (d - n) * h[3]
     if value_a > value_b:
         return frozenset((0,))
     if value_b > value_a:

@@ -5,17 +5,17 @@ against each opponent pure action (`core.advantages`, the one place those
 differences are taken).  Positive per-player scaling and per-opponent-action
 offsets leave this pair invariant up to scale, so the coprime integer
 direction it spans is an exact equilibrium-invariant coordinate; two such
-directions describe the whole game.  A direction is the pair cleared of
-denominators by `core.integerize`, then divided by its gcd.
+directions describe the whole game.  `core.advantages` already gives each
+pair as integers cleared of denominators; a direction is that pair divided
+by its gcd.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import ADVANTAGE_ACTION, Game, advantages, integerize
+from .core import ADVANTAGE_ACTION, Game, advantages
 from .graphs import BRClass, BRGraph, _preference, class_from_br_graph
 
 
@@ -54,10 +54,10 @@ def _angle(direction: tuple[int, int] | None) -> float | None:
         return math.degrees(math.atan2(y >> shift, x >> shift)) % 360.0
 
 
-def _direction(x: Fraction, y: Fraction) -> tuple[int, int] | None:
-    if x == 0 and y == 0:
+def _direction(a: int, b: int) -> tuple[int, int] | None:
+    """An integer advantage pair reduced to coprime form; None if both are zero."""
+    if a == 0 and b == 0:
         return None
-    a, b = integerize((x, y))
     g = math.gcd(a, b)
     return (a // g, b // g)
 

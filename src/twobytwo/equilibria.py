@@ -10,11 +10,12 @@ simplex, enumerated exactly by a walk around the cell cycle AA-AB-BB-BA: each
 deviation row touches two cells adjacent on that cycle, so every vertex is
 supported on a run of consecutive cells whose internal edges are tight, and
 only 16 runs need to be tried.  The Nash boxes, the constraint rows and the
-membership test all read the players' advantages from `core.advantages`.
+membership test all read the players' advantages from `core.advantages`,
+which are integers computed once per game, so every sign is an integer's.
 The constraint system has one form, the eight integer rows of
-`halfspace_rows`: each player's advantage pair is cleared of denominators
-once by `core.integerize`, so every candidate vertex is a product of integer
-coefficients, and only the surviving vertices are converted to `Fraction`.
+`halfspace_rows`, built on those integers as they are, so every candidate
+vertex is a product of integer coefficients, and only the surviving
+vertices are converted to `Fraction`.
 The four CCE inequalities are also written, independently of those rows, in
 `cce_holds`, on an advantage quadruple and unnormalized cell weights;
 `joint_in_cce` applies it to a joint, and the verifier applies it to integer
@@ -22,8 +23,10 @@ numerators.  For two-action games the correlated and coarse-correlated sets
 coincide, so this polytope serves as both.
 
 `is_nash` and `deviation_gain` read the raw payoffs instead: the verifier
-uses `is_nash` as a route independent of the advantage computation, and
-`deviation_gain` is the reference for the verifier's integer deviation sums.
+uses `is_nash` as a route independent of the advantage computation (it
+compares expected payoffs on the raw tables cleared of denominators by
+`core.integerize`, through `core.best_response_set`), and `deviation_gain`
+is the reference for the verifier's integer deviation sums.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .core import (
     Player,
     advantages,
     best_response_set,
-    integerize,
     product_joint,
 )
 
@@ -141,12 +143,10 @@ def halfspace_rows(game: Game) -> tuple[tuple[int, int, int, int], ...]:
     First the four no-gain rows, for (player, deviation action) (row, A),
     (row, B), (column, A), (column, B): each entry is the player's gain at
     that cell from deviating, times the lcm of the denominators of the
-    player's advantage pair (one `core.integerize` per player).  Then the
-    four nonnegativity rows.
+    player's advantage pair (the integers of `core.advantages`, used as they
+    are).  Then the four nonnegativity rows.
     """
     a, b, c, d = advantages(game)
-    a, b = integerize((a, b))
-    c, d = integerize((c, d))
     return ((0, 0, a, b), (-a, -b, 0, 0), (0, c, 0, d), (-c, 0, -d, 0)) + _NONNEGATIVITY
 
 
@@ -260,32 +260,32 @@ def cce_polytope(game: Game) -> CcePolytope:
     return CcePolytope(vertices=joints, edges=tuple(edges), dimension=dimension)
 
 
-def _reaction_boxes(a: Fraction, b: Fraction) -> tuple[Fraction | None, list[tuple[int, int, int, int]]]:
+def _reaction_boxes(a: int, b: int) -> tuple[Fraction | None, list[tuple[int, int, int, int]]]:
     """The interior indifference point, and the boxes (own_low, own_high,
     opp_low, opp_high) of best-response-consistent profiles.
 
-    `a` and `b` are the payoff advantage of the player's action A against
-    each opponent pure action; the advantage at opponent mix y is
-    y*a + (1-y)*b.  Box endpoints are ranks 0, 1, 2 on each axis, standing
-    for 0, the indifference point y* = b / (b - a) on the opponent's axis,
-    and 1; the own axis never takes rank 1.  y* is None unless `a` and `b`
+    `a` and `b` are the player's integer advantage pair from
+    `core.advantages`, a positive multiple of the advantage of action A
+    against each opponent pure action; the advantage at opponent mix y is
+    proportional to y*a + (1-y)*b.  Box endpoints are ranks 0, 1, 2 on each
+    axis, standing for 0, the indifference point y* = b / (b - a) on the
+    opponent's axis, and 1; the own axis never takes rank 1.  y* is None unless `a` and `b`
     have strictly opposite signs, which puts it strictly inside (0, 1).
-    Only the signs decide the boxes, and a rational's sign is its numerator's.
+    Only the integer signs decide the boxes; y* is the one `Fraction` built.
     """
-    sa, sb = a.numerator, b.numerator
-    if sa == 0 and sb == 0:
+    if a == 0 and b == 0:
         return None, [(0, 2, 0, 2)]
-    if sa >= 0 and sb >= 0:
+    if a >= 0 and b >= 0:
         boxes = [(2, 2, 0, 2)]
-    elif sa <= 0 and sb <= 0:
+    elif a <= 0 and b <= 0:
         boxes = [(0, 0, 0, 2)]
-    elif sa > 0:  # prefers B below y*, A above
-        return b / (b - a), [(0, 0, 0, 1), (0, 2, 1, 1), (2, 2, 1, 2)]
+    elif a > 0:  # prefers B below y*, A above
+        return Fraction(b, b - a), [(0, 0, 0, 1), (0, 2, 1, 1), (2, 2, 1, 2)]
     else:
-        return b / (b - a), [(2, 2, 0, 1), (0, 2, 1, 1), (0, 0, 1, 2)]
-    if sa == 0:  # indifferent exactly when the opponent plays A surely
+        return Fraction(b, b - a), [(2, 2, 0, 1), (0, 2, 1, 1), (0, 0, 1, 2)]
+    if a == 0:  # indifferent exactly when the opponent plays A surely
         boxes.append((0, 2, 2, 2))
-    if sb == 0:
+    if b == 0:
         boxes.append((0, 2, 0, 0))
     return None, boxes
 
@@ -371,8 +371,10 @@ def nash_set(game: Game) -> NashSet:
 
 def is_nash(game: Game, m: MarginalPair) -> bool:
     """True iff neither player gains by any pure deviation against the product joint."""
-    row_support = {i for i, prob in ((0, m.row_prob_a), (1, 1 - m.row_prob_a)) if prob > 0}
-    col_support = {i for i, prob in ((0, m.col_prob_a), (1, 1 - m.col_prob_a)) if prob > 0}
+    p, q = m.row_prob_a, m.col_prob_a
+    # A probability's weight on A and on B, as numerators over its denominator.
+    row_support = {i for i, w in ((0, p.numerator), (1, p.denominator - p.numerator)) if w > 0}
+    col_support = {i for i, w in ((0, q.numerator), (1, q.denominator - q.numerator)) if w > 0}
     return row_support <= best_response_set(
         game, Player.ROW, m.col_prob_a
     ) and col_support <= best_response_set(game, Player.COL, m.row_prob_a)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     ADVANTAGE_ACTION,
@@ -107,7 +106,7 @@ def ordinal_graph(game: Game, player: Player) -> OrdinalGraph:
     return OrdinalGraph(levels=levels, edges=edges)
 
 
-def _preference(better_for_a: Fraction | int) -> int | None:
+def _preference(better_for_a: int) -> int | None:
     """The preference edge an advantage of A over B gives: A, B, or indifferent."""
     if better_for_a > 0:
         return 0
@@ -117,7 +116,8 @@ def _preference(better_for_a: Fraction | int) -> int | None:
 
 
 def br_graph(game: Game) -> BRGraph:
-    """Strict pairwise payoff comparisons, one per player per opposing action."""
+    """Strict pairwise payoff comparisons, one per player per opposing action:
+    the signs of the integer advantages."""
     return BRGraph(*map(_preference, advantages(game)))
 
 

@@ -220,9 +220,8 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     convexity, and NE containment.
 
     The vertices are scaled once to integer numerators over one common
-    denominator, and each player's advantage pair to integers; every scaling
-    is positive, so it keeps every sign and zero.  The halfspace rows are
-    integers already.
+    denominator; the scaling is positive, so it keeps every sign and zero.
+    The halfspace rows and the advantages are integers already.
     Feasibility and tightness are the signs of integer dot products.
     Convexity is tested on `combos` random convex combinations of the
     vertices, drawn with integer weights 0..10: `cce_holds` on the integer
@@ -261,8 +260,7 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
         total = sum(n)
         failures.append(f"missing CCE vertex {tuple(Fraction(x, total) for x in n)}")
 
-    a, b, c, d = advantages(game)
-    adv = integerize((a, b)) + integerize((c, d))
+    adv = advantages(game)
     columns = tuple(zip(*numerators))
     for _ in range(combos):
         weights = [rng.randint(0, 10) for _ in poly.vertices]

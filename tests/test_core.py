@@ -23,6 +23,7 @@ from twobytwo.core import (
     product_joint,
     transform_affine,
 )
+from twobytwo import verify
 
 
 def random_rational(rng, bound=9):
@@ -171,11 +172,54 @@ def test_best_response_coordination_half(coordination):
     assert best_response_set(coordination, Player.ROW, F(1, 2)) == {0}
 
 
+def reference_best_response_set(game, player, opponent_mix):
+    """The `Fraction` formula that the integer comparison replaced, kept as the reference."""
+    q = as_rational(opponent_mix)
+    if not 0 <= q <= 1:
+        raise ValueError(f"opponent mix {q} outside [0, 1]")
+    table = game.payoffs(player)
+    if player is Player.ROW:
+        value_a = q * table[0] + (1 - q) * table[1]
+        value_b = q * table[2] + (1 - q) * table[3]
+    else:
+        value_a = q * table[0] + (1 - q) * table[2]
+        value_b = q * table[1] + (1 - q) * table[3]
+    if value_a > value_b:
+        return frozenset((0,))
+    if value_b > value_a:
+        return frozenset((1,))
+    return frozenset((0, 1))
+
+
+def test_best_response_matches_fraction_reference():
+    """Seeded games at all 101 grid mixes, and degenerate games and games
+    beyond 2^62 at grid mixes and mixes with large denominators."""
+    rng = random.Random(47)
+    grid = [F(k, 100) for k in range(101)]
+    for game in [verify.random_game(rng) for _ in range(200)]:
+        for player in Player:
+            for q in grid:
+                assert best_response_set(game, player, q) == reference_best_response_set(game, player, q)
+    big = 2**62 + 7
+    games = [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(100)]
+    games += [game_from_flat([0] * 8), game_from_flat([3, -1, 3, -1, 1, -2, 0, 5])]
+    games += [game_from_flat([rng.randint(-(2**80), 2**80) for _ in range(8)]) for _ in range(50)]
+    games += [game_from_flat([F(rng.randint(-big, big), rng.randint(1, big)) for _ in range(8)]) for _ in range(50)]
+    mixes = grid[::10] + [F(rng.randint(0, big), big) for _ in range(10)] + [0, 1, "1/3", ".25"]
+    for game in games:
+        for player in Player:
+            for q in mixes:
+                assert best_response_set(game, player, q) == reference_best_response_set(game, player, q)
+
+
 def test_best_response_domain_error(mp):
-    with pytest.raises(ValueError):
-        best_response_set(mp, Player.ROW, F(3, 2))
-    with pytest.raises(ValueError):
-        best_response_set(mp, Player.COL, F(-1, 10))
+    for q in (F(3, 2), F(-1, 10), "101/100", -1, 2):
+        for player in Player:
+            with pytest.raises(ValueError) as new:
+                best_response_set(mp, player, q)
+            with pytest.raises(ValueError) as ref:
+                reference_best_response_set(mp, player, q)
+            assert str(new.value) == str(ref.value) == f"opponent mix {as_rational(q)} outside [0, 1]"
 
 
 def test_best_response_affine_invariance():
@@ -248,6 +292,52 @@ def test_joint_invariants_enforced():
         joint((1, 1, 0, 0))
     with pytest.raises(ValueError):
         joint((-1, 1, 1, 0))
+    with pytest.raises(ValueError, match=r"joint probability 0\.25 "):
+        JointDistribution((F(1, 2), 0.25, F(1, 4), F(0)))
+
+
+def reference_joint_error(prob):
+    """The `Fraction` checks that the integer ones replaced, kept as the
+    reference: the message `JointDistribution` raises, or None."""
+    if any(p < 0 for p in prob):
+        return f"negative joint probability in {' '.join(map(format_rational, prob))}"
+    if sum(prob) != 1:
+        return f"joint probabilities must sum to 1, got {' '.join(map(format_rational, prob))}"
+    return None
+
+
+def joint_error(prob):
+    try:
+        JointDistribution(prob)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_joint_check_matches_fraction_reference():
+    """Valid joints, negative entries, sums off by 10^-30, 30-digit denominators."""
+    rng = random.Random(53)
+    cases = []
+    for _ in range(300):
+        den = rng.choice((rng.randint(1, 12), rng.randint(10**29, 10**30)))
+        bound = rng.choice((10, 10**30))
+        weights = [rng.randint(0, bound) for _ in range(4)]
+        total = sum(weights) or 1
+        prob = [F(w, total) for w in weights]
+        cases.append(tuple(prob))
+        k = rng.randrange(4)
+        off = list(prob)
+        off[k] += rng.choice((1, -1)) * F(1, 10**30)
+        cases.append(tuple(off))
+        neg = list(prob)
+        neg[k] = -neg[k] if neg[k] else F(-1, den)
+        neg[(k + 1) % 4] += prob[k] - neg[k]  # still sums to 1
+        cases.append(tuple(neg))
+        cases.append(tuple(F(rng.randint(-2, 10**30), den) for _ in range(4)))
+    cases += [(F(1), F(0), F(0), F(0)), (1, 0, 0, 0), (F(1, 2), F(1, 2), 0, 0), (0, 0, 0, 0), (2, -1, 0, 0)]
+    for prob in cases:
+        assert joint_error(prob) == reference_joint_error(prob), prob
+    assert sum(reference_joint_error(prob) is None for prob in cases) >= 300
 
 
 # --- affine transforms -------------------------------------------------------------

@@ -45,11 +45,46 @@ def boxes(ns):
 # --- constraints ----------------------------------------------------------------
 
 
+def reference_advantages(game):
+    """The raw `Fraction` differences that `core.advantages` clears of
+    denominators, kept as the reference: (r0 - r2, r1 - r3, c0 - c1, c2 - c3)."""
+    r, c = game.row, game.col
+    return (r[0] - r[2], r[1] - r[3], c[0] - c[1], c[2] - c[3])
+
+
+def test_advantages_are_the_integerized_fraction_pairs():
+    """Each player's integer pair is its `Fraction` pair times the lcm of that
+    pair's denominators, on seeded, {-1, 0, 1}, 30-digit and all-zero-player
+    games; the images of `permute` and `transform_affine` carry their own values."""
+    rng = random.Random(43)
+    games = [verify.random_game(rng) for _ in range(300)]
+    games += [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(200)]
+    games += [
+        game_from_flat([F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**20)) for _ in range(8)])
+        for _ in range(100)
+    ]
+    games += [game_from_flat([0] * 4 + list(g.col)) for g in games[:20]]
+    games += [game_from_flat(list(g.row) + [0] * 4) for g in games[:20]]
+    games.append(game_from_flat([0] * 8))
+    for n, game in enumerate(games[::7]):
+        games.append(permute(game, *SYMMETRY_FLAGS[n % 8]))
+        scale = F(rng.randint(1, 10**12), 7)
+        games.append(transform_affine(game, (Player.ROW, Player.COL)[n % 2], scale, F(1, 3), F(-5, 11)))
+    for game in games:
+        ref = reference_advantages(game)
+        assert advantages(game) == integerize(ref[:2]) + integerize(ref[2:]), game
+        assert all(type(x) is int for x in advantages(game)), game
+    # Clearing by the pair's lcm is not gcd reduction: the column pair (5/6, -35/36)
+    # clears to (30, -35), whose gcd is 5.
+    game = game_from_flat(["1/2", "-1/3", "-2/5", "1/7", "1/3", "-1/2", "-3/4", "2/9"])
+    assert advantages(game) == (189, -100, 30, -35)
+
+
 def reference_halfspace_rows(game):
     """The `Fraction` rows that the integer ones replaced, kept as the reference:
     the four no-gain rows on the advantages, then -sigma_i <= 0 per cell."""
     zero, one = F(0), F(1)
-    a, b, c, d = advantages(game)
+    a, b, c, d = reference_advantages(game)
     return (
         (zero, zero, a, b),
         (-a, -b, zero, zero),
@@ -443,7 +478,7 @@ def _normalize(boxes: list[Box]) -> tuple[Box, ...]:
 
 
 def reference_nash_set(game):
-    a, b, c, d = advantages(game)
+    a, b, c, d = reference_advantages(game)
     row_boxes = [
         Box(p_low=own_lo, p_high=own_hi, q_low=opp_lo, q_high=opp_hi)
         for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((a, b))

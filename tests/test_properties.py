@@ -20,7 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobytwo import cli, verify
-from twobytwo.core import JointDistribution, Player, advantages, game_from_flat, integerize
+from twobytwo.core import (
+    SYMMETRY_FLAGS,
+    JointDistribution,
+    Player,
+    advantages,
+    game_from_flat,
+    integerize,
+    permute,
+    transform_affine,
+)
 from twobytwo.equilibria import (
     _cycle_vertex_numerators,
     cce_holds,
@@ -32,7 +41,7 @@ from twobytwo.equilibria import (
 )
 from twobytwo.kernels import grid_oracle
 
-from test_equilibria import reference_halfspace_rows, reference_nash_set
+from test_equilibria import reference_advantages, reference_halfspace_rows, reference_nash_set
 from test_kernels import box_variants, reference_grid_oracle
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -106,7 +115,7 @@ def games_and_weights(draw):
 @given(games_and_weights())
 def test_cce_holds_on_integers_matches_joint_in_cce(case):
     game, weights = case
-    a, b, c, d = advantages(game)
+    a, b, c, d = reference_advantages(game)
     total = sum(weights)
     dist = JointDistribution(tuple(Fraction(w, total) for w in weights))
     raw = all(
@@ -115,6 +124,25 @@ def test_cce_holds_on_integers_matches_joint_in_cce(case):
         for action in (0, 1)
     )
     assert cce_holds(integerize((a, b)) + integerize((c, d)), weights) == joint_in_cce(game, dist) == raw
+
+
+positive_scale = st.builds(Fraction, st.integers(1, 2 ** 70), st.integers(1, 2 ** 40))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(
+    games(),
+    st.sampled_from(SYMMETRY_FLAGS),
+    st.sampled_from(Player),
+    positive_scale,
+    payoff,
+    payoff,
+)
+def test_advantages_are_the_integerized_fraction_pairs(game, flags, player, scale, off_a, off_b):
+    # The game and its `permute` and `transform_affine` images, each on its own values.
+    for g in (game, permute(game, *flags), transform_affine(game, player, scale, off_a, off_b)):
+        ref = reference_advantages(g)
+        assert advantages(g) == integerize(ref[:2]) + integerize(ref[2:])
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)

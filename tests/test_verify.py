@@ -327,6 +327,15 @@ def test_negative_control_swapped_column_cce_rows(monkeypatch):
     )
 
 
+def patch_every_binding(monkeypatch, real, replacement):
+    """Replace `real` in every `twobytwo` module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "twobytwo" or name.startswith("twobytwo."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def test_negative_control_swapped_column_advantages(monkeypatch):
     """An advantage core that swaps the column player's pair must be caught.
 
@@ -340,11 +349,7 @@ def test_negative_control_swapped_column_advantages(monkeypatch):
         a, b, c, d = real(game)
         return (a, b, d, c)
 
-    for name, module in list(sys.modules.items()):
-        if name == "twobytwo" or name.startswith("twobytwo."):
-            for key, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, key, swap_column_pair)
+    patch_every_binding(monkeypatch, real, swap_column_pair)
     report = verify.run(seed=3, trials=4, combos=20)
     assert len(report.failures) == 4
     assert any(
@@ -353,6 +358,31 @@ def test_negative_control_swapped_column_advantages(monkeypatch):
         for failure in report.failures
         for m in failure.messages
     )
+
+
+def test_negative_control_doubled_entry_in_denominator_clearing(monkeypatch):
+    """A `core.integerize` that doubles one entry must be caught.
+
+    `is_nash` (through `best_response_set`), `_direct_nash` and the grid
+    oracle all read payoffs cleared of denominators by it, so they agree with
+    each other; the Nash set is built on the advantages, which `Game` clears
+    on its own, and its component corners are rejected.
+    """
+    real = core.integerize
+
+    def doubled(values):
+        cleared = real(values)
+        return (2 * cleared[0],) + cleared[1:]
+
+    patch_every_binding(monkeypatch, real, doubled)
+    report = verify.run(seed=3, trials=6)
+    assert report.failures
+    for failure in report.failures:
+        assert any(
+            m.startswith("component corner")
+            and (m.endswith("rejected by is_nash") or m.endswith("rejected by deviation sums"))
+            for m in failure.messages
+        ), failure.messages
 
 
 def drop_vertex(poly, k):

@@ -284,10 +284,17 @@ def conditional(dist: JointDistribution, conditioning_player: Player) -> Conditi
 
 
 def product_joint(marginals: MarginalPair) -> JointDistribution:
-    """Outer product of the two marginals."""
+    """Outer product of the two marginals.
+
+    For p = a/b and q = c/d the joint times b*d has the integer cell weights
+    (a*c, a*(d-c), (b-a)*c, (b-a)*(d-c)); each becomes one `Fraction`.
+    """
     p, q = marginals.row_prob_a, marginals.col_prob_a
+    a, b, c, d = p.numerator, p.denominator, q.numerator, q.denominator
+    total = b * d
     return JointDistribution(
-        (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
+        (Fraction(a * c, total), Fraction(a * (d - c), total),
+         Fraction((b - a) * c, total), Fraction((b - a) * (d - c), total))
     )
 
 

@@ -22,11 +22,10 @@ The four CCE inequalities are also written, independently of those rows, in
 numerators.  For two-action games the correlated and coarse-correlated sets
 coincide, so this polytope serves as both.
 
-`is_nash` and `deviation_gain` read the raw payoffs instead: the verifier
-uses `is_nash` as a route independent of the advantage computation (it
-compares expected payoffs on the raw tables cleared of denominators by
-`core.integerize`, through `core.best_response_set`), and `deviation_gain`
-is the reference for the verifier's integer deviation sums.
+`is_nash` reads the raw payoffs instead: the verifier uses it as a route
+independent of the advantage computation (it compares expected payoffs on
+the raw tables cleared of denominators by `core.integerize`, through
+`core.best_response_set`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    CELLS,
     Game,
     JointDistribution,
     MarginalPair,
@@ -49,6 +47,13 @@ from .core import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _ends(low: Fraction, high: Fraction) -> tuple[Fraction, ...]:
+    """The distinct values of an interval's two ends, in increasing order."""
+    if low == high:
+        return (low,)
+    return (low, high) if low < high else (high, low)
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,8 @@ class Box:
         )
 
     def corners(self) -> tuple[MarginalPair, ...]:
-        ps = {self.p_low, self.p_high}
-        qs = {self.q_low, self.q_high}
-        return tuple(
-            MarginalPair(p, q) for p in sorted(ps) for q in sorted(qs)
-        )
+        ps, qs = _ends(self.p_low, self.p_high), _ends(self.q_low, self.q_high)
+        return tuple(MarginalPair(p, q) for p in ps for q in qs)
 
 
 @dataclass(frozen=True)
@@ -220,17 +222,23 @@ def cce_polytope(game: Game) -> CcePolytope:
     """Exact vertex enumeration of the CCE polytope in integer arithmetic.
 
     The 16 runs of the cell-cycle walk are built and tested on the integer
-    deviation rows of `halfspace_rows`, and tightness is decided on the
-    integer numerators; only the surviving vertices become `Fraction`s.
+    deviation rows of `halfspace_rows`.  The coprime numerators n are sorted
+    on the integers n * (L // sum(n)), L the lcm of every sum(n): the vertex
+    n / sum(n) is that over L, so the order is the order of the points.  Only
+    then do the vertices become `Fraction`s, once each.  Tightness, adjacency
+    and dimension are decided on the integer numerators, and only for two or
+    more vertices: a single vertex has no edge and dimension 0.
     """
     rows = halfspace_rows(game)
-    vertices = []
-    for n in _cycle_vertex_numerators(rows):
+    found = _cycle_vertex_numerators(rows)
+    scale = math.lcm(*map(sum, found))
+    numerators = sorted(found, key=lambda n: [x * (scale // sum(n)) for x in n])
+    joints = []
+    for n in numerators:
         total = sum(n)
-        vertices.append((tuple(Fraction(x, total) for x in n), n))
-    vertices.sort()  # distinct coprime numerators are distinct points: sorted by point alone
-    ordered = [point for point, _ in vertices]
-    joints = tuple(JointDistribution(v) for v in ordered)
+        joints.append(JointDistribution(tuple([Fraction(x, total) for x in n])))
+    if len(numerators) <= 1:
+        return CcePolytope(vertices=tuple(joints), edges=(), dimension=0)
 
     tight_sets = [
         frozenset(
@@ -238,26 +246,22 @@ def cce_polytope(game: Game) -> CcePolytope:
             for i, row in enumerate(rows)
             if row[0] * n[0] + row[1] * n[1] + row[2] * n[2] + row[3] * n[3] == 0
         )
-        for _, n in vertices
+        for n in numerators
     ]
     edges = []
-    for i, j in itertools.combinations(range(len(ordered)), 2):
+    for i, j in itertools.combinations(range(len(numerators)), 2):
         common = tight_sets[i] & tight_sets[j]
         # Bounded-polytope adjacency: no third vertex may be tight on all of `common`.
         if not any(
-            common <= tight_sets[k] for k in range(len(ordered)) if k != i and k != j
+            common <= tight_sets[k] for k in range(len(numerators)) if k != i and k != j
         ):
             edges.append((i, j))
 
-    if len(ordered) <= 1:
-        dimension = 0
-    else:
-        # Vertex n / sum(n) minus the first vertex n0 / t0, times sum(n) * t0.
-        n0 = vertices[0][1]
-        t0 = sum(n0)
-        diffs = [tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for _, n in vertices[1:]]
-        dimension = _matrix_rank(diffs)
-    return CcePolytope(vertices=joints, edges=tuple(edges), dimension=dimension)
+    # Vertex n / sum(n) minus the first vertex n0 / t0, times sum(n) * t0.
+    n0 = numerators[0]
+    t0 = sum(n0)
+    diffs = [tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for n in numerators[1:]]
+    return CcePolytope(vertices=tuple(joints), edges=tuple(edges), dimension=_matrix_rank(diffs))
 
 
 def _reaction_boxes(a: int, b: int) -> tuple[Fraction | None, list[tuple[int, int, int, int]]]:
@@ -380,25 +384,13 @@ def is_nash(game: Game, m: MarginalPair) -> bool:
     ) and col_support <= best_response_set(game, Player.COL, m.row_prob_a)
 
 
-def deviation_gain(game: Game, player: Player, deviation: int, dist: JointDistribution) -> Fraction:
-    """The raw no-regret sum: expected gain from always switching to `deviation`.
-
-    The two cells where the player already plays `deviation` gain exactly 0
-    and are skipped.
-    """
-    table = game.payoffs(player)
-    prob = dist.prob
-    total = _ZERO
-    for cell, (r_act, c_act) in enumerate(CELLS):
-        if player is Player.ROW:
-            if r_act != deviation:
-                total += prob[cell] * (table[2 * deviation + c_act] - table[cell])
-        elif c_act != deviation:
-            total += prob[cell] * (table[2 * r_act + deviation] - table[cell])
-    return total
-
-
 def nash_product_joints(ns: NashSet) -> tuple[JointDistribution, ...]:
-    """Product joints of the corner profiles of every component (dedup, sorted)."""
-    joints = {product_joint(m) for box in ns.components for m in box.corners()}
-    return tuple(sorted(joints, key=lambda dist: dist.prob))
+    """Product joints of the corner profiles of every component (dedup, sorted).
+
+    The joints are deduplicated and sorted on their probabilities' numerators
+    over the lcm of every denominator: integers in the order of the joints.
+    """
+    joints = [product_joint(m) for box in ns.components for m in box.corners()]
+    scale = math.lcm(*[p.denominator for dist in joints for p in dist.prob])
+    keyed = {tuple([p.numerator * (scale // p.denominator) for p in dist.prob]): dist for dist in joints}
+    return tuple([keyed[key] for key in sorted(keyed)])

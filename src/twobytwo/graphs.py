@@ -225,22 +225,6 @@ def census() -> CensusReport:
     )
 
 
-def census_burnside_partial_ordinal() -> int:
-    """Cross-check: orbit count of rank-tuple pairs via Burnside's lemma."""
-    partial = _dense_rank_tuples()
-    total = 0
-    for flags in SYMMETRY_FLAGS:
-        total += sum(
-            1
-            for pair in itertools.product(partial, partial)
-            if permute_cells(pair, *flags) == pair
-        )
-    orbits, remainder = divmod(total, len(SYMMETRY_FLAGS))
-    if remainder:
-        raise AssertionError("Burnside sum not divisible by group order")
-    return orbits
-
-
 def format_ordinal_levels(graph: OrdinalGraph) -> str:
     """Compact text form: cells joined by '=' within a level, '<' between levels."""
     return "<".join("=".join(CELL_NAMES[i] for i in level) for level in graph.levels)

@@ -5,11 +5,17 @@ each player's payoffs by a positive constant and so preserves every
 equilibrium decision).  Python integers are arbitrary precision, so the
 oracle is exact for payoffs of any magnitude.
 
-The grid is classified one row i at a time: each route fills a list of n + 1
-verdicts for the row, and only a row whose three lists differ is scanned
-point by point for its first disagreement.  Along a row each deviation-gain
-sum is an integer line A + B*j in the column index j, so route 2 decides the
-whole row from four exact integer spans instead of point by point.  It still
+The grid is classified one row i at a time: each route gives its verdict on
+the row's n + 1 points as the maximal runs of members, inclusive (lo, hi)
+column ranges in increasing order, so two routes agree on a row exactly when
+their runs are equal.  Only a row whose runs differ is expanded to lists of
+n + 1 verdicts and scanned point by point for its first disagreement.  Along
+a row each deviation-gain sum is an integer line A + B*j in the column index
+j, so route 2 decides the whole row from four exact integer spans, one run
+at most.  Route 1's runs depend on the row only through (i == 0, i == n, the
+column player's sign), so they are computed once per call for each case;
+route 3's change only at a row where some box's i-range starts or ends, and
+are computed again only there.  Route 2 still
 reads only the raw payoffs, never the advantage signs of route 1 or the Nash
 set behind the boxes of route 3, so the three routes stay independent.
 """
@@ -34,6 +40,29 @@ def _span(a: int, b: int, n: int) -> tuple[int, int]:
     return max(0, -(a // b)), n  # j >= -a/b, ceiled
 
 
+def _runs(verdicts: list[bool]) -> tuple[tuple[int, int], ...]:
+    """The maximal runs of True in `verdicts`, as inclusive (lo, hi) pairs."""
+    runs = []
+    lo = None
+    for j, member in enumerate(verdicts):
+        if member and lo is None:
+            lo = j
+        elif not member and lo is not None:
+            runs.append((lo, j - 1))
+            lo = None
+    if lo is not None:
+        runs.append((lo, len(verdicts) - 1))
+    return tuple(runs)
+
+
+def _expand(runs: tuple[tuple[int, int], ...], n: int) -> list[bool]:
+    """The n + 1 verdicts of a row given as runs."""
+    verdicts = [False] * (n + 1)
+    for lo, hi in runs:
+        verdicts[lo:hi + 1] = [True] * (hi - lo + 1)
+    return verdicts
+
+
 def grid_oracle(n, h_row, h_col, boxes):
     """Classify every grid point (i/n, j/n) three ways and compare.
 
@@ -55,14 +84,19 @@ def grid_oracle(n, h_row, h_col, boxes):
     adv_col_a, adv_col_b = a2 - b2, c2 - d2
     sign_row = [_sgn(j * adv_row_a + (n - j) * adv_row_b) for j in range(n + 1)]
     sign_col = [_sgn(i * adv_col_a + (n - i) * adv_col_b) for i in range(n + 1)]
-    # Route 1, row player: may it play its own mix at row i, keyed by
-    # (i == 0, i == n)?  Pure A (i == n) needs A weakly best, pure B (i == 0)
-    # needs B weakly best, a strict mix needs indifference.
-    row_ok = {
-        (low, high): [sr == 0 or (sr > 0 and high) or (sr < 0 and low) for sr in sign_row]
-        for low in (False, True)
-        for high in (False, True)
-    }
+    # Route 1 as runs, keyed by (i == 0, i == n, column sign at row i).  The
+    # row player may play its own mix at row i when pure A (i == n) has A
+    # weakly best, pure B (i == 0) has B weakly best, or a strict mix has
+    # indifference.  The column player's own mix is j: pure B at j == 0, pure
+    # A at j == n, strict mix between; one who is not indifferent admits only
+    # one of the two ends.
+    sign_runs = {}
+    for low in (False, True):
+        for high in (False, True):
+            ok = [sr == 0 or (sr > 0 and high) or (sr < 0 and low) for sr in sign_row]
+            sign_runs[low, high, 0] = _runs(ok)
+            sign_runs[low, high, 1] = ((n, n),) if ok[n] else ()
+            sign_runs[low, high, -1] = ((0, 0),) if ok[0] else ()
 
     # Deviation-gain coefficients: the payoff change at each cell from
     # switching to the deviation action (zero on that action's own cells).
@@ -71,22 +105,20 @@ def grid_oracle(n, h_row, h_col, boxes):
     k_ca_ab, k_ca_bb = a2 - b2, c2 - d2
     k_cb_aa, k_cb_ba = b2 - a2, d2 - c2
 
-    box_list = [tuple(box) for box in boxes]
+    # Each box's i-range and its j-range clipped to 0..n; boxes that miss
+    # every column are dropped.
+    clipped = []
+    for imin, imax, jmin, jmax in boxes:
+        low, high = max(jmin, 0), min(jmax, n)
+        if low <= high:
+            clipped.append((imin, imax, low, high))
+
+    # The rows where some box's i-range starts or ends.
+    cuts = {0}.union(*[(imin, imax + 1) for imin, imax, _, _ in clipped])
 
     for i in range(n + 1):
         ni = n - i
-
-        # Route 1: the row player's verdict times the column player's, whose
-        # own mix is j: pure B at j == 0, pure A at j == n, strict mix between.
-        # A column player who is not indifferent admits only one of the two.
-        sc = sign_col[i]
-        ok = row_ok[i == 0, i == n]
-        if sc == 0:
-            nash_sign = ok
-        elif sc > 0:
-            nash_sign = [False] * n + [ok[n]]
-        else:
-            nash_sign = [ok[0]] + [False] * n
+        nash_sign = sign_runs[i == 0, i == n, sign_col[i]]
 
         # Route 2: with s_aa = i*j, s_ab = i*(n-j), s_ba = (n-i)*j and
         # s_bb = (n-i)*(n-j), each sum is k . s with the row factor of every
@@ -95,31 +127,32 @@ def grid_oracle(n, h_row, h_col, boxes):
         rb_aa, rb_ab = k_rb_aa * i, k_rb_ab * i
         ca = k_ca_ab * i + k_ca_bb * ni  # both cells weigh n - j
         cb = k_cb_aa * i + k_cb_ba * ni  # both cells weigh j
-        lows, highs = zip(
-            _span(ra_bb * n, ra_ba - ra_bb, n),
-            _span(rb_ab * n, rb_aa - rb_ab, n),
-            _span(ca * n, -ca, n),
-            _span(0, cb, n),
-        )
-        lo, hi = max(lows), min(highs)
-        if lo <= hi:
-            nash_sum = [False] * lo + [True] * (hi - lo + 1) + [False] * (n - hi)
-        else:
-            nash_sum = [False] * (n + 1)
+        lo1, hi1 = _span(ra_bb * n, ra_ba - ra_bb, n)
+        lo2, hi2 = _span(rb_ab * n, rb_aa - rb_ab, n)
+        lo3, hi3 = _span(ca * n, -ca, n)
+        lo4, hi4 = _span(0, cb, n)
+        lo, hi = max(lo1, lo2, lo3, lo4), min(hi1, hi2, hi3, hi4)
+        nash_sum = ((lo, hi),) if lo <= hi else ()
 
-        # Route 3: every box whose i-range holds row i marks its j-range.
-        in_box = [False] * (n + 1)
-        for imin, imax, jmin, jmax in box_list:
-            if imin <= i <= imax:
-                low, high = max(jmin, 0), min(jmax, n)
-                if low <= high:
-                    in_box[low:high + 1] = [True] * (high - low + 1)
+        # Route 3: the j-ranges of the boxes whose i-range holds row i,
+        # sorted and merged where they overlap or touch.
+        if i in cuts:
+            in_box = []
+            for low, high in sorted([(low, high) for imin, imax, low, high in clipped if imin <= i <= imax]):
+                if in_box and low <= in_box[-1][1] + 1:
+                    if high > in_box[-1][1]:
+                        in_box[-1] = (in_box[-1][0], high)
+                else:
+                    in_box.append((low, high))
+            in_box = tuple(in_box)
 
         if nash_sign == nash_sum == in_box:
             continue
+        # Runs are canonical, so the lists differ too and the scan returns.
+        signs, sums, boxed = _expand(nash_sign, n), _expand(nash_sum, n), _expand(in_box, n)
         for j in range(n + 1):
-            if nash_sign[j] != nash_sum[j]:
+            if signs[j] != sums[j]:
                 return (1, i, j)
-            if nash_sign[j] != in_box[j]:
+            if signs[j] != boxed[j]:
                 return (2, i, j)
     return None

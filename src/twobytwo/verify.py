@@ -35,7 +35,6 @@ from .core import (
 )
 from .embedding import class_of_embedding, embed, permute_embedding
 from .equilibria import (
-    Box,
     NashSet,
     cce_holds,
     cce_polytope,
@@ -282,6 +281,21 @@ def random_affine(rng: random.Random) -> tuple[Player, Fraction, Fraction, Fract
     return (player, scale, random_rational(rng), random_rational(rng))
 
 
+def _keys(values) -> tuple[tuple[int, int], ...]:
+    """Each rational as (numerator, denominator).  A `Fraction` is kept in
+    lowest terms over a positive denominator, so keys are equal exactly when
+    the values are, and they hash and compare as plain integers."""
+    return tuple([(x.numerator, x.denominator) for x in values])
+
+
+def _nash_keys(ns: NashSet) -> list[tuple[tuple[int, int], ...]]:
+    return [_keys((box.p_low, box.p_high, box.q_low, box.q_high)) for box in ns.components]
+
+
+def _vertex_keys(poly) -> list[tuple[tuple[int, int], ...]]:
+    return [_keys(v.prob) for v in poly.vertices]
+
+
 def check_affine_invariance(game: Game, rng: random.Random) -> list[str]:
     """br_graph, embed, nash_set, and the CCE vertex set must be bit-identical."""
     player, scale, off_a, off_b = random_affine(rng)
@@ -291,49 +305,51 @@ def check_affine_invariance(game: Game, rng: random.Random) -> list[str]:
         failures.append(f"br_graph changed under affine transform {player},{scale},{off_a},{off_b}")
     if embed(other) != embed(game):
         failures.append(f"embedding changed under affine transform {player},{scale},{off_a},{off_b}")
-    if nash_set(other) != nash_set(game):
+    if _nash_keys(nash_set(other)) != _nash_keys(nash_set(game)):
         failures.append(f"nash_set changed under affine transform {player},{scale},{off_a},{off_b}")
-    before = tuple(v.prob for v in cce_polytope(game).vertices)
-    after = tuple(v.prob for v in cce_polytope(other).vertices)
-    if before != after:
+    if _vertex_keys(cce_polytope(game)) != _vertex_keys(cce_polytope(other)):
         failures.append(f"CCE vertices changed under affine transform {player},{scale},{off_a},{off_b}")
     return failures
 
 
-def _map_box(box: Box, flags: tuple[bool, bool, bool]) -> Box:
-    """The image of a Nash box under one symmetry.
+def _map_box(key: tuple, flags: tuple[bool, bool, bool]) -> tuple:
+    """The image of a Nash box, given by its endpoint keys, under one symmetry.
 
     Each player's marginal axis is the axis of the player whose advantages it
     takes (components 0 and 2 of `ADVANTAGE_ACTION`), reversed when they are
-    negated, since a negated advantage means that player's actions are relabelled.
+    negated, since a negated advantage means that player's actions are
+    relabelled.  Reversed, the endpoint a/b becomes 1 - a/b = (b - a)/b, which
+    is again in lowest terms.
     """
-    axes = ((box.p_low, box.p_high), (box.q_low, box.q_high))
-    (p_low, p_high), (q_low, q_high) = (
-        axes[k // 2] if sign > 0 else (1 - axes[k // 2][1], 1 - axes[k // 2][0])
-        for k, sign in ADVANTAGE_ACTION[flags][::2]
-    )
-    return Box(p_low, p_high, q_low, q_high)
+    axes = (key[:2], key[2:])
+    image = ()
+    for k, sign in ADVANTAGE_ACTION[flags][::2]:
+        (a, b), (c, d) = axes[k // 2]
+        image += ((a, b), (c, d)) if sign > 0 else ((d - c, d), (b - a, b))
+    return image
 
 
 def check_permute_equivariance(game: Game) -> list[str]:
-    """All 8 symmetry elements must map every equilibrium object correspondingly."""
+    """All 8 symmetry elements must map every equilibrium object correspondingly.
+
+    Nash boxes and CCE vertices are compared on their `_keys`.
+    """
     failures = []
     base_br = br_graph(game)
     base_embed = embed(game)
-    base_nash = nash_set(game)
-    base_vertices = {v.prob for v in cce_polytope(game).vertices}
+    base_nash = _nash_keys(nash_set(game))
+    base_vertices = set(_vertex_keys(cce_polytope(game)))
     for flags, (perm, _) in SYMMETRY_TABLE.items():
         other = permute(game, *flags)
         if br_graph(other) != permute_br_graph(base_br, *flags):
             failures.append(f"br_graph equivariance broken for flags {flags}")
         if embed(other) != permute_embedding(base_embed, *flags):
             failures.append(f"embedding equivariance broken for flags {flags}")
-        mapped = {_map_box(box, flags) for box in base_nash.components}
-        if mapped != set(nash_set(other).components):
+        mapped = {_map_box(key, flags) for key in base_nash}
+        if mapped != set(_nash_keys(nash_set(other))):
             failures.append(f"nash_set equivariance broken for flags {flags}")
         mapped_vertices = {tuple(v[perm[i]] for i in range(4)) for v in base_vertices}
-        actual_vertices = {v.prob for v in cce_polytope(other).vertices}
-        if mapped_vertices != actual_vertices:
+        if mapped_vertices != set(_vertex_keys(cce_polytope(other))):
             failures.append(f"CCE vertex equivariance broken for flags {flags}")
     return failures
 

@@ -23,7 +23,6 @@ from twobytwo.equilibria import (
     CcePolytope,
     NashSet,
     cce_polytope,
-    deviation_gain,
     halfspace_rows,
     is_nash,
     joint_in_cce,
@@ -496,10 +495,23 @@ def reference_nash_set(game):
     return NashSet(components=_normalize(pieces))
 
 
+def reference_corners(box):
+    """The corners as `Box.corners` built them before: each axis's ends as a
+    set of `Fraction`s, sorted."""
+    ps, qs = sorted({box.p_low, box.p_high}), sorted({box.q_low, box.q_high})
+    return tuple(MarginalPair(p, q) for p in ps for q in qs)
+
+
+def reference_product_joint(m):
+    """The product joint in `Fraction` arithmetic, as `product_joint` built it before."""
+    p, q = m.row_prob_a, m.col_prob_a
+    return JointDistribution((p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)))
+
+
 def reference_nash_product_joints(ns):
     """Product joints of the component corners, each built twice as before:
-    once by `product_joint`, then again from its probabilities."""
-    joints = {product_joint(m).prob for box in ns.components for m in box.corners()}
+    once by the `Fraction` product, then again from its probabilities."""
+    joints = {reference_product_joint(m).prob for box in ns.components for m in reference_corners(box)}
     return tuple(JointDistribution(p) for p in sorted(joints))
 
 
@@ -519,6 +531,11 @@ def test_nash_set_matches_fraction_reference():
         ns = nash_set(game)
         assert ns == reference_nash_set(game), game
         assert nash_product_joints(ns) == reference_nash_product_joints(ns), game
+        for box in ns.components:
+            corners = box.corners()
+            assert corners == reference_corners(box), (game, box)
+            for m in corners:
+                assert product_joint(m).prob == reference_product_joint(m).prob, (game, m)
 
 
 # --- membership tests ---------------------------------------------------------------
@@ -557,6 +574,24 @@ def test_joint_in_cce_matching_pennies_uniform(mp):
 
 def test_joint_in_cce_pd_point_mass_aa(pd):
     assert not joint_in_cce(pd, joint((1, 0, 0, 0)))
+
+
+def deviation_gain(game, player, deviation, dist):
+    """The raw no-regret sum: expected gain from always switching to `deviation`.
+
+    The two cells where the player already plays `deviation` gain exactly 0
+    and are skipped.
+    """
+    table = game.payoffs(player)
+    prob = dist.prob
+    total = F(0)
+    for cell, (r_act, c_act) in enumerate(CELLS):
+        if player is Player.ROW:
+            if r_act != deviation:
+                total += prob[cell] * (table[2 * deviation + c_act] - table[cell])
+        elif c_act != deviation:
+            total += prob[cell] * (table[2 * r_act + deviation] - table[cell])
+    return total
 
 
 def test_joint_in_cce_agrees_with_deviation_gains():

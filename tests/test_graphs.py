@@ -3,19 +3,19 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
-from twobytwo.core import Player, SYMMETRY_FLAGS, game_from_flat, permute, transform_affine
+from twobytwo.core import Player, SYMMETRY_FLAGS, game_from_flat, permute, permute_cells, transform_affine
 from twobytwo.graphs import (
     BRGraph,
     all_br_graphs,
     br_class,
     br_graph,
     census,
-    census_burnside_partial_ordinal,
     class_from_br_graph,
     dense_ranks,
     format_ordinal_levels,
     ordinal_graph,
     permute_br_graph,
+    _dense_rank_tuples,
 )
 
 from conftest import ANTICOORDINATION, HORSEPLAY, SAFETY
@@ -189,6 +189,22 @@ def test_census_counts_exact():
     assert report.partial_ordinal_classes == 726
     assert report.br_graph_total == 81
     assert report.br_class_total == 15
+
+
+def census_burnside_partial_ordinal() -> int:
+    """Cross-check: orbit count of rank-tuple pairs via Burnside's lemma."""
+    partial = _dense_rank_tuples()
+    total = 0
+    for flags in SYMMETRY_FLAGS:
+        total += sum(
+            1
+            for pair in itertools.product(partial, partial)
+            if permute_cells(pair, *flags) == pair
+        )
+    orbits, remainder = divmod(total, len(SYMMETRY_FLAGS))
+    if remainder:
+        raise AssertionError("Burnside sum not divisible by group order")
+    return orbits
 
 
 def test_census_burnside_cross_check():

@@ -82,6 +82,21 @@ def box_variants(ranges, n):
         [(imin, imax, jmin, jmax - 1) for imin, imax, jmin, jmax in ranges],
         [(imin + 1, imax + 1, jmin + 1, jmax + 1) for imin, imax, jmin, jmax in ranges],
         [],
+        # Two or more spans on one row, which route 3 sorts and merges:
+        ranges + ranges[:1],  # a duplicated box
+        [  # every box split into two touching halves: the union is intact
+            half
+            for imin, imax, jmin, jmax in ranges
+            for half in ((imin, imax, jmin, (jmin + jmax) // 2), (imin, imax, (jmin + jmax) // 2 + 1, jmax))
+        ],
+        ranges + [(imin, imax, jmin + 1, jmax + 1) for imin, imax, jmin, jmax in ranges[:1]],  # two overlapping
+        [  # halves with the middle column left out: two disjoint spans
+            half
+            for imin, imax, jmin, jmax in ranges
+            for half in ((imin, imax, jmin, (jmin + jmax) // 2 - 1), (imin, imax, (jmin + jmax) // 2 + 1, jmax))
+        ],
+        # j-ranges reaching beyond 0..n where they end at 0 or n: the clipped union is intact
+        [(imin, imax, jmin - n if jmin == 0 else jmin, jmax + n if jmax == n else jmax) for imin, imax, jmin, jmax in ranges],
     ]
 
 
@@ -170,6 +185,19 @@ def test_row_oracle_matches_reference():
         assert grid_oracle(*case) == expected, case
         results.add(None if expected is None else expected[0])
     assert results == {None, 2}  # intact boxes pass, corrupted ones are caught
+
+
+def test_oracle_passes_intact_box_lists_with_several_spans_per_row():
+    """The duplicated, split and beyond-the-grid variants (10, 11 and 14 of
+    `box_variants`) cover exactly the intact Nash set, so the oracle must pass them."""
+    rng = random.Random(3)
+    for _ in range(40):
+        g = verify.random_game(rng)
+        for n in (1, 2, 3, 7, 100):
+            h_row, h_col, ranges = oracle_inputs(g, n)
+            variants = box_variants(ranges, n)
+            for k in (10, 11, 14):
+                assert grid_oracle(n, h_row, h_col, variants[k]) is None, (g, n, k)
 
 
 def test_row_oracle_reports_broken_deviation_sum_where_reference_does():

@@ -34,15 +34,15 @@ from twobytwo.equilibria import (
     _cycle_vertex_numerators,
     cce_holds,
     cce_polytope,
-    deviation_gain,
     halfspace_rows,
     joint_in_cce,
     nash_set,
 )
 from twobytwo.kernels import grid_oracle
 
-from test_equilibria import reference_advantages, reference_halfspace_rows, reference_nash_set
+from test_equilibria import deviation_gain, reference_advantages, reference_halfspace_rows, reference_nash_set
 from test_kernels import box_variants, reference_grid_oracle
+from test_verify import assert_keys_match_fractions
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
@@ -172,7 +172,7 @@ def test_grid_oracle_agrees_at_small_n(game, n):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
-@given(games(), st.integers(1, 12), st.integers(0, 9))
+@given(games(), st.integers(1, 12), st.integers(0, 14))
 def test_grid_oracle_matches_point_reference(game, n, variant):
     # The intact box list (variant 0) or a corrupted copy, so the first
     # mismatch's (code, i, j) is compared too.
@@ -197,6 +197,12 @@ def test_check_affine_invariance_passes(game, seed):
 @given(games())
 def test_check_permute_equivariance_passes(game):
     assert verify.check_permute_equivariance(game) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(games())
+def test_key_map_matches_fraction_reference(game):
+    assert_keys_match_fractions(game)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)

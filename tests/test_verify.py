@@ -4,14 +4,25 @@ import sys
 from fractions import Fraction
 
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
-from test_equilibria import reference_halfspace_rows
+from test_equilibria import deviation_gain, reference_halfspace_rows
 from twobytwo import core, equilibria, verify
-from twobytwo.core import JointDistribution, MarginalPair, Player, game_from_flat, integerize, product_joint
+from twobytwo.core import (
+    ADVANTAGE_ACTION,
+    CELLS,
+    SYMMETRY_FLAGS,
+    JointDistribution,
+    MarginalPair,
+    Player,
+    game_from_flat,
+    game_to_flat,
+    integerize,
+    product_joint,
+)
 from twobytwo.equilibria import (
+    Box,
     NashSet,
     _matrix_rank,
     cce_polytope,
-    deviation_gain,
     nash_product_joints,
 )
 
@@ -427,3 +438,89 @@ def test_check_cce_reports_edge_to_missing_vertex(monkeypatch):
         f"edge ({i},4) names a missing vertex" for i in range(4)
     ]
     assert "missing CCE vertex (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))" in failures
+
+
+def reference_map_box(box, flags):
+    """The `Fraction` map that the key map replaced: 1 - x on a reversed axis."""
+    axes = ((box.p_low, box.p_high), (box.q_low, box.q_high))
+    (p_low, p_high), (q_low, q_high) = (
+        axes[k // 2] if sign > 0 else (1 - axes[k // 2][1], 1 - axes[k // 2][0])
+        for k, sign in ADVANTAGE_ACTION[flags][::2]
+    )
+    return Box(p_low, p_high, q_low, q_high)
+
+
+def box_key(box):
+    return verify._nash_keys(NashSet(components=(box,)))[0]
+
+
+def assert_keys_match_fractions(game):
+    """The key map agrees with the `Fraction` map on every component and
+    symmetry, and keys are equal exactly when the values are, for the boxes
+    and CCE vertices of the game and of each of its images."""
+    boxes, vertices = [], []
+    for flags in SYMMETRY_FLAGS:
+        for box in verify.nash_set(game).components:
+            image = reference_map_box(box, flags)
+            assert verify._map_box(box_key(box), flags) == box_key(image), (game, flags, box)
+            boxes += [box, image]
+        other = verify.permute(game, *flags)
+        boxes += verify.nash_set(other).components
+        vertices += cce_polytope(other).vertices
+    for items, key in ((boxes, box_key), (vertices, lambda v: verify._keys(v.prob))):
+        for a in items:
+            for b in items:
+                assert (key(a) == key(b)) == (a == b), (a, b)
+
+
+def test_key_map_matches_fraction_reference():
+    rng = random.Random(43)
+    games = [verify.random_game(rng) for _ in range(60)]
+    games += [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(60)]
+    games += [
+        game_from_flat([Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30)) for _ in range(8)])
+        for _ in range(10)
+    ]
+    games += [game_from_flat(flat) for flat in (ALL_ZERO, COORDINATION, MATCHING_PENNIES, TRAFFIC_LIGHTS)]
+    games.append(game_from_flat((0, 0, 0, 0, 2, 0, 0, 1)))  # an all-zero row player
+    for game in games:
+        assert_keys_match_fractions(game)
+
+
+def test_negative_control_wrong_symmetry(monkeypatch):
+    """A `permute` that also swaps the two action flags whenever it swaps the
+    players applies the wrong group element; the key comparisons of Nash
+    boxes and CCE vertices must catch it in every trial."""
+    real = verify.permute
+
+    def wrong_element(game, swap_row_actions=False, swap_col_actions=False, swap_players=False):
+        if swap_players:
+            swap_row_actions, swap_col_actions = swap_col_actions, swap_row_actions
+        return real(game, swap_row_actions, swap_col_actions, swap_players)
+
+    monkeypatch.setattr(verify, "permute", wrong_element)
+    report = verify.run(seed=3, trials=10)
+    assert len(report.failures) == 10
+    for failure in report.failures:
+        assert any(m.startswith("nash_set equivariance broken for flags") for m in failure.messages)
+        assert any(m.startswith("CCE vertex equivariance broken for flags") for m in failure.messages)
+
+
+def test_negative_control_own_action_offsets(monkeypatch):
+    """Offsets indexed by the transformed player's own action, not the
+    opponent's, change best responses; the key comparisons of the invariance
+    check must report the changed Nash set and CCE vertices."""
+
+    def own_action_offsets(game, player, scale, off_a, off_b):
+        flat = list(game_to_flat(game))
+        base = 0 if player is Player.ROW else 4
+        for cell, (row_action, col_action) in enumerate(CELLS):
+            own = row_action if player is Player.ROW else col_action
+            flat[base + cell] = scale * flat[base + cell] + (off_a, off_b)[own]
+        return game_from_flat(flat)
+
+    monkeypatch.setattr(verify, "transform_affine", own_action_offsets)
+    report = verify.run(seed=3, trials=10)
+    messages = [m for failure in report.failures for m in failure.messages]
+    assert any(m.startswith("nash_set changed under affine transform") for m in messages)
+    assert any(m.startswith("CCE vertices changed under affine transform") for m in messages)

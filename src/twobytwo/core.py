@@ -167,8 +167,13 @@ class MarginalPair:
     col_prob_a: Fraction
 
     def __post_init__(self) -> None:
+        # Both tests read the numerator and the (positive) denominator.
         for value in (self.row_prob_a, self.col_prob_a):
-            if not 0 <= value <= 1:
+            try:
+                inside = 0 <= value.numerator <= value.denominator
+            except AttributeError:
+                raise ValueError(f"marginal probability {value!r} is not an int or Fraction") from None
+            if not inside:
                 raise ValueError(f"marginal probability {value} outside [0, 1]")
 
 

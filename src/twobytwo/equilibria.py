@@ -13,14 +13,55 @@ only 16 runs need to be tried.  The Nash boxes, the constraint rows and the
 membership test all read the players' advantages from `core.advantages`,
 which are integers computed once per game, so every sign is an integer's.
 The constraint system has one form, the eight integer rows of
-`halfspace_rows`, built on those integers as they are, so every candidate
-vertex is a product of integer coefficients, and only the surviving
-vertices are converted to `Fraction`.
+`halfspace_rows`, built on those integers as they are.
 The four CCE inequalities are also written, independently of those rows, in
 `cce_holds`, on an advantage quadruple and unnormalized cell weights;
 `joint_in_cce` applies it to a joint, and the verifier applies it to integer
 numerators.  For two-action games the correlated and coarse-correlated sets
 coincide, so this polytope serves as both.
+
+One type per sign pattern.  Let s be the signs of (a, b, c, d) =
+`advantages(game)`.  Both equilibrium sets take their combinatorial type
+from s alone, so each is looked up in a table keyed by s (`_nash_type`,
+`_cce_type`; at most 3**4 = 81 entries each), and a call does only the
+magnitude arithmetic.  For the Nash set this is plain: `_reaction_boxes`
+decides on signs, and only the indifference points b / (b - a) and
+d / (d - c) read magnitudes.  For the CCE polytope:
+
+- Candidates.  The deviation rows are (0, 0, a, b), (-a, -b, 0, 0),
+  (0, c, 0, d) and (-c, 0, -d, 0).  The walk crosses a cycle edge only when
+  the row touching it has strictly opposite signs on its two cells, which is
+  a condition on s, and a candidate's coordinates are products of |a|, |b|,
+  |c|, |d| along its run: positive on the run, zero off it.
+- Row values.  At a candidate a deviation row is 0 if neither of its two
+  cells is on the run, and a signed monomial, its coefficient there times a
+  positive product, if one is.  If both are, the row is an edge of the run
+  that the walk made tight, hence 0, or the last edge of a 4-run, which the
+  walk leaves untested.  There the value is a product of magnitudes times
+  (sgn x + sgn y), x and y being one player's advantage pair; a 4-run exists
+  only when both pairs have strictly opposite signs, so it is 0 too.  A
+  nonnegativity row is tight exactly off the run.  So feasibility and every
+  tight set are functions of s.
+- Vertices.  Distinct runs have distinct supports, except that the four
+  4-runs all cover the four cells.  All four edges are tight at each of them,
+  which fixes every ratio of neighbouring cells, so they are one point for
+  every magnitude.  The vertices, with their supports and tight sets, are
+  therefore a function of s up to their order.
+- Edges and dimension.  The faces of a polytope are its sets of points tight
+  on a set S of rows, and the vertices of that face are those whose tight
+  sets contain S.  So the tight sets fix the face lattice, and with it the
+  edges (two vertices are adjacent when no third is tight on all the rows
+  they share) and the dimension (the length of the longest chain of faces
+  from a vertex to the polytope).
+
+`_cce_type` fills an entry by running the general code, the walk
+`_cycle_vertex_numerators`, the tight-set adjacency test and `_matrix_rank`,
+on the unit-magnitude rows of s, which `_rows` builds here, never through
+`halfspace_rows` or `advantages`.  A call then computes each vertex's
+coprime numerators from the magnitudes, sorts them on integers and
+renumbers the entry's edges into that order.  A pattern whose answer reads
+no magnitude (pure vertices only, or Nash boxes with endpoints 0 and 1
+only) keeps its finished value in the table; values are immutable.
 
 `is_nash` reads the raw payoffs instead: the verifier uses it as a route
 independent of the advantage computation (it compares expected payoffs on
@@ -30,8 +71,10 @@ the raw tables cleared of denominators by `core.integerize`, through
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,6 +182,11 @@ def joint_in_cce(game: Game, dist: JointDistribution) -> bool:
 _NONNEGATIVITY = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
 
 
+def _rows(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The 8 rows of `halfspace_rows` on the advantage quadruple (a, b, c, d)."""
+    return ((0, 0, a, b), (-a, -b, 0, 0), (0, c, 0, d), (-c, 0, -d, 0)) + _NONNEGATIVITY
+
+
 def halfspace_rows(game: Game) -> tuple[tuple[int, int, int, int], ...]:
     """All 8 integer inequality rows r with r . sigma <= 0.
 
@@ -148,8 +196,7 @@ def halfspace_rows(game: Game) -> tuple[tuple[int, int, int, int], ...]:
     player's advantage pair (the integers of `core.advantages`, used as they
     are).  Then the four nonnegativity rows.
     """
-    a, b, c, d = advantages(game)
-    return ((0, 0, a, b), (-a, -b, 0, 0), (0, c, 0, d), (-c, 0, -d, 0)) + _NONNEGATIVITY
+    return _rows(*advantages(game))
 
 
 def _matrix_rank(rows: list[tuple]) -> int:
@@ -178,32 +225,49 @@ _CYCLE = (0, 1, 3, 2)
 _EDGE_ROWS = ((1, 0, 1), (2, 1, 3), (0, 3, 2), (3, 2, 0))
 
 
+def _run_numerators(start: int, length: int, first, second) -> list[int]:
+    """The walk's candidate on the run of `length` cells from cycle position
+    `start`, as numerators in flat cell order.
+
+    `first[k]` and `second[k]` are the absolute coefficients of the row on
+    cycle edge k at its first and at its second cell.  Making an edge tight,
+    u * x + v * y = 0 with u, v of strictly opposite signs, gives
+    y / x = |u| / |v|, so each step scales the run so far by the second
+    coefficient and appends its last weight times the first.
+    """
+    run = [1]
+    for k in range(start, start + length - 1):
+        k %= 4
+        run = [w * second[k] for w in run] + [run[-1] * first[k]]
+    n = [0, 0, 0, 0]
+    for offset, w in enumerate(run):
+        n[_CYCLE[(start + offset) % 4]] = w
+    return n
+
+
 def _cycle_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
     """Every vertex as coprime numerators n >= 0; the vertex is n / sum(n).
 
     Only the four deviation rows are read.  A vertex's support is a run of
     consecutive cells on the cycle (a diagonal pair meets no row on both of
     its cells), and every edge inside the run must be tight, which needs
-    coefficients of strictly opposite sign: u * x + v * y = 0 gives
-    y / x = |u| / |v|.  The candidates are the 4 pure cells and the runs of
-    2, 3 and 4 cells from each start, 16 in all; a run of 4 leaves its last
-    edge untested.  Each is the products of the absolute coefficients along
-    the run, kept if all four deviation rows hold and reduced by its gcd.
+    coefficients of strictly opposite sign.  The candidates are the 4 pure
+    cells and the runs of 2, 3 and 4 cells from each start, 16 in all; a run
+    of 4 leaves its last edge untested.  Each is the products of the absolute
+    coefficients along the run (`_run_numerators`), kept if all four
+    deviation rows hold and reduced by its gcd.
     """
     dev0, dev1, dev2, dev3 = rows[:4]
     edges = [(rows[r][i], rows[r][j]) for r, i, j in _EDGE_ROWS]
-    candidates = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    first, second = [abs(u) for u, _ in edges], [abs(v) for _, v in edges]
+    candidates = []
     for start in range(4):
-        run = [1]
-        for step in range(3):
-            u, v = edges[(start + step) % 4]
-            if not (u < 0 < v or v < 0 < u):
-                break
-            run = [w * abs(v) for w in run] + [run[-1] * abs(u)]
-            n = [0, 0, 0, 0]
-            for offset, w in enumerate(run):
-                n[_CYCLE[(start + offset) % 4]] = w
-            candidates.append(n)
+        for length in range(1, 5):
+            if length > 1:
+                u, v = edges[(start + length - 2) % 4]
+                if not (u < 0 < v or v < 0 < u):
+                    break
+            candidates.append(_run_numerators(start, length, first, second))
     found = set()
     for n0, n1, n2, n3 in candidates:
         if (
@@ -218,80 +282,133 @@ def _cycle_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int
     return found
 
 
+def _run_of(n: tuple[int, ...]) -> tuple[int, int]:
+    """(start, length) of the run of cycle positions on which `n` is positive;
+    a vertex on all four cells is the run from position 0."""
+    on = [k for k in range(4) if n[_CYCLE[k]]]
+    if len(on) == 4:
+        return 0, 4
+    return next(k for k in on if (k - 1) % 4 not in on), len(on)
+
+
+def _signs(adv: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    a, b, c, d = adv
+    return (a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0), (d > 0) - (d < 0)
+
+
+def _joint(n) -> JointDistribution:
+    """The vertex n / sum(n); cells off the support share one zero."""
+    total = sum(n)
+    return JointDistribution(tuple([Fraction(x, total) if x else _ZERO for x in n]))
+
+
+@functools.cache
+def _cce_type(signs: tuple[int, int, int, int]):
+    """The combinatorial type of the CCE polytope for one sign pattern.
+
+    Returns each vertex as a run (start, length), the edges as index pairs
+    into that list, the dimension, and the finished `CcePolytope` when every
+    vertex is a pure cell (no magnitude enters), else None.  The general
+    walk, tight-set adjacency and rank run on the unit-magnitude rows, where
+    every vertex is uniform on its support; see the module docstring for why
+    the type is the same for every magnitude.
+    """
+    rows = _rows(*signs)
+    found = sorted(_cycle_vertex_numerators(rows))
+    tight_sets = [
+        frozenset(i for i, row in enumerate(rows) if sum(map(operator.mul, row, n)) == 0)
+        for n in found
+    ]
+    edges = []
+    for i, j in itertools.combinations(range(len(found)), 2):
+        common = tight_sets[i] & tight_sets[j]
+        # Bounded-polytope adjacency: no third vertex may be tight on all of `common`.
+        if not any(common <= tight_sets[k] for k in range(len(found)) if k != i and k != j):
+            edges.append((i, j))
+    # Vertex n / sum(n) minus the first vertex n0 / t0, times sum(n) * t0.
+    n0, t0 = found[0], sum(found[0])
+    dimension = _matrix_rank([tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for n in found[1:]])
+    runs = tuple(_run_of(n) for n in found)
+    finished = None
+    if all(length == 1 for _, length in runs):
+        # Every numerator sums to 1, so `found` is already in the order of the points.
+        finished = CcePolytope(vertices=tuple(map(_joint, found)), edges=tuple(edges), dimension=dimension)
+    return runs, tuple(edges), dimension, finished
+
+
+def _renumber(edges, order: list[int]) -> tuple[tuple[int, int], ...]:
+    """Edges given as indices into a list, as sorted pairs of positions in
+    `order`, the list's indices in their new order."""
+    position = [0] * len(order)
+    for new, old in enumerate(order):
+        position[old] = new
+    return tuple(sorted([
+        (position[i], position[j]) if position[i] < position[j] else (position[j], position[i])
+        for i, j in edges
+    ]))
+
+
 def cce_polytope(game: Game) -> CcePolytope:
     """Exact vertex enumeration of the CCE polytope in integer arithmetic.
 
-    The 16 runs of the cell-cycle walk are built and tested on the integer
-    deviation rows of `halfspace_rows`.  The coprime numerators n are sorted
-    on the integers n * (L // sum(n)), L the lcm of every sum(n): the vertex
-    n / sum(n) is that over L, so the order is the order of the points.  Only
-    then do the vertices become `Fraction`s, once each.  Tightness, adjacency
-    and dimension are decided on the integer numerators, and only for two or
-    more vertices: a single vertex has no edge and dimension 0.
+    The combinatorial type comes from `_cce_type` on the signs of the
+    advantages.  Each vertex's run is walked on the absolute advantages and
+    reduced to coprime numerators n.  They are sorted on the integers
+    n * (L // sum(n)), L the lcm of every sum(n): the vertex n / sum(n) is
+    that over L, so the order is the order of the points.  Only then do the
+    vertices become `Fraction`s, once each, and the type's edges are
+    renumbered into that order.
     """
-    rows = halfspace_rows(game)
-    found = _cycle_vertex_numerators(rows)
+    adv = advantages(game)
+    runs, edges, dimension, finished = _cce_type(_signs(adv))
+    if finished is not None:
+        return finished
+    a, b, c, d = map(abs, adv)
+    # The absolute coefficients of each cycle edge's row at its first and
+    # second cell (see `_EDGE_ROWS`).
+    first, second = (a, c, b, d), (b, d, a, c)
+    found = []
+    for start, length in runs:
+        n = _run_numerators(start, length, first, second)
+        g = math.gcd(*n)
+        found.append([x // g for x in n])
     scale = math.lcm(*map(sum, found))
-    numerators = sorted(found, key=lambda n: [x * (scale // sum(n)) for x in n])
-    joints = []
-    for n in numerators:
-        total = sum(n)
-        joints.append(JointDistribution(tuple([Fraction(x, total) for x in n])))
-    if len(numerators) <= 1:
-        return CcePolytope(vertices=tuple(joints), edges=(), dimension=0)
-
-    tight_sets = [
-        frozenset(
-            i
-            for i, row in enumerate(rows)
-            if row[0] * n[0] + row[1] * n[1] + row[2] * n[2] + row[3] * n[3] == 0
-        )
-        for n in numerators
-    ]
-    edges = []
-    for i, j in itertools.combinations(range(len(numerators)), 2):
-        common = tight_sets[i] & tight_sets[j]
-        # Bounded-polytope adjacency: no third vertex may be tight on all of `common`.
-        if not any(
-            common <= tight_sets[k] for k in range(len(numerators)) if k != i and k != j
-        ):
-            edges.append((i, j))
-
-    # Vertex n / sum(n) minus the first vertex n0 / t0, times sum(n) * t0.
-    n0 = numerators[0]
-    t0 = sum(n0)
-    diffs = [tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for n in numerators[1:]]
-    return CcePolytope(vertices=tuple(joints), edges=tuple(edges), dimension=_matrix_rank(diffs))
+    order = sorted(range(len(found)), key=lambda k: [x * (scale // sum(found[k])) for x in found[k]])
+    return CcePolytope(
+        vertices=tuple([_joint(found[k]) for k in order]),
+        edges=_renumber(edges, order),
+        dimension=dimension,
+    )
 
 
-def _reaction_boxes(a: int, b: int) -> tuple[Fraction | None, list[tuple[int, int, int, int]]]:
-    """The interior indifference point, and the boxes (own_low, own_high,
-    opp_low, opp_high) of best-response-consistent profiles.
+def _reaction_boxes(a: int, b: int) -> list[tuple[int, int, int, int]]:
+    """The boxes (own_low, own_high, opp_low, opp_high) of
+    best-response-consistent profiles.
 
     `a` and `b` are the player's integer advantage pair from
     `core.advantages`, a positive multiple of the advantage of action A
     against each opponent pure action; the advantage at opponent mix y is
     proportional to y*a + (1-y)*b.  Box endpoints are ranks 0, 1, 2 on each
     axis, standing for 0, the indifference point y* = b / (b - a) on the
-    opponent's axis, and 1; the own axis never takes rank 1.  y* is None unless `a` and `b`
-    have strictly opposite signs, which puts it strictly inside (0, 1).
-    Only the integer signs decide the boxes; y* is the one `Fraction` built.
+    opponent's axis, and 1; the own axis never takes rank 1, and rank 1
+    appears only when `a` and `b` have strictly opposite signs, which puts
+    y* strictly inside (0, 1).  Only the signs decide the boxes.
     """
     if a == 0 and b == 0:
-        return None, [(0, 2, 0, 2)]
+        return [(0, 2, 0, 2)]
     if a >= 0 and b >= 0:
         boxes = [(2, 2, 0, 2)]
     elif a <= 0 and b <= 0:
         boxes = [(0, 0, 0, 2)]
     elif a > 0:  # prefers B below y*, A above
-        return Fraction(b, b - a), [(0, 0, 0, 1), (0, 2, 1, 1), (2, 2, 1, 2)]
+        return [(0, 0, 0, 1), (0, 2, 1, 1), (2, 2, 1, 2)]
     else:
-        return Fraction(b, b - a), [(2, 2, 0, 1), (0, 2, 1, 1), (0, 0, 1, 2)]
+        return [(2, 2, 0, 1), (0, 2, 1, 1), (0, 0, 1, 2)]
     if a == 0:  # indifferent exactly when the opponent plays A surely
         boxes.append((0, 2, 2, 2))
     if b == 0:
         boxes.append((0, 2, 0, 0))
-    return None, boxes
+    return boxes
 
 
 def _merge(b1: tuple, b2: tuple) -> tuple | None:
@@ -343,18 +460,17 @@ def _normalize(boxes: list[tuple]) -> list[tuple]:
     return sorted(work)
 
 
-def nash_set(game: Game) -> NashSet:
-    """The complete Nash set, from the sign analysis of both advantage lines.
+@functools.cache
+def _nash_type(signs: tuple[int, int, int, int]):
+    """The Nash components for one sign pattern, as endpoint ranks.
 
-    The box algebra runs on endpoint ranks (see `_reaction_boxes`); the row
-    player's own axis is p and the column player's is q.  Rank order is
-    value order, since each indifference point lies strictly between 0 and 1,
-    so every intersection, nesting test, merge and the final sort come out as
-    on the values.  `Fraction`s are built only for the final components.
+    Returns the normalized rank boxes, whether any uses the p and the q
+    indifference point (rank 1), and the finished `NashSet` when neither
+    does, else None.  The rank-box algebra runs on the signs as advantages:
+    `_reaction_boxes` decides on signs only.
     """
-    a, b, c, d = advantages(game)
-    q_star, row_boxes = _reaction_boxes(a, b)
-    p_star, col_boxes = _reaction_boxes(c, d)
+    sa, sb, sc, sd = signs
+    row_boxes, col_boxes = _reaction_boxes(sa, sb), _reaction_boxes(sc, sd)
     pieces = []
     for p_low, p_high, q_low, q_high in row_boxes:
         for q_low2, q_high2, p_low2, p_high2 in col_boxes:
@@ -362,15 +478,41 @@ def nash_set(game: Game) -> NashSet:
             lo_q, hi_q = max(q_low, q_low2), min(q_high, q_high2)
             if lo_p <= hi_p and lo_q <= hi_q:
                 pieces.append((lo_p, hi_p, lo_q, hi_q))
+    ranks = tuple(_normalize(pieces))
+    uses_p = any(1 in box[:2] for box in ranks)
+    uses_q = any(1 in box[2:] for box in ranks)
+    finished = None if uses_p or uses_q else _boxes(ranks, None, None)
+    return ranks, uses_p, uses_q, finished
+
+
+def _boxes(ranks, p_star: Fraction | None, q_star: Fraction | None) -> NashSet:
     ps, qs = (_ZERO, p_star, _ONE), (_ZERO, q_star, _ONE)
     # A list, not a generator: `tuple` of a generator allocates 10 slots and
     # shrinks, and each freed result then fills CPython's free list of short
     # tuples, which raised the verifier's peak memory.
     components = [
-        Box(ps[p_low], ps[p_high], qs[q_low], qs[q_high])
-        for p_low, p_high, q_low, q_high in _normalize(pieces)
+        Box(ps[p_low], ps[p_high], qs[q_low], qs[q_high]) for p_low, p_high, q_low, q_high in ranks
     ]
     return NashSet(components=tuple(components))
+
+
+def nash_set(game: Game) -> NashSet:
+    """The complete Nash set, from the sign analysis of both advantage lines.
+
+    The box algebra runs on endpoint ranks (see `_reaction_boxes`) once per
+    sign pattern, in `_nash_type`; the row player's own axis is p and the
+    column player's is q.  Rank order is value order, since each
+    indifference point lies strictly between 0 and 1, so every intersection,
+    nesting test, merge and the final sort come out as on the values.  A
+    call builds only the indifference points its components use, and the
+    `Box`es.
+    """
+    adv = advantages(game)
+    ranks, uses_p, uses_q, finished = _nash_type(_signs(adv))
+    if finished is not None:
+        return finished
+    a, b, c, d = adv
+    return _boxes(ranks, Fraction(d, d - c) if uses_p else None, Fraction(b, b - a) if uses_q else None)
 
 
 def is_nash(game: Game, m: MarginalPair) -> bool:

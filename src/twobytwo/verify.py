@@ -49,6 +49,9 @@ from .graphs import br_class, br_graph, permute_br_graph
 
 GRID_STEPS = 100
 
+# The sum-to-one row: every point of the simplex is tight on it.
+_SUM_ROW = (1, 1, 1, 1)
+
 
 def random_rational(rng: random.Random, num_bound: int = 12, den_bound: int = 6) -> Fraction:
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
@@ -215,8 +218,8 @@ def cramer_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int
 
 
 def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
-    """Vertex feasibility, tightness rank, edge tightness, completeness,
-    convexity, and NE containment.
+    """Vertex feasibility, tightness rank, edge tightness, completeness, edge
+    completeness, dimension, convexity, and NE containment.
 
     The vertices are scaled once to integer numerators over one common
     denominator; the scaling is positive, so it keeps every sign and zero.
@@ -228,6 +231,11 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     `Fraction` mix is built only to report a combination outside the set.
     Completeness: every vertex that `cramer_vertex_numerators` finds on the
     integer rows must be in the polytope, compared as coprime numerators.
+    Once the vertex list is exactly that set, its edges must be exactly the
+    pairs whose shared tight rows, with the sum row, have rank 3 (the
+    algebraic adjacency test, independent of the polytope's combinatorial
+    one).  The polytope's dimension must be the rank of the differences of
+    the Cramer route's vertices.
     """
     failures = []
     poly = cce_polytope(game)
@@ -248,16 +256,42 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
             failures.append(f"vertex {vertex.prob} has fewer than 3 independent tight constraints")
 
     indices = range(len(tight_sets))
+    listed = set()
     for i, j in poly.edges:
         if i not in indices or j not in indices:
             failures.append(f"edge ({i},{j}) names a missing vertex")
         elif len(set(tight_sets[i]) & set(tight_sets[j])) < 2:
             failures.append(f"edge ({i},{j}) endpoints share fewer than 2 tight constraints")
+        else:
+            listed.add((i, j) if i < j else (j, i))
 
     coprime = {tuple(x // math.gcd(*nums) for x in nums) for nums in numerators}
-    for n in sorted(cramer_vertex_numerators(rows) - coprime):
+    cramer = cramer_vertex_numerators(rows)
+    for n in sorted(cramer - coprime):
         total = sum(n)
         failures.append(f"missing CCE vertex {tuple(Fraction(x, total) for x in n)}")
+
+    if coprime == cramer and len(coprime) == len(numerators):
+        # The vertex list is exactly the Cramer route's, so its pairs are
+        # judged: an edge is a segment of points tight on the rows both ends
+        # share, i.e. those rows plus the sum row have rank 3.
+        edges = {
+            (i, j)
+            for i, j in itertools.combinations(indices, 2)
+            if _matrix_rank([rows[k] for k in set(tight_sets[i]) & set(tight_sets[j])] + [_SUM_ROW]) == 3
+        }
+        for i, j in sorted(edges - listed):
+            failures.append(f"missing CCE edge ({i},{j})")
+        for i, j in sorted(listed - edges):
+            failures.append(f"edge ({i},{j}) is not an edge of the CCE polytope")
+    if cramer:
+        # The affine rank of the Cramer route's vertices: differences from one
+        # vertex n0 / t0, each times sum(n) * t0.
+        n0, *others = cramer
+        t0 = sum(n0)
+        span = _matrix_rank([tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for n in others])
+        if span != poly.dimension:
+            failures.append(f"CCE dimension {poly.dimension}, but the vertices span {span}")
 
     adv = advantages(game)
     columns = tuple(zip(*numerators))

@@ -277,6 +277,19 @@ def test_product_joint_examples():
     assert product_joint(MarginalPair(F(1, 2), F(1, 2))).prob == (F(1, 4),) * 4
 
 
+def test_marginal_pair_rejects_floats():
+    """A float is refused when the pair is built, as `JointDistribution`
+    refuses one, not later by `is_nash` or `product_joint`."""
+    for pair in ((0.5, F(1, 2)), (F(1, 2), 0.5)):
+        with pytest.raises(ValueError, match=r"^marginal probability 0\.5 is not an int or Fraction$"):
+            MarginalPair(*pair)
+    with pytest.raises(ValueError, match=r"^marginal probability 3/2 outside \[0, 1\]$"):
+        MarginalPair(F(3, 2), F(0))
+    with pytest.raises(ValueError, match=r"^marginal probability -1 outside \[0, 1\]$"):
+        MarginalPair(F(0), -1)
+    assert product_joint(MarginalPair(1, 0)).prob == (0, 1, 0, 0)
+
+
 def test_product_marginal_round_trip():
     rng = random.Random(17)
     for _ in range(100):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from fractions import Fraction as F
@@ -32,7 +33,7 @@ from twobytwo.equilibria import (
     _matrix_rank,
 )
 from twobytwo.graphs import BRGraph, br_graph
-from twobytwo import verify
+from twobytwo import equilibria, verify
 
 from conftest import SAFETY, HORSEPLAY, TRAFFIC_LIGHTS
 
@@ -536,6 +537,142 @@ def test_nash_set_matches_fraction_reference():
             assert corners == reference_corners(box), (game, box)
             for m in corners:
                 assert product_joint(m).prob == reference_product_joint(m).prob, (game, m)
+
+
+# --- sign tables ---------------------------------------------------------------------
+# The per-call code that the tables of `_cce_type` and `_nash_type` replaced,
+# kept as the reference: the walk, adjacency and rank on the game's own rows,
+# and the rank-box algebra on the game's own advantages, on every call.
+
+
+def per_call_vertex_numerators(rows):
+    """The cell-cycle walk over all 16 candidates, tested on the rows."""
+    dev_rows = rows[:4]
+    edges = [(rows[r][i], rows[r][j]) for r, i, j in ((1, 0, 1), (2, 1, 3), (0, 3, 2), (3, 2, 0))]
+    candidates = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    for start in range(4):
+        run = [1]
+        for step in range(3):
+            u, v = edges[(start + step) % 4]
+            if not (u < 0 < v or v < 0 < u):
+                break
+            run = [w * abs(v) for w in run] + [run[-1] * abs(u)]
+            n = [0, 0, 0, 0]
+            for offset, w in enumerate(run):
+                n[(0, 1, 3, 2)[(start + offset) % 4]] = w
+            candidates.append(n)
+    found = set()
+    for n in candidates:
+        if all(sum(r * x for r, x in zip(row, n)) <= 0 for row in dev_rows):
+            g = math.gcd(*n)
+            found.add(tuple(x // g for x in n))
+    return found
+
+
+def per_call_cce_polytope(game):
+    rows = halfspace_rows(game)
+    found = per_call_vertex_numerators(rows)
+    scale = math.lcm(*map(sum, found))
+    numerators = sorted(found, key=lambda n: [x * (scale // sum(n)) for x in n])
+    joints = tuple(JointDistribution(tuple(F(x, sum(n)) for x in n)) for n in numerators)
+    if len(numerators) <= 1:
+        return CcePolytope(vertices=joints, edges=(), dimension=0)
+    tight_sets = [
+        frozenset(i for i, row in enumerate(rows) if sum(r * x for r, x in zip(row, n)) == 0)
+        for n in numerators
+    ]
+    edges = tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(len(numerators)), 2)
+        if not any(
+            tight_sets[i] & tight_sets[j] <= tight_sets[k] for k in range(len(numerators)) if k not in (i, j)
+        )
+    )
+    n0, t0 = numerators[0], sum(numerators[0])
+    diffs = [tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for n in numerators[1:]]
+    return CcePolytope(vertices=joints, edges=edges, dimension=_matrix_rank(diffs))
+
+
+def per_call_reaction_boxes(a, b):
+    """The indifference point, and the rank boxes, of one player's advantage pair."""
+    if a == 0 and b == 0:
+        return None, [(0, 2, 0, 2)]
+    if a > 0 > b:
+        return F(b, b - a), [(0, 0, 0, 1), (0, 2, 1, 1), (2, 2, 1, 2)]
+    if a < 0 < b:
+        return F(b, b - a), [(2, 2, 0, 1), (0, 2, 1, 1), (0, 0, 1, 2)]
+    boxes = [(2, 2, 0, 2)] if a >= 0 and b >= 0 else [(0, 0, 0, 2)]
+    if a == 0:
+        boxes.append((0, 2, 2, 2))
+    if b == 0:
+        boxes.append((0, 2, 0, 0))
+    return None, boxes
+
+
+def per_call_nash_set(game):
+    a, b, c, d = advantages(game)
+    q_star, row_boxes = per_call_reaction_boxes(a, b)
+    p_star, col_boxes = per_call_reaction_boxes(c, d)
+    pieces = []
+    for p_low, p_high, q_low, q_high in row_boxes:
+        for q_low2, q_high2, p_low2, p_high2 in col_boxes:
+            lo_p, hi_p = max(p_low, p_low2), min(p_high, p_high2)
+            lo_q, hi_q = max(q_low, q_low2), min(q_high, q_high2)
+            if lo_p <= hi_p and lo_q <= hi_q:
+                pieces.append((lo_p, hi_p, lo_q, hi_q))
+    ps, qs = (F(0), p_star, F(1)), (F(0), q_star, F(1))
+    return NashSet(components=tuple(
+        Box(ps[p_low], ps[p_high], qs[q_low], qs[q_high])
+        for p_low, p_high, q_low, q_high in equilibria._normalize(pieces)
+    ))
+
+
+def quadruple_games(bound):
+    """One game for each advantage quadruple (a, b, c, d) in {-bound..bound}^4."""
+    return [
+        game_from_flat((a, b, 0, 0, c, 0, d, 0))
+        for a, b, c, d in itertools.product(range(-bound, bound + 1), repeat=4)
+    ]
+
+
+def test_sign_tables_match_per_call_code():
+    """Vertices, their order, edges and dimension, and the Nash components,
+    equal the per-call code's on all 81 sign patterns with equal magnitudes,
+    |a*d| = |b*c| and the rest of {-3..3}^4, and on seeded, 2^80 and
+    30-digit games; neither table outgrows the 81 patterns."""
+    rng = random.Random(37)
+    games = quadruple_games(3)
+    games += [verify.random_game(rng) for _ in range(1000)]
+    games += [game_from_flat([rng.choice((-1, 0, 1)) for _ in range(8)]) for _ in range(300)]
+    games += [game_from_flat([rng.randint(-(2**80), 2**80) for _ in range(8)]) for _ in range(100)]
+    games += [
+        game_from_flat([F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30)) for _ in range(8)])
+        for _ in range(100)
+    ]
+    for game in games:
+        assert cce_polytope(game) == per_call_cce_polytope(game), game
+        assert nash_set(game) == per_call_nash_set(game), game
+    assert equilibria._cce_type.cache_info().currsize <= 81
+    assert equilibria._nash_type.cache_info().currsize <= 81
+
+
+def test_sign_tables_fill_from_their_own_unit_rows(monkeypatch):
+    """Filling every entry reads neither `halfspace_rows` nor `advantages`,
+    the bindings that negative controls patch."""
+
+    def unreachable(game):
+        raise AssertionError("a table entry read a patchable binding")
+
+    monkeypatch.setattr(equilibria, "halfspace_rows", unreachable)
+    monkeypatch.setattr(equilibria, "advantages", unreachable)
+    equilibria._cce_type.cache_clear()
+    equilibria._nash_type.cache_clear()
+    for signs in itertools.product((-1, 0, 1), repeat=4):
+        runs, edges, dimension, finished = equilibria._cce_type(signs)
+        assert dimension == min(len(runs) - 1, 3)
+        assert (finished is None) == any(length > 1 for _, length in runs)
+        equilibria._nash_type(signs)
+    assert equilibria._cce_type.cache_info().currsize == equilibria._nash_type.cache_info().currsize == 81
 
 
 # --- membership tests ---------------------------------------------------------------

@@ -40,7 +40,14 @@ from twobytwo.equilibria import (
 )
 from twobytwo.kernels import grid_oracle
 
-from test_equilibria import deviation_gain, reference_advantages, reference_halfspace_rows, reference_nash_set
+from test_equilibria import (
+    deviation_gain,
+    per_call_cce_polytope,
+    per_call_nash_set,
+    reference_advantages,
+    reference_halfspace_rows,
+    reference_nash_set,
+)
 from test_kernels import box_variants, reference_grid_oracle
 from test_verify import assert_keys_match_fractions
 
@@ -156,6 +163,13 @@ def test_halfspace_rows_are_the_integerized_fraction_rows(game):
 def test_cycle_walk_matches_cramer_route(game):
     rows = halfspace_rows(game)
     assert _cycle_vertex_numerators(rows) == verify.cramer_vertex_numerators(rows)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(games())
+def test_sign_tables_match_per_call_code(game):
+    assert cce_polytope(game) == per_call_cce_polytope(game)
+    assert nash_set(game) == per_call_nash_set(game)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import random
 import sys
 from fractions import Fraction
 
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
-from test_equilibria import deviation_gain, reference_halfspace_rows
+from test_equilibria import deviation_gain, per_call_cce_polytope, per_call_nash_set, reference_halfspace_rows
 from twobytwo import core, equilibria, verify
 from twobytwo.core import (
     ADVANTAGE_ACTION,
@@ -315,9 +316,11 @@ def test_run_records_per_check_timings():
 def test_negative_control_swapped_column_cce_rows(monkeypatch):
     """Column rows built on the wrong cells (AB and BA swapped) must be caught.
 
-    Vertex feasibility and tightness use the same rows as the polytope, so they
-    agree with the mutation; `cce_holds` reads the advantages, not the rows,
-    and rejects the resulting convex combinations.
+    `cce_polytope` takes its structure from the sign table, which is filled
+    from `equilibria`'s own unit rows, so it never reads the patched rows;
+    `check_cce` reads them, and its row-side checks reject the polytope:
+    every trial misses a vertex of the wrong rows, and vertices violate them
+    or share too few tight rows along an edge.
     """
     real = equilibria.halfspace_rows
 
@@ -326,16 +329,16 @@ def test_negative_control_swapped_column_cce_rows(monkeypatch):
         _, c, _, d = rows[2]
         return rows[:2] + ((0, 0, c, d), (-c, -d, 0, 0)) + rows[4:]
 
-    # Every binding site: `cce_polytope` reads the rows in `equilibria`, `check_cce` in `verify`.
+    # Both binding sites, although `cce_polytope` reads neither.
     monkeypatch.setattr(equilibria, "halfspace_rows", swap_column_cells)
     monkeypatch.setattr(verify, "halfspace_rows", swap_column_cells)
     report = verify.run(seed=3, trials=4, combos=20)
     assert len(report.failures) == 4
-    assert any(
-        m.startswith("convex combination") and m.endswith("outside the CCE set")
-        for failure in report.failures
-        for m in failure.messages
-    )
+    for failure in report.failures:
+        assert any(m.startswith("missing CCE vertex (") for m in failure.messages), failure.messages
+    messages = [m for failure in report.failures for m in failure.messages]
+    assert any(m.startswith("vertex (") and m.endswith(" violates a halfspace") for m in messages)
+    assert any(m.endswith("endpoints share fewer than 2 tight constraints") for m in messages)
 
 
 def patch_every_binding(monkeypatch, real, replacement):
@@ -369,6 +372,29 @@ def test_negative_control_swapped_column_advantages(monkeypatch):
         for failure in report.failures
         for m in failure.messages
     )
+
+
+def test_swapped_advantages_leave_no_stale_type(monkeypatch):
+    """The sign tables are filled while the swapped advantage core is bound;
+    unpatched, both functions still equal today's per-call code on every
+    sign pattern, since an entry is keyed by the signs it was built from."""
+    real = core.advantages
+
+    def swap_column_pair(game):
+        a, b, c, d = real(game)
+        return (a, b, d, c)
+
+    equilibria._cce_type.cache_clear()
+    equilibria._nash_type.cache_clear()
+    with monkeypatch.context() as patched:
+        patch_every_binding(patched, real, swap_column_pair)
+        assert len(verify.run(seed=3, trials=4, combos=20).failures) == 4
+        assert equilibria._cce_type.cache_info().currsize > 0
+    assert equilibria.advantages is core.advantages
+    for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
+        game = game_from_flat((a, b, 0, 0, c, 0, d, 0))
+        assert cce_polytope(game) == per_call_cce_polytope(game), game
+        assert equilibria.nash_set(game) == per_call_nash_set(game), game
 
 
 def test_negative_control_doubled_entry_in_denominator_clearing(monkeypatch):
@@ -438,6 +464,70 @@ def test_check_cce_reports_edge_to_missing_vertex(monkeypatch):
         f"edge ({i},4) names a missing vertex" for i in range(4)
     ]
     assert "missing CCE vertex (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))" in failures
+
+
+def test_negative_control_dropped_cce_edge(monkeypatch):
+    """A polytope that loses an edge keeps every vertex; the algebraic
+    adjacency test must name the edge it lacks."""
+    real = verify.cce_polytope
+
+    def drop_first_edge(game):
+        poly = real(game)
+        return dataclasses.replace(poly, edges=poly.edges[1:])
+
+    monkeypatch.setattr(verify, "cce_polytope", drop_first_edge)
+    coordination = game_from_flat(COORDINATION)
+    assert real(coordination).edges[0] == (0, 1)
+    assert verify.check_cce(coordination, random.Random(0)) == ["missing CCE edge (0,1)"]
+
+    report = verify.run(seed=1, trials=20, combos=20)
+    assert report.failures
+    for failure in report.failures:
+        i, j = real(failure.game).edges[0]
+        assert failure.messages == [f"missing CCE edge ({i},{j})"]
+
+
+def test_negative_control_extra_cce_edge(monkeypatch):
+    """An edge from a vertex to itself shares every tight row of its ends, so
+    only the rank test can reject it; joining the coordination game's
+    non-edge is rejected already for sharing too few tight rows."""
+    real = verify.cce_polytope
+    coordination = game_from_flat(COORDINATION)
+    assert (2, 3) not in real(coordination).edges
+    for extra, message in (
+        ((0, 0), "edge (0,0) is not an edge of the CCE polytope"),
+        ((2, 3), "edge (2,3) endpoints share fewer than 2 tight constraints"),
+    ):
+        monkeypatch.setattr(verify, "cce_polytope", lambda game: dataclasses.replace(
+            real(game), edges=real(game).edges + (extra,)))
+        assert verify.check_cce(coordination, random.Random(0)) == [message]
+
+
+def test_negative_control_dimension_off_by_one(monkeypatch):
+    """A polytope whose dimension is one too high, or one too low, must be
+    caught by the rank of the Cramer route's vertices, whatever its vertex count."""
+    real = verify.cce_polytope
+    for delta in (1, -1):
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "cce_polytope", lambda game: dataclasses.replace(
+                real(game), dimension=real(game).dimension + delta))
+            assert verify.check_cce(game_from_flat(COORDINATION), random.Random(0)) == [
+                f"CCE dimension {3 + delta}, but the vertices span 3"
+            ]
+            report = verify.run(seed=1, trials=5, combos=20)
+        assert len(report.failures) == 5
+        for failure in report.failures:
+            dimension = real(failure.game).dimension
+            assert failure.messages == [f"CCE dimension {dimension + delta}, but the vertices span {dimension}"]
+
+
+def test_check_cce_edges_and_dimension_clean_on_quadruples():
+    """Every advantage quadruple in {-3..3}^4 passes the edge and dimension
+    checks: the combinatorial adjacency of the polytope and the algebraic
+    test of the verifier agree, and so do both dimensions."""
+    rng = random.Random(2)
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        assert verify.check_cce(game_from_flat((a, b, 0, 0, c, 0, d, 0)), rng, combos=1) == []
 
 
 def reference_map_box(box, flags):

@@ -21,6 +21,8 @@ from typing import Iterable, Sequence, Union
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
+_ZERO = Fraction(0)
+
 # Joint-action cells in flat order, row-major for the row player.
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CELL_NAMES = ("AA", "AB", "BA", "BB")
@@ -135,7 +137,15 @@ class Game:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """A distribution over the four joint actions; a point in the 3-simplex."""
+    """A distribution over the four joint actions; a point in the 3-simplex.
+
+    Building one checks that its probabilities are nonnegative and sum to
+    one.  Joints made from nonnegative integer weights, the vertices of
+    `equilibria.cce_polytope` and `product_joint`, are built by
+    `_joint_from_weights` and skip that check, since w / sum(w) is valid by
+    construction.  `verify.check_cce` checks each polytope vertex instead:
+    its sum, and its signs through the nonnegativity rows.
+    """
 
     prob: tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -187,6 +197,16 @@ class ConditionalTable:
     rows: tuple[tuple[Fraction, Fraction] | None, tuple[Fraction, Fraction] | None]
 
 
+def _joint_from_weights(weights: Sequence[int]) -> JointDistribution:
+    """The joint w / sum(w) of nonnegative integer weights with a positive
+    sum, built without `JointDistribution.__post_init__`; zero cells share one
+    zero."""
+    total = sum(weights)
+    dist = object.__new__(JointDistribution)
+    object.__setattr__(dist, "prob", tuple([Fraction(w, total) if w else _ZERO for w in weights]))
+    return dist
+
+
 def joint(values: Iterable[RationalLike]) -> JointDistribution:
     """Build a JointDistribution from four probability literals."""
     probs = tuple(as_rational(v) for v in values)
@@ -229,8 +249,8 @@ def integerize(values: Iterable[Fraction]) -> tuple[int, ...]:
     player's best responses and equilibria are unchanged by it.
     """
     values = tuple(values)
-    common = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (common // v.denominator) for v in values)
+    common = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (common // v.denominator) for v in values])
 
 
 def expected_payoff(game: Game, player: Player, dist: JointDistribution) -> Fraction:
@@ -292,15 +312,12 @@ def product_joint(marginals: MarginalPair) -> JointDistribution:
     """Outer product of the two marginals.
 
     For p = a/b and q = c/d the joint times b*d has the integer cell weights
-    (a*c, a*(d-c), (b-a)*c, (b-a)*(d-c)); each becomes one `Fraction`.
+    (a*c, a*(d-c), (b-a)*c, (b-a)*(d-c)), nonnegative since the marginals
+    are probabilities; each becomes one `Fraction`.
     """
     p, q = marginals.row_prob_a, marginals.col_prob_a
     a, b, c, d = p.numerator, p.denominator, q.numerator, q.denominator
-    total = b * d
-    return JointDistribution(
-        (Fraction(a * c, total), Fraction(a * (d - c), total),
-         Fraction((b - a) * c, total), Fraction((b - a) * (d - c), total))
-    )
+    return _joint_from_weights((a * c, a * (d - c), (b - a) * c, (b - a) * (d - c)))
 
 
 def transform_affine(

@@ -83,6 +83,7 @@ from .core import (
     JointDistribution,
     MarginalPair,
     Player,
+    _joint_from_weights,
     advantages,
     best_response_set,
     product_joint,
@@ -296,12 +297,6 @@ def _signs(adv: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     return (a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0), (d > 0) - (d < 0)
 
 
-def _joint(n) -> JointDistribution:
-    """The vertex n / sum(n); cells off the support share one zero."""
-    total = sum(n)
-    return JointDistribution(tuple([Fraction(x, total) if x else _ZERO for x in n]))
-
-
 @functools.cache
 def _cce_type(signs: tuple[int, int, int, int]):
     """The combinatorial type of the CCE polytope for one sign pattern.
@@ -332,7 +327,9 @@ def _cce_type(signs: tuple[int, int, int, int]):
     finished = None
     if all(length == 1 for _, length in runs):
         # Every numerator sums to 1, so `found` is already in the order of the points.
-        finished = CcePolytope(vertices=tuple(map(_joint, found)), edges=tuple(edges), dimension=dimension)
+        finished = CcePolytope(
+            vertices=tuple(map(_joint_from_weights, found)), edges=tuple(edges), dimension=dimension
+        )
     return runs, tuple(edges), dimension, finished
 
 
@@ -357,7 +354,10 @@ def cce_polytope(game: Game) -> CcePolytope:
     n * (L // sum(n)), L the lcm of every sum(n): the vertex n / sum(n) is
     that over L, so the order is the order of the points.  Only then do the
     vertices become `Fraction`s, once each, and the type's edges are
-    renumbered into that order.
+    renumbered into that order.  The vertices are built from their
+    numerators by `core._joint_from_weights`, without the validity check of
+    `JointDistribution`; `verify.check_cce` checks that each sums to one and
+    lies on the nonnegative side of every halfspace row.
     """
     adv = advantages(game)
     runs, edges, dimension, finished = _cce_type(_signs(adv))
@@ -375,7 +375,7 @@ def cce_polytope(game: Game) -> CcePolytope:
     scale = math.lcm(*map(sum, found))
     order = sorted(range(len(found)), key=lambda k: [x * (scale // sum(found[k])) for x in found[k]])
     return CcePolytope(
-        vertices=tuple([_joint(found[k]) for k in order]),
+        vertices=tuple([_joint_from_weights(found[k]) for k in order]),
         edges=_renumber(edges, order),
         dimension=dimension,
     )
@@ -518,12 +518,13 @@ def nash_set(game: Game) -> NashSet:
 def is_nash(game: Game, m: MarginalPair) -> bool:
     """True iff neither player gains by any pure deviation against the product joint."""
     p, q = m.row_prob_a, m.col_prob_a
-    # A probability's weight on A and on B, as numerators over its denominator.
-    row_support = {i for i, w in ((0, p.numerator), (1, p.denominator - p.numerator)) if w > 0}
-    col_support = {i for i, w in ((0, q.numerator), (1, q.denominator - q.numerator)) if w > 0}
-    return row_support <= best_response_set(
-        game, Player.ROW, m.col_prob_a
-    ) and col_support <= best_response_set(game, Player.COL, m.row_prob_a)
+    # Each action a player gives positive weight (numerator on A, the rest of
+    # the denominator on B) must be a best response to the other's mix.
+    best = best_response_set(game, Player.ROW, q)
+    if (p.numerator > 0 and 0 not in best) or (p.denominator > p.numerator and 1 not in best):
+        return False
+    best = best_response_set(game, Player.COL, p)
+    return not ((q.numerator > 0 and 0 not in best) or (q.denominator > q.numerator and 1 not in best))
 
 
 def nash_product_joints(ns: NashSet) -> tuple[JointDistribution, ...]:

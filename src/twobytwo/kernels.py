@@ -23,23 +23,6 @@ set behind the boxes of route 3, so the three routes stay independent.
 from __future__ import annotations
 
 
-def _sgn(value: int) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
-def _span(a: int, b: int, n: int) -> tuple[int, int]:
-    """The j in 0..n with a + b*j <= 0, as the inclusive range lo..hi (empty if lo > hi)."""
-    if b == 0:
-        return (0, n) if a <= 0 else (0, -1)
-    if b > 0:
-        return 0, min(n, (-a) // b)  # j <= -a/b, floored
-    return max(0, -(a // b)), n  # j >= -a/b, ceiled
-
-
 def _runs(verdicts: list[bool]) -> tuple[tuple[int, int], ...]:
     """The maximal runs of True in `verdicts`, as inclusive (lo, hi) pairs."""
     runs = []
@@ -69,7 +52,7 @@ def grid_oracle(n, h_row, h_col, boxes):
     Route 1 decides Nash membership from the sign of each player's advantage
     line and the position of the own-probability at the boundary; route 2
     evaluates the four full deviation-gain sums against the product joint,
-    as exact per-row spans of the column index (see `_span`); route 3 is
+    as exact per-row spans of the column index; route 3 is
     membership in the precomputed solution boxes (as inclusive grid-index
     ranges imin..imax x jmin..jmax).
 
@@ -82,21 +65,27 @@ def grid_oracle(n, h_row, h_col, boxes):
 
     adv_row_a, adv_row_b = a1 - c1, b1 - d1
     adv_col_a, adv_col_b = a2 - b2, c2 - d2
-    sign_row = [_sgn(j * adv_row_a + (n - j) * adv_row_b) for j in range(n + 1)]
-    sign_col = [_sgn(i * adv_col_a + (n - i) * adv_col_b) for i in range(n + 1)]
+    # Each player's advantage of A over B, times n, at each grid mix of the
+    # other player: the row player's at column j, the column player's at row i.
+    row_line = [j * adv_row_a + (n - j) * adv_row_b for j in range(n + 1)]
+    col_line = [i * adv_col_a + (n - i) * adv_col_b for i in range(n + 1)]
     # Route 1 as runs, keyed by (i == 0, i == n, column sign at row i).  The
     # row player may play its own mix at row i when pure A (i == n) has A
     # weakly best, pure B (i == 0) has B weakly best, or a strict mix has
     # indifference.  The column player's own mix is j: pure B at j == 0, pure
     # A at j == n, strict mix between; one who is not indifferent admits only
     # one of the two ends.
+    row_ok = {
+        (False, False): [v == 0 for v in row_line],
+        (True, False): [v <= 0 for v in row_line],
+        (False, True): [v >= 0 for v in row_line],
+        (True, True): [True] * (n + 1),  # n == 0: the one point is both pure mixes
+    }
     sign_runs = {}
-    for low in (False, True):
-        for high in (False, True):
-            ok = [sr == 0 or (sr > 0 and high) or (sr < 0 and low) for sr in sign_row]
-            sign_runs[low, high, 0] = _runs(ok)
-            sign_runs[low, high, 1] = ((n, n),) if ok[n] else ()
-            sign_runs[low, high, -1] = ((0, 0),) if ok[0] else ()
+    for (low, high), ok in row_ok.items():
+        sign_runs[low, high, 0] = _runs(ok)
+        sign_runs[low, high, 1] = ((n, n),) if ok[n] else ()
+        sign_runs[low, high, -1] = ((0, 0),) if ok[0] else ()
 
     # Deviation-gain coefficients: the payoff change at each cell from
     # switching to the deviation action (zero on that action's own cells).
@@ -118,20 +107,31 @@ def grid_oracle(n, h_row, h_col, boxes):
 
     for i in range(n + 1):
         ni = n - i
-        nash_sign = sign_runs[i == 0, i == n, sign_col[i]]
+        sc = col_line[i]
+        nash_sign = sign_runs[i == 0, i == n, (sc > 0) - (sc < 0)]
 
         # Route 2: with s_aa = i*j, s_ab = i*(n-j), s_ba = (n-i)*j and
         # s_bb = (n-i)*(n-j), each sum is k . s with the row factor of every
         # cell weight folded into its coefficient, which leaves A + B*j.
+        # Each sum is at most 0 on a span of j: j <= -A/B floored if B > 0,
+        # j >= -A/B ceiled if B < 0, every j or none if B == 0.  The row's
+        # verdict is the intersection of the four spans with 0..n.
         ra_ba, ra_bb = k_ra_ba * ni, k_ra_bb * ni
         rb_aa, rb_ab = k_rb_aa * i, k_rb_ab * i
         ca = k_ca_ab * i + k_ca_bb * ni  # both cells weigh n - j
         cb = k_cb_aa * i + k_cb_ba * ni  # both cells weigh j
-        lo1, hi1 = _span(ra_bb * n, ra_ba - ra_bb, n)
-        lo2, hi2 = _span(rb_ab * n, rb_aa - rb_ab, n)
-        lo3, hi3 = _span(ca * n, -ca, n)
-        lo4, hi4 = _span(0, cb, n)
-        lo, hi = max(lo1, lo2, lo3, lo4), min(hi1, hi2, hi3, hi4)
+        lo, hi = 0, n
+        for a, b in ((ra_bb * n, ra_ba - ra_bb), (rb_ab * n, rb_aa - rb_ab), (ca * n, -ca), (0, cb)):
+            if b > 0:
+                end = (-a) // b
+                if end < hi:
+                    hi = end
+            elif b < 0:
+                end = -(a // b)
+                if end > lo:
+                    lo = end
+            elif a > 0:
+                hi = -1
         nash_sum = ((lo, hi),) if lo <= hi else ()
 
         # Route 3: the j-ranges of the boxes whose i-range holds row i,

@@ -149,11 +149,12 @@ def check_ne_samples(game: Game, rng: random.Random, samples: int = 12, n: int =
 
 
 def common_numerators(vertices) -> tuple[int, list[tuple[int, ...]]]:
-    """The lcm D of every vertex coordinate's denominator, and each vertex times D."""
-    flat = integerize(p for v in vertices for p in v.prob)
-    numerators = [flat[k:k + 4] for k in range(0, len(flat), 4)]
-    # A vertex's coordinates sum to one, so its numerators sum to D.
-    return sum(numerators[0]), numerators
+    """The lcm D of every vertex coordinate's denominator, and each vertex
+    times D; a vertex sums to one exactly when its numerators sum to D."""
+    probs = [p for v in vertices for p in v.prob]
+    scale = math.lcm(*[p.denominator for p in probs])
+    flat = [p.numerator * (scale // p.denominator) for p in probs]
+    return scale, [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)]
 
 
 def integer_mix(weights, numerators, scale: int) -> tuple[Fraction, ...]:
@@ -224,11 +225,17 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     The vertices are scaled once to integer numerators over one common
     denominator; the scaling is positive, so it keeps every sign and zero.
     The halfspace rows and the advantages are integers already.
+    `cce_polytope` builds its vertices without the validity check of
+    `JointDistribution`, so each must have numerators summing to D;
+    nonnegativity is the sign of the nonnegativity rows.
     Feasibility and tightness are the signs of integer dot products.
     Convexity is tested on `combos` random convex combinations of the
     vertices, drawn with integer weights 0..10: `cce_holds` on the integer
-    advantages and the four integer numerator sums of a combination.  A
-    `Fraction` mix is built only to report a combination outside the set.
+    advantages and the four integer numerator sums of a combination.  All
+    `combos` times k weights are drawn in one list, in the order of the
+    combinations, and `cce_holds`'s verdict is reused for equal weights,
+    which give the same point.  A `Fraction` mix is built only to report a
+    combination outside the set, once for each time it is drawn.
     Completeness: every vertex that `cramer_vertex_numerators` finds on the
     integer rows must be in the polytope, compared as coprime numerators.
     Once the vertex list is exactly that set, its edges must be exactly the
@@ -247,6 +254,8 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     scale, numerators = common_numerators(poly.vertices)
     tight_sets = []
     for vertex, nums in zip(poly.vertices, numerators):
+        if sum(nums) != scale:
+            failures.append(f"vertex {vertex.prob} does not sum to 1")
         values = [sum(map(operator.mul, row, nums)) for row in rows]
         if any(v > 0 for v in values):
             failures.append(f"vertex {vertex.prob} violates a halfspace")
@@ -295,11 +304,16 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
 
     adv = advantages(game)
     columns = tuple(zip(*numerators))
-    for _ in range(combos):
-        weights = [rng.randint(0, 10) for _ in poly.vertices]
-        if sum(weights) == 0:
-            weights[0] = 1
-        if not cce_holds(adv, [sum(map(operator.mul, weights, col)) for col in columns]):
+    k = len(numerators)
+    draws = [rng.randint(0, 10) for _ in range(combos * k)]
+    holds = {}
+    # zip over k references to one iterator walks the draws k at a time.
+    for weights in zip(*[iter(draws)] * k):
+        if not any(weights):
+            weights = (1,) + weights[1:]
+        if weights not in holds:
+            holds[weights] = cce_holds(adv, [sum(map(operator.mul, weights, col)) for col in columns])
+        if not holds[weights]:
             mix = integer_mix(weights, numerators, scale)
             failures.append(f"convex combination {mix} outside the CCE set")
 

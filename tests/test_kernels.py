@@ -200,17 +200,41 @@ def test_oracle_passes_intact_box_lists_with_several_spans_per_row():
                 assert grid_oracle(n, h_row, h_col, variants[k]) is None, (g, n, k)
 
 
-def test_row_oracle_reports_broken_deviation_sum_where_reference_does():
-    # Make the column player's deviation to B strict in both oracles: route 2
-    # then rejects profiles where that gain is exactly zero.  On integers,
-    # 1 + cb*j <= 0 is cb*j < 0, so the strict span is the span of 1 + cb*j.
-    broken = mutated(grid_oracle, "_span(0, cb, n)", "_span(1, cb, n)")
-    broken_reference = mutated(
-        reference_grid_oracle, "k_cb_aa * s_aa + k_cb_ba * s_ba <= 0", "k_cb_aa * s_aa + k_cb_ba * s_ba < 0"
-    )
+def mismatches_agree(broken, broken_reference):
+    """Run a mutant oracle and the equally mutated reference on every case;
+    they must agree, and the number of route-1-vs-route-2 reports is returned."""
     code_one = 0
     for case in oracle_cases():
         expected = broken_reference(*case)
         assert broken(*case) == expected, case
         code_one += expected is not None and expected[0] == 1
-    assert code_one > 0
+    return code_one
+
+
+def test_row_oracle_reports_broken_deviation_sum_where_reference_does():
+    # Make the column player's deviation to B strict in both oracles: route 2
+    # then rejects profiles where that gain is exactly zero.  On integers,
+    # 1 + cb*j <= 0 is cb*j < 0, so the strict span is the span of (1, cb).
+    broken = mutated(grid_oracle, "(0, cb)", "(1, cb)")
+    broken_reference = mutated(
+        reference_grid_oracle, "k_cb_aa * s_aa + k_cb_ba * s_ba <= 0", "k_cb_aa * s_aa + k_cb_ba * s_ba < 0"
+    )
+    assert mismatches_agree(broken, broken_reference) > 0
+
+
+def test_row_oracle_reports_broken_row_span_where_reference_does():
+    # The row player's deviation to A made strict: its sum A + B*j, with
+    # A = ra_bb * n, becomes A + 1 + B*j <= 0.
+    broken = mutated(grid_oracle, "(ra_bb * n, ra_ba - ra_bb)", "(ra_bb * n + 1, ra_ba - ra_bb)")
+    broken_reference = mutated(
+        reference_grid_oracle, "k_ra_ba * s_ba + k_ra_bb * s_bb <= 0", "k_ra_ba * s_ba + k_ra_bb * s_bb < 0"
+    )
+    assert mismatches_agree(broken, broken_reference) > 0
+
+
+def test_row_oracle_reports_broken_route_one_list_where_reference_does():
+    # Route 1 at pure A (i == n) admitting only a strict advantage for A,
+    # not indifference: the reference's row test loses its tie there.
+    broken = mutated(grid_oracle, "[v >= 0 for v in row_line]", "[v > 0 for v in row_line]")
+    broken_reference = mutated(reference_grid_oracle, "row_ok = sr == 0 or", "row_ok = (sr == 0 and i != n) or")
+    assert mismatches_agree(broken, broken_reference) > 0

@@ -49,7 +49,7 @@ from test_equilibria import (
     reference_nash_set,
 )
 from test_kernels import box_variants, reference_grid_oracle
-from test_verify import assert_keys_match_fractions
+from test_verify import assert_keys_match_fractions, reference_check_cce
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
@@ -176,6 +176,16 @@ def test_sign_tables_match_per_call_code(game):
 @given(games(), st.integers(0, 2 ** 32))
 def test_check_cce_passes(game, seed):
     assert verify.check_cce(game, random.Random(seed)) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(games(), st.integers(0, 2 ** 32))
+def test_check_cce_matches_reference_messages_and_draws(game, seed):
+    # The one-pass convexity test with reused verdicts against the
+    # per-combination `Fraction` reference: same messages, same rng state after.
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert verify.check_cce(game, ours) == reference_check_cce(game, theirs)
+    assert ours.getstate() == theirs.getstate()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=80)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
 from test_equilibria import deviation_gain, per_call_cce_polytope, per_call_nash_set, reference_halfspace_rows
 from twobytwo import core, equilibria, verify
+from twobytwo.cli import main
 from twobytwo.core import (
     ADVANTAGE_ACTION,
     CELLS,
@@ -298,6 +299,64 @@ def test_negative_control_broken_cce_holds(monkeypatch):
             m.startswith("convex combination") and m.endswith("outside the CCE set")
             for m in failure.messages
         )
+
+
+def unchecked_joint(prob):
+    """A joint built without `JointDistribution`'s validity check, as
+    `cce_polytope` builds its vertices."""
+    dist = object.__new__(JointDistribution)
+    object.__setattr__(dist, "prob", prob)
+    return dist
+
+
+def test_negative_control_vertex_not_summing_to_one(monkeypatch, capsys):
+    """A vertex that skips the validity check and sums to 2 is reported, and
+    `verify` fails.  Doubling a true vertex keeps every sign, so no other part
+    of `check_cce` can see it."""
+    real = verify.cce_polytope
+
+    def double_first_vertex(game):
+        poly = real(game)
+        heavy = unchecked_joint(tuple(2 * p for p in poly.vertices[0].prob))
+        return dataclasses.replace(poly, vertices=(heavy,) + poly.vertices[1:])
+
+    monkeypatch.setattr(verify, "cce_polytope", double_first_vertex)
+    rng = random.Random(4)
+    for game in [game_from_flat(flat) for flat in (PRISONERS_DILEMMA, COORDINATION, TRAFFIC_LIGHTS)] + [
+        verify.random_game(rng) for _ in range(20)
+    ]:
+        heavy = double_first_vertex(game).vertices[0]
+        assert verify.check_cce(game, random.Random(0)) == [f"vertex {heavy.prob} does not sum to 1"]
+
+    assert main(["verify", "--seed", "0", "--trials", "3"]) == 1
+    assert "does not sum to 1" in capsys.readouterr().out
+
+
+def test_check_cce_reuses_verdicts_without_merging_messages(monkeypatch):
+    """`cce_holds` patched to reject only the combinations whose first
+    coordinate has an odd numerator (patched where `check_cce` binds it and
+    where `joint_in_cce` reads it): `check_cce` must report exactly the
+    reference's messages, one per rejected draw, repeats included."""
+    real = equilibria.cce_holds
+
+    def odd_first_rejected(adv, weights):
+        return real(adv, weights) and Fraction(weights[0], sum(weights)).numerator % 2 == 0
+
+    monkeypatch.setattr(verify, "cce_holds", odd_first_rejected)
+    monkeypatch.setattr(equilibria, "cce_holds", odd_first_rejected)
+    rng = random.Random(17)
+    games = [verify.random_game(rng) for _ in range(60)]
+    games += [game_from_flat(flat) for flat in (COORDINATION, ALL_ZERO, TRAFFIC_LIGHTS)]
+    assert_check_cce_matches_reference(games, seed=17)
+
+    rejected = kept = repeated = 0
+    ours = random.Random(17)
+    for game in games:
+        messages = [m for m in verify.check_cce(game, ours) if m.startswith("convex combination")]
+        rejected += len(messages)
+        repeated += len(messages) - len(set(messages))
+        kept += 100 - len(messages)
+    assert rejected and kept and repeated  # some draws fail, some pass, some fail twice
 
 
 def test_run_records_per_check_timings():

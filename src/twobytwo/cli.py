@@ -41,7 +41,6 @@ from .render.figures import _BUILDERS
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 
 
 class _Parser(argparse.ArgumentParser):

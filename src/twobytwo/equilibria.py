@@ -55,13 +55,19 @@ d / (d - c) read magnitudes.  For the CCE polytope:
   from a vertex to the polytope).
 
 `_cce_type` fills an entry by running the general code, the walk
-`_cycle_vertex_numerators`, the tight-set adjacency test and `_matrix_rank`,
-on the unit-magnitude rows of s, which `_rows` builds here, never through
-`halfspace_rows` or `advantages`.  A call then computes each vertex's
-coprime numerators from the magnitudes, sorts them on integers and
-renumbers the entry's edges into that order.  A pattern whose answer reads
-no magnitude (pure vertices only, or Nash boxes with endpoints 0 and 1
-only) keeps its finished value in the table; values are immutable.
+`_cycle_vertex_numerators` and the tight-set adjacency test, on the
+unit-magnitude rows of s, which `_rows` builds here, never through
+`halfspace_rows` or `advantages`.  With k vertices the dimension is
+min(k - 1, 3): on each of the 81 patterns the polytope is a simplex when
+k <= 4 and is full-dimensional when k = 5.  On every pattern it is checked
+against the rank of the Cramer route's vertex differences by
+`verify.check_cce` (in `test_check_cce_edges_and_dimension_clean_on_quadruples`)
+and against the rank of the unit vertices' differences by
+`test_sign_tables_fill_from_their_own_unit_rows`.  A call then computes each vertex's coprime
+numerators from the magnitudes, sorts them on integers and renumbers the
+entry's edges into that order.  A pattern whose answer reads no magnitude
+(pure vertices only, or Nash boxes with endpoints 0 and 1 only) keeps its
+finished value in the table; values are immutable.
 
 `is_nash` reads the raw payoffs instead: the verifier uses it as a route
 independent of the advantage computation (it compares expected payoffs on
@@ -200,25 +206,6 @@ def halfspace_rows(game: Game) -> tuple[tuple[int, int, int, int], ...]:
     return _rows(*advantages(game))
 
 
-def _matrix_rank(rows: list[tuple]) -> int:
-    """Rank by fraction-free elimination: exact on integers and `Fraction`s alike."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col]
-            if factor != 0:
-                mat[r] = [top[col] * x - factor * y for x, y in zip(mat[r], top)]
-        rank += 1
-    return rank
-
-
 # The cells in order around the cycle AA-AB-BB-BA, and for the edge from each
 # cell to the next, the deviation row that touches both: (row, column of the
 # first cell, column of the second).
@@ -246,8 +233,9 @@ def _run_numerators(start: int, length: int, first, second) -> list[int]:
     return n
 
 
-def _cycle_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
-    """Every vertex as coprime numerators n >= 0; the vertex is n / sum(n).
+def _cycle_vertex_numerators(rows: tuple) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Every vertex as coprime numerators n >= 0, mapped to the first run
+    (start, length) that reached it; the vertex is n / sum(n).
 
     Only the four deviation rows are read.  A vertex's support is a run of
     consecutive cells on the cycle (a diagonal pair meets no row on both of
@@ -256,40 +244,30 @@ def _cycle_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int
     cells and the runs of 2, 3 and 4 cells from each start, 16 in all; a run
     of 4 leaves its last edge untested.  Each is the products of the absolute
     coefficients along the run (`_run_numerators`), kept if all four
-    deviation rows hold and reduced by its gcd.
+    deviation rows hold and reduced by its gcd.  Only the four 4-runs share
+    a support, and the first of them starts at position 0.
     """
     dev0, dev1, dev2, dev3 = rows[:4]
     edges = [(rows[r][i], rows[r][j]) for r, i, j in _EDGE_ROWS]
     first, second = [abs(u) for u, _ in edges], [abs(v) for _, v in edges]
-    candidates = []
+    found = {}
     for start in range(4):
         for length in range(1, 5):
             if length > 1:
                 u, v = edges[(start + length - 2) % 4]
                 if not (u < 0 < v or v < 0 < u):
                     break
-            candidates.append(_run_numerators(start, length, first, second))
-    found = set()
-    for n0, n1, n2, n3 in candidates:
-        if (
-            dev0[0] * n0 + dev0[1] * n1 + dev0[2] * n2 + dev0[3] * n3 > 0
-            or dev1[0] * n0 + dev1[1] * n1 + dev1[2] * n2 + dev1[3] * n3 > 0
-            or dev2[0] * n0 + dev2[1] * n1 + dev2[2] * n2 + dev2[3] * n3 > 0
-            or dev3[0] * n0 + dev3[1] * n1 + dev3[2] * n2 + dev3[3] * n3 > 0
-        ):
-            continue
-        g = math.gcd(n0, n1, n2, n3)
-        found.add((n0 // g, n1 // g, n2 // g, n3 // g))
+            n0, n1, n2, n3 = _run_numerators(start, length, first, second)
+            if (
+                dev0[0] * n0 + dev0[1] * n1 + dev0[2] * n2 + dev0[3] * n3 > 0
+                or dev1[0] * n0 + dev1[1] * n1 + dev1[2] * n2 + dev1[3] * n3 > 0
+                or dev2[0] * n0 + dev2[1] * n1 + dev2[2] * n2 + dev2[3] * n3 > 0
+                or dev3[0] * n0 + dev3[1] * n1 + dev3[2] * n2 + dev3[3] * n3 > 0
+            ):
+                continue
+            g = math.gcd(n0, n1, n2, n3)
+            found.setdefault((n0 // g, n1 // g, n2 // g, n3 // g), (start, length))
     return found
-
-
-def _run_of(n: tuple[int, ...]) -> tuple[int, int]:
-    """(start, length) of the run of cycle positions on which `n` is positive;
-    a vertex on all four cells is the run from position 0."""
-    on = [k for k in range(4) if n[_CYCLE[k]]]
-    if len(on) == 4:
-        return 0, 4
-    return next(k for k in on if (k - 1) % 4 not in on), len(on)
 
 
 def _signs(adv: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -304,12 +282,13 @@ def _cce_type(signs: tuple[int, int, int, int]):
     Returns each vertex as a run (start, length), the edges as index pairs
     into that list, the dimension, and the finished `CcePolytope` when every
     vertex is a pure cell (no magnitude enters), else None.  The general
-    walk, tight-set adjacency and rank run on the unit-magnitude rows, where
-    every vertex is uniform on its support; see the module docstring for why
-    the type is the same for every magnitude.
+    walk and tight-set adjacency run on the unit-magnitude rows, where every
+    vertex is uniform on its support; see the module docstring for why the
+    type is the same for every magnitude, and for the dimension.
     """
     rows = _rows(*signs)
-    found = sorted(_cycle_vertex_numerators(rows))
+    run_of = _cycle_vertex_numerators(rows)
+    found = sorted(run_of)
     tight_sets = [
         frozenset(i for i, row in enumerate(rows) if sum(map(operator.mul, row, n)) == 0)
         for n in found
@@ -320,10 +299,8 @@ def _cce_type(signs: tuple[int, int, int, int]):
         # Bounded-polytope adjacency: no third vertex may be tight on all of `common`.
         if not any(common <= tight_sets[k] for k in range(len(found)) if k != i and k != j):
             edges.append((i, j))
-    # Vertex n / sum(n) minus the first vertex n0 / t0, times sum(n) * t0.
-    n0, t0 = found[0], sum(found[0])
-    dimension = _matrix_rank([tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for n in found[1:]])
-    runs = tuple(_run_of(n) for n in found)
+    dimension = min(len(found) - 1, 3)
+    runs = tuple([run_of[n] for n in found])
     finished = None
     if all(length == 1 for _, length in runs):
         # Every numerator sums to 1, so `found` is already in the order of the points.
@@ -411,17 +388,6 @@ def _reaction_boxes(a: int, b: int) -> list[tuple[int, int, int, int]]:
     return boxes
 
 
-def _merge(b1: tuple, b2: tuple) -> tuple | None:
-    """The union if it is itself a box (shared interval on one axis, touching on the other)."""
-    p_low1, p_high1, q_low1, q_high1 = b1
-    p_low2, p_high2, q_low2, q_high2 = b2
-    if p_low1 == p_low2 and p_high1 == p_high2 and q_low1 <= q_high2 and q_low2 <= q_high1:
-        return (p_low1, p_high1, min(q_low1, q_low2), max(q_high1, q_high2))
-    if q_low1 == q_low2 and q_high1 == q_high2 and p_low1 <= p_high2 and p_low2 <= p_high1:
-        return (min(p_low1, p_low2), max(p_high1, p_high2), q_low1, q_high1)
-    return None
-
-
 def _contains_box(outer: tuple, inner: tuple) -> bool:
     return (
         outer[0] <= inner[0]
@@ -432,32 +398,18 @@ def _contains_box(outer: tuple, inner: tuple) -> bool:
 
 
 def _normalize(boxes: list[tuple]) -> list[tuple]:
-    """Drop nested and repeated boxes and merge pairs whose union is a box, until
-    nothing changes; sorted by (p_low, p_high, q_low, q_high)."""
-    work = list(boxes)
-    changed = True
-    while changed:
-        changed = False
-        # drop boxes nested inside another
-        kept: list[tuple] = []
-        for box in work:
-            if any(other != box and _contains_box(other, box) for other in work) or box in kept:
-                continue
+    """Drop nested and repeated boxes; sorted by (p_low, p_high, q_low, q_high).
+
+    No two boxes left could merge into one: on every one of the 81 sign
+    patterns, no two maximal pieces share the interval on one axis and touch
+    on the other (`test_sign_tables_match_per_call_code` compares the result
+    with a normalisation that merges such pairs).
+    """
+    kept: list[tuple] = []
+    for box in boxes:
+        if not any(other != box and _contains_box(other, box) for other in boxes) and box not in kept:
             kept.append(box)
-        if len(kept) != len(work):
-            work, changed = kept, True
-            continue
-        for i, j in itertools.combinations(range(len(work)), 2):
-            merged = _merge(work[i], work[j])
-            if merged is not None and merged != work[i]:
-                work = [b for k, b in enumerate(work) if k not in (i, j)] + [merged]
-                changed = True
-                break
-            if merged is not None and merged == work[i]:
-                work = [b for k, b in enumerate(work) if k != j]
-                changed = True
-                break
-    return sorted(work)
+    return sorted(kept)
 
 
 @functools.cache
@@ -503,7 +455,7 @@ def nash_set(game: Game) -> NashSet:
     sign pattern, in `_nash_type`; the row player's own axis is p and the
     column player's is q.  Rank order is value order, since each
     indifference point lies strictly between 0 and 1, so every intersection,
-    nesting test, merge and the final sort come out as on the values.  A
+    nesting test and the final sort come out as on the values.  A
     call builds only the indifference points its components use, and the
     `Box`es.
     """

@@ -98,15 +98,6 @@ class Text:
 Primitive = Union[Line, ArrowLine, Rect, Heatmap, Circle, Text]
 
 
-def _drawn(prim: Primitive) -> int:
-    """How many drawn elements `prim` stands for: its cells or centres, else one."""
-    if isinstance(prim, Heatmap):
-        return len(prim.fills)
-    if isinstance(prim, Circle):
-        return len(prim.centers)
-    return 1
-
-
 @dataclass
 class Scene:
     width: float
@@ -115,13 +106,6 @@ class Scene:
 
     def add(self, *prims: Primitive) -> None:
         self.prims.extend(prims)
-
-    def count(self, tag: str) -> int:
-        """The number of drawn elements with this tag: cells and centres count one each."""
-        return sum(_drawn(p) for p in self.prims if getattr(p, "tag", "") == tag)
-
-    def tagged(self, tag: str) -> list[Primitive]:
-        return [p for p in self.prims if getattr(p, "tag", "") == tag]
 
 
 def _arrow_head(x1: float, y1: float, x2: float, y2: float, width: float):

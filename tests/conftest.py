@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from twobytwo.core import game_from_flat
+from twobytwo.render.canvas import Circle, Heatmap
 
 # Canonical test vectors, flat order: row player row-major, then column player.
 PRISONERS_DILEMMA = (-1, -3, 0, -2, -1, 0, -3, -2)
@@ -16,6 +17,26 @@ ALL_ZERO = (0,) * 8
 # equilibrium at marginals (1/10, 1/10), and the 50/50 off-diagonal joint
 # inside the CCE set.
 TRAFFIC_LIGHTS = (-9, 1, 0, 0, -9, 0, 1, 0)
+
+
+def count_drawn(scene, tag: str) -> int:
+    """The number of drawn elements of `scene` with this tag: each cell of a
+    `Heatmap` and each centre of a `Circle` counts one."""
+    total = 0
+    for prim in scene.prims:
+        if getattr(prim, "tag", "") == tag:
+            if isinstance(prim, Heatmap):
+                total += len(prim.fills)
+            elif isinstance(prim, Circle):
+                total += len(prim.centers)
+            else:
+                total += 1
+    return total
+
+
+def tagged(scene, tag: str) -> list:
+    """The primitives of `scene` with this tag, in insertion order."""
+    return [p for p in scene.prims if getattr(p, "tag", "") == tag]
 
 
 @pytest.fixture

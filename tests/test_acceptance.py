@@ -39,6 +39,7 @@ from conftest import (
     MATCHING_PENNIES,
     PRISONERS_DILEMMA,
     SAFETY,
+    count_drawn,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -147,8 +148,8 @@ def test_ne_oracle_suite(oracle_games):
     rng = random.Random(ORACLE_SEED + 1)
     failures = []
     for game in oracle_games:
-        failures += verify.check_ne_grid(game, n=100)
-        failures += verify.check_ne_samples(game, rng, n=100)
+        failures += verify.check_ne_grid(game)
+        failures += verify.check_ne_samples(game, rng)
     assert not failures, failures[:5]
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"NE oracle suite took {elapsed:.1f}s, budget is 300s"
@@ -211,15 +212,15 @@ def test_renderer_determinism_and_validity():
     # nontrivial embedding of the coordination game.
     coordination = game_from_flat(COORDINATION)
     table = build_scene(FigureSpec(FigureKind.PAYOFF_TABLE, coordination))
-    assert table.count("payoff-cell") == 4
-    assert table.count("payoff-row") == 4 and table.count("payoff-col") == 4
+    assert count_drawn(table, "payoff-cell") == 4
+    assert count_drawn(table, "payoff-row") == 4 and count_drawn(table, "payoff-col") == 4
 
     poly = cce_polytope(coordination)
     ns = nash_set(coordination)
     scene = build_scene(FigureSpec(FigureKind.POLYTOPE, coordination))
-    assert scene.count("cce-vertex") == len(poly.vertices) == 5
-    assert scene.count("cce-edge") == len(poly.edges) == 9
-    assert scene.count("ne-point") == len(ns.components) == 3
+    assert count_drawn(scene, "cce-vertex") == len(poly.vertices) == 5
+    assert count_drawn(scene, "cce-edge") == len(poly.edges) == 9
+    assert count_drawn(scene, "ne-point") == len(ns.components) == 3
 
     point = embed(coordination)
     emb_scene = build_scene(
@@ -228,7 +229,7 @@ def test_renderer_determinism_and_validity():
             EmbeddingFigureData(points=((point.row_angle_degrees, point.col_angle_degrees),)),
         )
     )
-    assert emb_scene.count("embed-point") == 1
+    assert count_drawn(emb_scene, "embed-point") == 1
 
     # Second example set: the four polytope panels.
     panels = {
@@ -241,9 +242,9 @@ def test_renderer_determinism_and_validity():
         game = game_from_flat(flat)
         scene = build_scene(FigureSpec(FigureKind.POLYTOPE, game))
         for tag, count in expected.items():
-            assert scene.count(tag) == count, (flat, tag)
-        assert scene.count("cce-vertex") == len(cce_polytope(game).vertices)
-        assert scene.count("cce-edge") == len(cce_polytope(game).edges)
+            assert count_drawn(scene, tag) == count, (flat, tag)
+        assert count_drawn(scene, "cce-vertex") == len(cce_polytope(game).vertices)
+        assert count_drawn(scene, "cce-edge") == len(cce_polytope(game).edges)
         ET.fromstring(render_figure(FigureSpec(FigureKind.POLYTOPE, game), "svg"))
     _report("renderer-determinism-validity", started)
 

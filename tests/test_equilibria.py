@@ -30,10 +30,10 @@ from twobytwo.equilibria import (
     nash_product_joints,
     nash_set,
     _cycle_vertex_numerators,
-    _matrix_rank,
 )
 from twobytwo.graphs import BRGraph, br_graph
 from twobytwo import equilibria, verify
+from twobytwo.verify import _matrix_rank
 
 from conftest import SAFETY, HORSEPLAY, TRAFFIC_LIGHTS
 
@@ -291,7 +291,7 @@ def test_cycle_walk_matches_cramer_route():
     ]
     for game in games:
         rows = halfspace_rows(game)
-        assert _cycle_vertex_numerators(rows) == verify.cramer_vertex_numerators(rows), game
+        assert _cycle_vertex_numerators(rows).keys() == verify.cramer_vertex_numerators(rows), game
 
 
 def reference_matrix_rank(rows):
@@ -609,6 +609,51 @@ def per_call_reaction_boxes(a, b):
     return None, boxes
 
 
+def per_call_merge(b1, b2):
+    """The union of two rank boxes if it is itself a box (shared interval on
+    one axis, touching on the other), else None."""
+    p_low1, p_high1, q_low1, q_high1 = b1
+    p_low2, p_high2, q_low2, q_high2 = b2
+    if p_low1 == p_low2 and p_high1 == p_high2 and q_low1 <= q_high2 and q_low2 <= q_high1:
+        return (p_low1, p_high1, min(q_low1, q_low2), max(q_high1, q_high2))
+    if q_low1 == q_low2 and q_high1 == q_high2 and p_low1 <= p_high2 and p_low2 <= p_high1:
+        return (min(p_low1, p_low2), max(p_high1, p_high2), q_low1, q_high1)
+    return None
+
+
+def per_call_contains(outer, inner):
+    p_low, p_high, q_low, q_high = inner
+    return outer[0] <= p_low and p_high <= outer[1] and outer[2] <= q_low and q_high <= outer[3]
+
+
+def per_call_normalize(boxes):
+    """Drop nested and repeated rank boxes and merge pairs whose union is a
+    box, until nothing changes; sorted."""
+    work = list(boxes)
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for box in work:
+            if any(other != box and per_call_contains(other, box) for other in work) or box in kept:
+                continue
+            kept.append(box)
+        if len(kept) != len(work):
+            work, changed = kept, True
+            continue
+        for i, j in itertools.combinations(range(len(work)), 2):
+            merged = per_call_merge(work[i], work[j])
+            if merged is not None and merged != work[i]:
+                work = [b for k, b in enumerate(work) if k not in (i, j)] + [merged]
+                changed = True
+                break
+            if merged is not None and merged == work[i]:
+                work = [b for k, b in enumerate(work) if k != j]
+                changed = True
+                break
+    return sorted(work)
+
+
 def per_call_nash_set(game):
     a, b, c, d = advantages(game)
     q_star, row_boxes = per_call_reaction_boxes(a, b)
@@ -623,7 +668,7 @@ def per_call_nash_set(game):
     ps, qs = (F(0), p_star, F(1)), (F(0), q_star, F(1))
     return NashSet(components=tuple(
         Box(ps[p_low], ps[p_high], qs[q_low], qs[q_high])
-        for p_low, p_high, q_low, q_high in equilibria._normalize(pieces)
+        for p_low, p_high, q_low, q_high in per_call_normalize(pieces)
     ))
 
 
@@ -658,7 +703,8 @@ def test_sign_tables_match_per_call_code():
 
 def test_sign_tables_fill_from_their_own_unit_rows(monkeypatch):
     """Filling every entry reads neither `halfspace_rows` nor `advantages`,
-    the bindings that negative controls patch."""
+    the bindings that negative controls patch; each entry's dimension is the
+    rank of its unit vertices' differences."""
 
     def unreachable(game):
         raise AssertionError("a table entry read a patchable binding")
@@ -669,7 +715,13 @@ def test_sign_tables_fill_from_their_own_unit_rows(monkeypatch):
     equilibria._nash_type.cache_clear()
     for signs in itertools.product((-1, 0, 1), repeat=4):
         runs, edges, dimension, finished = equilibria._cce_type(signs)
-        assert dimension == min(len(runs) - 1, 3)
+        # On unit magnitudes every vertex is uniform on the cells of its run.
+        vertices = [
+            [F(x, length) for x in equilibria._run_numerators(start, length, (1,) * 4, (1,) * 4)]
+            for start, length in runs
+        ]
+        diffs = [[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]]
+        assert dimension == reference_matrix_rank(diffs), signs
         assert (finished is None) == any(length > 1 for _, length in runs)
         equilibria._nash_type(signs)
     assert equilibria._cce_type.cache_info().currsize == equilibria._nash_type.cache_info().currsize == 81

@@ -162,7 +162,7 @@ def test_halfspace_rows_are_the_integerized_fraction_rows(game):
 @given(games())
 def test_cycle_walk_matches_cramer_route(game):
     rows = halfspace_rows(game)
-    assert _cycle_vertex_numerators(rows) == verify.cramer_vertex_numerators(rows)
+    assert _cycle_vertex_numerators(rows).keys() == verify.cramer_vertex_numerators(rows)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)

@@ -43,6 +43,8 @@ from conftest import (
     MATCHING_PENNIES,
     SAFETY,
     HORSEPLAY,
+    count_drawn,
+    tagged,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -127,7 +129,7 @@ def test_tikz_goldens_balanced():
 def test_joint_glyph_shades_match_probabilities():
     dist = joint(TABLE_JOINT)
     scene = build_scene(FigureSpec(FigureKind.JOINT, dist))
-    cells = scene.tagged("joint-cell")
+    cells = tagged(scene, "joint-cell")
     assert [c.fill for c in cells] == [shade(BLACK, float(p)) for p in dist.prob]
 
 
@@ -143,7 +145,7 @@ def test_polytope_vertices_projected_exactly():
         place(projection.project(simplex_position(tuple(float(x) for x in v.prob))))
         for v in cce_polytope(game).vertices
     ]
-    (dots,) = scene.tagged("cce-vertex")
+    (dots,) = tagged(scene, "cce-vertex")
     assert isinstance(dots, Circle)
     assert dots.centers == tuple(expected)
     # and the serialized coordinates are those values at output precision
@@ -221,15 +223,15 @@ def test_polytope_scene_covers_all_shapes(flat, dimension, tags):
     assert poly.dimension == dimension
     scene = build_scene(FigureSpec(FigureKind.POLYTOPE, game))
     for tag, count in tags.items():
-        assert scene.count(tag) == count, (tag, count)
-    assert scene.count("cce-vertex") == len(poly.vertices)
-    assert scene.count("cce-edge") == len(poly.edges)
+        assert count_drawn(scene, tag) == count, (tag, count)
+    assert count_drawn(scene, "cce-vertex") == len(poly.vertices)
+    assert count_drawn(scene, "cce-edge") == len(poly.edges)
 
 
 def test_br_graph_arrows_point_to_preferred_cells():
     # coordination: both players prefer matching; arrows converge on AA and BB
     scene = build_scene(FigureSpec(FigureKind.BR_GRAPH, game_from_flat(COORDINATION)))
-    arrows = scene.tagged("br-edge")
+    arrows = tagged(scene, "br-edge")
     assert len(arrows) == 4
     vertical = sorted((a for a in arrows if a.x1 == a.x2), key=lambda a: a.x1)
     horizontal = sorted((a for a in arrows if a.y1 == a.y2), key=lambda a: a.y1)
@@ -241,17 +243,17 @@ def test_br_graph_arrows_point_to_preferred_cells():
 
 def test_br_graph_omits_indifferent_edges(all_zero):
     scene = build_scene(FigureSpec(FigureKind.BR_GRAPH, all_zero))
-    assert scene.count("br-edge") == 0
-    assert scene.count("node") == 4
+    assert count_drawn(scene, "br-edge") == 0
+    assert count_drawn(scene, "node") == 4
 
 
 def test_ord_graph_arrows_follow_increasing_payoffs():
     # strict row payoffs 1,2,3,4: three black arrows AA->AB->BA->BB
     scene = build_scene(FigureSpec(FigureKind.ORD_GRAPH, game_from_flat((1, 2, 3, 4, 0, 0, 0, 0))))
-    assert scene.count("ord-edge-row") == 3
-    assert scene.count("ord-edge-col") == 0
-    assert scene.count("node") == 4
-    assert all(a.color == BLACK for a in scene.tagged("ord-edge-row"))
+    assert count_drawn(scene, "ord-edge-row") == 3
+    assert count_drawn(scene, "ord-edge-col") == 0
+    assert count_drawn(scene, "node") == 4
+    assert all(a.color == BLACK for a in tagged(scene, "ord-edge-row"))
 
 
 # --- embedding figures ------------------------------------------------------------------
@@ -259,8 +261,8 @@ def test_ord_graph_arrows_follow_increasing_payoffs():
 
 def test_embedding_axes_only():
     scene = build_scene(FigureSpec(FigureKind.EMBEDDING, EmbeddingFigureData()))
-    assert scene.count("embed-point") == 0
-    assert scene.count("frame") == 1
+    assert count_drawn(scene, "embed-point") == 0
+    assert count_drawn(scene, "frame") == 1
 
 
 def test_embedding_point_at_atan2_angles():
@@ -276,7 +278,7 @@ def test_embedding_point_at_atan2_angles():
             style,
         )
     )
-    (dots,) = scene.tagged("embed-point")
+    (dots,) = tagged(scene, "embed-point")
     assert len(dots.centers) == 1
     s = style.size_pt
     margin, plot = 0.14 * s, s - 0.14 * s - 0.06 * s
@@ -286,7 +288,7 @@ def test_embedding_point_at_atan2_angles():
 def test_embedding_constant_heatmap_uniform():
     data = EmbeddingFigureData(heatmap=((2.0, 2.0), (2.0, 2.0)))
     scene = build_scene(FigureSpec(FigureKind.EMBEDDING, data))
-    (cells,) = scene.tagged("heatmap-cell")
+    (cells,) = tagged(scene, "heatmap-cell")
     assert isinstance(cells, Heatmap)
     assert len(cells.fills) == 4
     assert len(set(cells.fills)) == 1
@@ -308,15 +310,15 @@ def test_style_toggles_remove_annotations():
         show_axes_labels=False, show_tick_labels=False, show_best_response_names=False
     )
     scene = build_scene(FigureSpec(FigureKind.POLYTOPE, game, bare))
-    assert scene.count("corner-label") == 0
+    assert count_drawn(scene, "corner-label") == 0
     data = EmbeddingFigureData(points=((10.0, 20.0),))
     scene = build_scene(FigureSpec(FigureKind.EMBEDDING, data, bare))
-    assert scene.count("tick-label") == 0
-    assert scene.count("axis-label") == 0
-    assert scene.count("class-name") == 0
+    assert count_drawn(scene, "tick-label") == 0
+    assert count_drawn(scene, "axis-label") == 0
+    assert count_drawn(scene, "class-name") == 0
     full = build_scene(FigureSpec(FigureKind.EMBEDDING, data, StyleOptions()))
-    assert full.count("class-name") == 16
-    assert full.count("tick-label") == 10
+    assert count_drawn(full, "class-name") == 16
+    assert count_drawn(full, "tick-label") == 10
 
 
 # --- errors and files ----------------------------------------------------------------------
@@ -472,9 +474,9 @@ def test_large_heatmap_emission_matches_reference_helpers(format, monkeypatch):
     scene = build_scene(spec)
     colors = reference_collect_colors(scene)
     assert canvas._collect_colors(scene) == colors
-    (cells,) = scene.tagged("heatmap-cell")
+    (cells,) = tagged(scene, "heatmap-cell")
     assert (cells.cols, len(cells.fills)) == (40, 36 * 40)
-    assert 50 < len(colors) < scene.count("heatmap-cell") == len(cells.fills)
+    assert 50 < len(colors) < count_drawn(scene, "heatmap-cell") == len(cells.fills)
     text = render_figure(spec, format)
     with monkeypatch.context() as patch:
         patch.setattr(canvas, "fmt", reference_fmt)
@@ -718,7 +720,7 @@ def _assert_matches_reference(scene, format):
     assert same, _first_difference(text, expected)
     assert canvas._collect_colors(scene) == reference_collect_colors(scene)
     drawn = Counter(prim.tag for prim in expand_prims(scene))
-    assert {tag: scene.count(tag) for tag in drawn} == drawn
+    assert {tag: count_drawn(scene, tag) for tag in drawn} == drawn
 
 
 @pytest.mark.parametrize("format", ["svg", "tikz"])
@@ -726,10 +728,11 @@ def _assert_matches_reference(scene, format):
 def test_embedding_emission_matches_per_element_reference(shape, format):
     heatmap, count = EMBEDDING_SHAPES[shape]
     data = EmbeddingFigureData(points=_seeded_points(len(shape), count), heatmap=heatmap)
+    cells = 0 if heatmap is None else len(heatmap) * len(heatmap[0])
     for style in STYLE_VARIANTS:
         scene = build_scene(FigureSpec(FigureKind.EMBEDDING, data, style))
-        assert scene.count("embed-point") == count
-        assert scene.count("heatmap-cell") == (0 if heatmap is None else len(heatmap) * len(heatmap[0]))
+        assert count_drawn(scene, "embed-point") == count
+        assert count_drawn(scene, "heatmap-cell") == cells
         _assert_matches_reference(scene, format)
 
 
@@ -749,16 +752,15 @@ def test_every_kind_matches_per_element_reference(format):
 
 def test_heatmap_fills_follow_matrix_order():
     rows = ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
-    (cells,) = build_scene(FigureSpec(FigureKind.EMBEDDING, EmbeddingFigureData(heatmap=rows))).tagged(
-        "heatmap-cell"
-    )
+    scene = build_scene(FigureSpec(FigureKind.EMBEDDING, EmbeddingFigureData(heatmap=rows)))
+    (cells,) = tagged(scene, "heatmap-cell")
     assert cells.cols == 3
     assert cells.fills == tuple(lerp_color(WHITE, PURPLE, v / 5.0) for row in rows for v in row)
 
 
 def test_embedding_points_are_one_circle():
     data = EmbeddingFigureData(points=_seeded_points(5, 600))
-    (dots,) = build_scene(FigureSpec(FigureKind.EMBEDDING, data)).tagged("embed-point")
+    (dots,) = tagged(build_scene(FigureSpec(FigureKind.EMBEDDING, data)), "embed-point")
     assert (len(dots.centers), dots.fill) == (600, BLUE)
 
 

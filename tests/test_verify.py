@@ -23,10 +23,10 @@ from twobytwo.core import (
 from twobytwo.equilibria import (
     Box,
     NashSet,
-    _matrix_rank,
     cce_polytope,
     nash_product_joints,
 )
+from twobytwo.verify import _matrix_rank
 
 
 def test_suite_passes_on_seeded_games():

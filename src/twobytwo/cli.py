@@ -37,7 +37,7 @@ from .render import (
     load_points,
     render_figure,
 )
-from .render.figures import _BUILDERS
+from .render.figures import FORMATS, _BUILDERS
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -69,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
     render = commands.add_parser("render", help="emit one figure as TikZ or SVG")
     render.add_argument("payoffs", nargs="*", help="payoff or probability literals (arity depends on --kind)")
     render.add_argument("--kind", required=True, choices=sorted(k.value for k in FigureKind))
-    render.add_argument("--format", choices=("tikz", "svg"), default=None)
+    render.add_argument("--format", choices=FORMATS, default=None)
     render.add_argument("-o", "--output", required=True, metavar="PATH")
     render.add_argument("--points", metavar="PATH", help="two-column point file (embedding only)")
     render.add_argument("--matrix", metavar="PATH", help="heatmap matrix file (embedding only)")

@@ -398,18 +398,18 @@ def _contains_box(outer: tuple, inner: tuple) -> bool:
 
 
 def _normalize(boxes: list[tuple]) -> list[tuple]:
-    """Drop nested and repeated boxes; sorted by (p_low, p_high, q_low, q_high).
+    """Drop nested boxes; sorted by (p_low, p_high, q_low, q_high).
 
-    No two boxes left could merge into one: on every one of the 81 sign
-    patterns, no two maximal pieces share the interval on one axis and touch
-    on the other (`test_sign_tables_match_per_call_code` compares the result
-    with a normalisation that merges such pairs).
+    Two conditions hold on every one of the 81 sign patterns, and
+    `test_sign_tables_match_per_call_code` compares the result with a
+    normalisation that does not rely on them: each piece that occurs twice is
+    also nested in a larger piece, so no repeat is left; and no two maximal
+    pieces share the interval on one axis and touch on the other, so no two
+    boxes left could merge into one.
     """
-    kept: list[tuple] = []
-    for box in boxes:
-        if not any(other != box and _contains_box(other, box) for other in boxes) and box not in kept:
-            kept.append(box)
-    return sorted(kept)
+    return sorted(
+        box for box in boxes if not any(other != box and _contains_box(other, box) for other in boxes)
+    )
 
 
 @functools.cache

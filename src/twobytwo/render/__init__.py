@@ -10,7 +10,6 @@ from .figures import (
     build_scene,
     render_embedding,
     render_figure,
-    render_polytope,
 )
 from .files import load_matrix, load_points, save_matrix, save_points
 from .style import StyleOptions

@@ -33,19 +33,16 @@ from ..embedding import EmbeddingPoint
 from ..equilibria import cce_polytope, nash_set
 from ..graphs import BRGraph, br_graph, class_from_br_graph, ordinal_graph
 from .canvas import ArrowLine, Circle, Heatmap, Line, Rect, Scene, Text
-from .geometry import (
-    Projection,
-    TETRA_EDGES,
-    TETRAHEDRON,
-    hidden_tetra_edges,
-    simplex_position,
-)
+from .geometry import HIDDEN_TETRA_EDGES, TETRA_EDGES, TETRAHEDRON, project, simplex_position
 from .style import (
     BLACK,
     BLUE,
     GRAY,
     LIGHT_GRAY,
+    PLAYER_COLORS,
     PURPLE,
+    SIZE_PT,
+    STROKE_WIDTH_PT,
     WHITE,
     StyleOptions,
     lerp_color,
@@ -109,29 +106,29 @@ class FigureSpec:
 # --- distribution glyphs --------------------------------------------------------
 
 
-def _joint_cells(scene: Scene, dist: JointDistribution, style: StyleOptions, cell, y0) -> None:
+def _joint_cells(scene: Scene, dist: JointDistribution, cell, y0) -> None:
     """The four joint cells, shaded by probability, with the bottom row at `y0`."""
     for idx, prob in enumerate(dist.prob):
         r, c = divmod(idx, 2)
         scene.add(
             Rect(x=c * cell, y=y0 + (1 - r) * cell, w=cell, h=cell,
                  fill=shade(BLACK, float(prob)), stroke=BLACK,
-                 width=style.stroke_width_pt, tag="joint-cell")
+                 width=STROKE_WIDTH_PT, tag="joint-cell")
         )
 
 
 def _build_joint(dist: JointDistribution, style: StyleOptions) -> Scene:
-    s = style.size_pt
+    s = SIZE_PT
     scene = Scene(width=s, height=s)
-    _joint_cells(scene, dist, style, s / 2.0, 0.0)
+    _joint_cells(scene, dist, s / 2.0, 0.0)
     return scene
 
 
 def _build_conditional(dist: JointDistribution, style: StyleOptions, player: Player) -> Scene:
-    s = style.size_pt
+    s = SIZE_PT
     cell = s / 2.0
     scene = Scene(width=s, height=s)
-    color = style.player_colors[player.value]
+    color = PLAYER_COLORS[player.value]
     for which, row in enumerate(conditional(dist, player).rows):
         for other in range(2):
             r, c = (which, other) if player is Player.ROW else (other, which)
@@ -141,34 +138,34 @@ def _build_conditional(dist: JointDistribution, style: StyleOptions, player: Pla
                 fill, stroke, tag = shade(color, float(row[other])), BLACK, "cond-cell"
             scene.add(
                 Rect(x=c * cell, y=(1 - r) * cell, w=cell, h=cell, fill=fill,
-                     stroke=stroke, width=style.stroke_width_pt, tag=tag)
+                     stroke=stroke, width=STROKE_WIDTH_PT, tag=tag)
             )
     return scene
 
 
 def _build_marginal(dist: JointDistribution, style: StyleOptions, with_joint: bool = False) -> Scene:
     """Marginal bars right of and below the joint square, which is drawn only `with_joint`."""
-    s = style.size_pt
+    s = SIZE_PT
     bar = 0.22 * s
     joint_side = s - bar - 0.06 * s
     cell = joint_side / 2.0
     gap = 0.06 * joint_side
     scene = Scene(width=s, height=s)
     if with_joint:
-        _joint_cells(scene, dist, style, cell, bar + gap)
+        _joint_cells(scene, dist, cell, bar + gap)
     m = marginals_from_joint(dist)
-    row_color, col_color = style.player_colors
+    row_color, col_color = PLAYER_COLORS
     for r, prob in enumerate((m.row_prob_a, 1 - m.row_prob_a)):
         scene.add(
             Rect(x=joint_side + gap, y=bar + gap + (1 - r) * cell, w=bar, h=cell,
                  fill=shade(row_color, float(prob)), stroke=BLACK,
-                 width=style.stroke_width_pt, tag="marginal-row-cell")
+                 width=STROKE_WIDTH_PT, tag="marginal-row-cell")
         )
     for c, prob in enumerate((m.col_prob_a, 1 - m.col_prob_a)):
         scene.add(
             Rect(x=c * cell, y=0.0, w=cell, h=bar,
                  fill=shade(col_color, float(prob)), stroke=BLACK,
-                 width=style.stroke_width_pt, tag="marginal-col-cell")
+                 width=STROKE_WIDTH_PT, tag="marginal-col-cell")
         )
     return scene
 
@@ -177,12 +174,12 @@ def _build_marginal(dist: JointDistribution, style: StyleOptions, with_joint: bo
 
 
 def _build_payoff_table(game: Game, style: StyleOptions) -> Scene:
-    s = style.size_pt
+    s = SIZE_PT
     header = 0.18 * s
     side = s - header
     cell = side / 2.0
     scene = Scene(width=s, height=s)
-    row_color, col_color = style.player_colors
+    row_color, col_color = PLAYER_COLORS
     font = 0.11 * s
 
     for r in range(2):
@@ -190,7 +187,7 @@ def _build_payoff_table(game: Game, style: StyleOptions) -> Scene:
             x0, y0 = header + c * cell, (1 - r) * cell
             scene.add(
                 Rect(x=x0, y=y0, w=cell, h=cell, fill=None, stroke=BLACK,
-                     width=style.stroke_width_pt, tag="payoff-cell")
+                     width=STROKE_WIDTH_PT, tag="payoff-cell")
             )
             cx, cy = x0 + cell / 2.0, y0 + cell / 2.0
             scene.add(
@@ -268,7 +265,7 @@ def _add_nodes(scene: Scene, positions, size: float) -> None:
 
 
 def _build_ord_graph(game: Game, style: StyleOptions) -> Scene:
-    s = style.size_pt
+    s = SIZE_PT
     positions = _node_positions(s)
     scene = Scene(width=s, height=s)
     _add_nodes(scene, positions, s)
@@ -276,7 +273,7 @@ def _build_ord_graph(game: Game, style: StyleOptions) -> Scene:
     for player in (Player.ROW, Player.COL):
         graph = ordinal_graph(game, player)
         sign = 1.0 if player is Player.ROW else -1.0
-        color = style.player_colors[player.value]
+        color = PLAYER_COLORS[player.value]
         for lo, hi in graph.edges:
             a, b = _offset(positions[lo], positions[hi], sign * 0.02 * s)
             a, b = _shorten(a, b, trim)
@@ -284,7 +281,7 @@ def _build_ord_graph(game: Game, style: StyleOptions) -> Scene:
                 ArrowLine(
                     x1=a[0], y1=a[1], x2=b[0], y2=b[1],
                     color=color,
-                    width=style.stroke_width_pt,
+                    width=STROKE_WIDTH_PT,
                     tag=f"ord-edge-{'row' if player is Player.ROW else 'col'}",
                 )
             )
@@ -292,7 +289,7 @@ def _build_ord_graph(game: Game, style: StyleOptions) -> Scene:
 
 
 def _build_br_graph(game: Game, style: StyleOptions) -> Scene:
-    s = style.size_pt
+    s = SIZE_PT
     positions = _node_positions(s)
     scene = Scene(width=s, height=s)
     _add_nodes(scene, positions, s)
@@ -315,7 +312,7 @@ def _build_br_graph(game: Game, style: StyleOptions) -> Scene:
             ArrowLine(
                 x1=a[0], y1=a[1], x2=b[0], y2=b[1],
                 color=BLACK,
-                width=style.stroke_width_pt * 1.4,
+                width=STROKE_WIDTH_PT * 1.4,
                 tag="br-edge",
             )
         )
@@ -340,21 +337,21 @@ def _fit_to_canvas(points_2d, size: float, margin: float):
     return place
 
 
+# The canvas map of the projected simplex, and the canvas positions of its corners.
+_PLACE = _fit_to_canvas([project(v) for v in TETRAHEDRON], SIZE_PT, 0.12 * SIZE_PT)
+_CORNERS = tuple(_PLACE(project(v)) for v in TETRAHEDRON)
+
 # Where a full 2D Nash component draws its iso-probability rules, both ways.
 _ISO_FRACTIONS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
 
 def _build_polytope(game: Game, style: StyleOptions) -> Scene:
-    s = style.size_pt
-    width = style.stroke_width_pt
+    s = SIZE_PT
+    width = STROKE_WIDTH_PT
     scene = Scene(width=s, height=s)
-    projection = Projection(style.camera_azimuth_deg, style.camera_elevation_deg)
-    place = _fit_to_canvas([projection.project(v) for v in TETRAHEDRON], s, 0.12 * s)
-    corners = [place(projection.project(v)) for v in TETRAHEDRON]
-    hidden = hidden_tetra_edges(projection)
 
     def at(prob) -> tuple[float, float]:
-        return place(projection.project(simplex_position(tuple(float(x) for x in prob))))
+        return _PLACE(project(simplex_position(tuple(float(x) for x in prob))))
 
     def at_marginals(p: Fraction, q: Fraction) -> tuple[float, float]:
         return at(product_joint(MarginalPair(p, q)).prob)
@@ -364,8 +361,8 @@ def _build_polytope(game: Game, style: StyleOptions) -> Scene:
                        width=line_width, dashed=dashed, tag=tag))
 
     for i, j in TETRA_EDGES:
-        if (i, j) in hidden:
-            line(corners[i], corners[j], LIGHT_GRAY, width * 0.8, "tetra-edge-hidden", dashed=True)
+        if (i, j) in HIDDEN_TETRA_EDGES:
+            line(_CORNERS[i], _CORNERS[j], LIGHT_GRAY, width * 0.8, "tetra-edge-hidden", dashed=True)
 
     polytope = cce_polytope(game)
     vertex_xy = [at(v.prob) for v in polytope.vertices]
@@ -390,13 +387,13 @@ def _build_polytope(game: Game, style: StyleOptions) -> Scene:
                      BLUE, width * 0.9, "ne-surface", dashed=True)
 
     for i, j in TETRA_EDGES:
-        if (i, j) not in hidden:
-            line(corners[i], corners[j], BLACK, width, "tetra-edge")
+        if (i, j) not in HIDDEN_TETRA_EDGES:
+            line(_CORNERS[i], _CORNERS[j], BLACK, width, "tetra-edge")
 
     if style.show_axes_labels:
-        center_x = sum(c[0] for c in corners) / 4.0
-        center_y = sum(c[1] for c in corners) / 4.0
-        for label, (x, y) in zip(("AA", "AB", "BA", "BB"), corners):
+        center_x = sum(c[0] for c in _CORNERS) / 4.0
+        center_y = sum(c[1] for c in _CORNERS) / 4.0
+        for label, (x, y) in zip(("AA", "AB", "BA", "BB"), _CORNERS):
             dx, dy = x - center_x, y - center_y
             norm = math.hypot(dx, dy) or 1.0
             scene.add(
@@ -426,7 +423,7 @@ def _cell_class_name(xq: int, yq: int) -> str:
 
 
 def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:
-    s = style.size_pt
+    s = SIZE_PT
     margin = 0.14 * s
     plot = s - margin - 0.06 * s
     scene = Scene(width=s, height=s)
@@ -465,24 +462,24 @@ def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:
         x1, y1 = at(angle, 360.0)
         scene.add(
             Line(x1=x0, y1=y0, x2=x1, y2=y1, color=LIGHT_GRAY,
-                 width=style.stroke_width_pt * 0.6, tag="grid"),
+                 width=STROKE_WIDTH_PT * 0.6, tag="grid"),
             Line(x1=at(0.0, angle)[0], y1=at(0.0, angle)[1],
                  x2=at(360.0, angle)[0], y2=at(360.0, angle)[1],
-                 color=LIGHT_GRAY, width=style.stroke_width_pt * 0.6, tag="grid"),
+                 color=LIGHT_GRAY, width=STROKE_WIDTH_PT * 0.6, tag="grid"),
         )
     scene.add(
         Rect(x=margin, y=margin, w=plot, h=plot, fill=None, stroke=BLACK,
-             width=style.stroke_width_pt, tag="frame")
+             width=STROKE_WIDTH_PT, tag="frame")
     )
 
     tick_len = 0.015 * s
     for angle in (0.0, 90.0, 180.0, 270.0, 360.0):
         x, _ = at(angle, 0.0)
         scene.add(Line(x1=x, y1=margin, x2=x, y2=margin - tick_len,
-                       color=BLACK, width=style.stroke_width_pt * 0.8, tag="tick"))
+                       color=BLACK, width=STROKE_WIDTH_PT * 0.8, tag="tick"))
         _, y = at(0.0, angle)
         scene.add(Line(x1=margin, y1=y, x2=margin - tick_len, y2=y,
-                       color=BLACK, width=style.stroke_width_pt * 0.8, tag="tick"))
+                       color=BLACK, width=STROKE_WIDTH_PT * 0.8, tag="tick"))
         if style.show_tick_labels:
             label = str(int(angle))
             scene.add(
@@ -557,10 +554,6 @@ def render_figure(spec: FigureSpec, format: str) -> str:
         )
     scene = build_scene(spec)
     return to_tikz(scene) if format == "tikz" else to_svg(scene)
-
-
-def render_polytope(game: Game, style: StyleOptions = StyleOptions(), format: str = "svg") -> str:
-    return render_figure(FigureSpec(FigureKind.POLYTOPE, game, style), format)
 
 
 def angle_pairs(points) -> tuple[tuple[float, float], ...]:

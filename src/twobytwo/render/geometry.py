@@ -1,10 +1,13 @@
-"""Simplex placement and the perspective projection used by polytope figures."""
+"""Simplex placement and the fixed perspective camera of polytope figures.
+
+The camera, its basis and the tetrahedron edges it cannot see are computed
+once, at import.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 Vec3 = tuple[float, float, float]
 
@@ -43,51 +46,35 @@ def _normalize(a: Vec3) -> Vec3:
     return (a[0] / n, a[1] / n, a[2] / n)
 
 
-# The camera's distance from the origin and the focal length of the projection.
+# The one perspective camera of every polytope figure, looking at the origin.
+CAMERA_AZIMUTH_DEG = -65.0
+CAMERA_ELEVATION_DEG = 18.0
 CAMERA_DISTANCE = 4.0
 FOCAL_LENGTH = 2.4
 
-
-@dataclass(frozen=True)
-class Projection:
-    """Perspective camera looking at the origin from (azimuth, elevation)."""
-
-    azimuth_deg: float
-    elevation_deg: float
-
-    @property
-    def camera(self) -> Vec3:
-        az = math.radians(self.azimuth_deg)
-        el = math.radians(self.elevation_deg)
-        return (
-            CAMERA_DISTANCE * math.cos(el) * math.cos(az),
-            CAMERA_DISTANCE * math.cos(el) * math.sin(az),
-            CAMERA_DISTANCE * math.sin(el),
-        )
-
-    def _basis(self) -> tuple[Vec3, Vec3, Vec3]:
-        cam = self.camera
-        forward = _normalize((-cam[0], -cam[1], -cam[2]))
-        world_up = (0.0, 0.0, 1.0)
-        side = _cross(forward, world_up)
-        if _dot(side, side) < 1e-12:  # looking straight up/down
-            world_up = (0.0, 1.0, 0.0)
-            side = _cross(forward, world_up)
-        right = _normalize(side)
-        up = _cross(right, forward)
-        return right, up, forward
-
-    def project(self, point: Vec3) -> tuple[float, float]:
-        cam = self.camera
-        right, up, forward = self._basis()
-        v = _sub(point, cam)
-        depth = _dot(v, forward)
-        return (FOCAL_LENGTH * _dot(v, right) / depth, FOCAL_LENGTH * _dot(v, up) / depth)
+_AZ = math.radians(CAMERA_AZIMUTH_DEG)
+_EL = math.radians(CAMERA_ELEVATION_DEG)
+CAMERA: Vec3 = (
+    CAMERA_DISTANCE * math.cos(_EL) * math.cos(_AZ),
+    CAMERA_DISTANCE * math.cos(_EL) * math.sin(_AZ),
+    CAMERA_DISTANCE * math.sin(_EL),
+)
+# The camera basis; at this elevation the forward vector is never parallel to
+# the world's up axis (0, 0, 1), so their cross product is a valid right vector.
+_FORWARD = _normalize((-CAMERA[0], -CAMERA[1], -CAMERA[2]))
+_RIGHT = _normalize(_cross(_FORWARD, (0.0, 0.0, 1.0)))
+_UP = _cross(_RIGHT, _FORWARD)
 
 
-def hidden_tetra_edges(projection: Projection) -> frozenset[tuple[int, int]]:
+def project(point: Vec3) -> tuple[float, float]:
+    """The point's position on the image plane of the fixed camera."""
+    v = _sub(point, CAMERA)
+    depth = _dot(v, _FORWARD)
+    return (FOCAL_LENGTH * _dot(v, _RIGHT) / depth, FOCAL_LENGTH * _dot(v, _UP) / depth)
+
+
+def _hidden_tetra_edges() -> frozenset[tuple[int, int]]:
     """Edges whose adjacent faces both face away from the camera."""
-    cam = projection.camera
     visible_faces = []
     for face in TETRA_FACES:
         a, b, c = (TETRAHEDRON[i] for i in face)
@@ -95,13 +82,16 @@ def hidden_tetra_edges(projection: Projection) -> frozenset[tuple[int, int]]:
         centroid = tuple((a[i] + b[i] + c[i]) / 3.0 for i in range(3))
         if _dot(normal, centroid) < 0:  # orient outward from the body center
             normal = (-normal[0], -normal[1], -normal[2])
-        visible_faces.append(_dot(normal, _sub(cam, centroid)) > 0)
+        visible_faces.append(_dot(normal, _sub(CAMERA, centroid)) > 0)
     hidden = []
     for edge in TETRA_EDGES:
         adjacent = [k for k, face in enumerate(TETRA_FACES) if set(edge) <= set(face)]
         if not any(visible_faces[k] for k in adjacent):
             hidden.append(edge)
     return frozenset(hidden)
+
+
+HIDDEN_TETRA_EDGES = _hidden_tetra_edges()
 
 
 def simplex_position(prob: tuple[float, float, float, float]) -> Vec3:

@@ -1,8 +1,7 @@
-"""Style options and deterministic numeric/color formatting for figure output."""
+"""The fixed figure style, its annotation toggles, and deterministic numeric/color formatting."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -16,37 +15,21 @@ PURPLE: Color = (128, 0, 128)   # correlated-equilibrium polytope
 BLUE: Color = (0, 70, 220)      # Nash markers
 
 
+# Every figure is drawn in one size, stroke width and pair of player colors
+# (black for the row player, gray for the column player).
+SIZE_PT = 120.0
+STROKE_WIDTH_PT = 0.8
+PLAYER_COLORS: tuple[Color, Color] = (BLACK, GRAY)
+
+
 @dataclass(frozen=True)
 class StyleOptions:
-    """Figure styling; defaults mirror the package-wide conventions.
+    """The three annotation toggles of a figure, set by the CLI's
+    `--no-axes-labels`, `--no-tick-labels` and `--no-best-response-names`."""
 
-    Player colors default to black (row) and gray (column).  The boolean
-    toggles correspond to the `no axes labels` / `no tick labels` /
-    `no best-response names` style switches.
-    """
-
-    size_pt: float = 120.0
-    stroke_width_pt: float = 0.8
-    player_colors: tuple[Color, Color] = (BLACK, GRAY)
     show_axes_labels: bool = True
     show_tick_labels: bool = True
     show_best_response_names: bool = True
-    camera_azimuth_deg: float = -65.0
-    camera_elevation_deg: float = 18.0
-
-    def __post_init__(self) -> None:
-        # Sizes and angles reach the output as numbers: a nan, inf or
-        # nonpositive size would be written as is, so such values are refused.
-        if not (math.isfinite(self.size_pt) and self.size_pt > 0):
-            raise ValueError(f"size_pt must be finite and > 0, got {self.size_pt!r}")
-        if not (math.isfinite(self.stroke_width_pt) and self.stroke_width_pt >= 0):
-            raise ValueError(f"stroke_width_pt must be finite and >= 0, got {self.stroke_width_pt!r}")
-        for name in ("camera_azimuth_deg", "camera_elevation_deg"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        # The backends key colors by value and format them as tuples, so
-        # colors given as lists are stored as (r, g, b) tuples.
-        object.__setattr__(self, "player_colors", tuple(tuple(color) for color in self.player_colors))
 
 
 def fmt(value: float) -> str:

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -454,3 +458,23 @@ def test_parser_reuse_timings_flag_does_not_carry_over(capsys):
     code, out, err = run_cli(capsys, "verify", "--seed", "7", "--trials", "1", "--timings")
     assert (code, out) == (0, "PASS 1/1\n") and err.startswith("timing ")
     assert run_cli(capsys, "verify", "--seed", "7", "--trials", "1") == (0, "PASS 1/1\n", "")
+
+
+def test_cli_examples_script(tmp_path):
+    """The CLI examples and pins that CI runs, as the same script: every pin
+    holds and each usage error exits with 2, so the script exits 0."""
+    env = dict(
+        os.environ,
+        PYTHONPATH="src",
+        RUNNER_TEMP=str(tmp_path),
+        PATH=os.pathsep.join((os.path.dirname(sys.executable), os.environ.get("PATH", ""))),
+    )
+    result = subprocess.run(
+        ["bash", "tests/cli_examples.sh"],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

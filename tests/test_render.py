@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from twobytwo import verify
-from twobytwo.core import game_from_flat, joint
+from twobytwo.core import MarginalPair, game_from_flat, joint, product_joint
 from twobytwo.embedding import embed
-from twobytwo.equilibria import cce_polytope
+from twobytwo.equilibria import cce_polytope, nash_set
 from twobytwo.render import (
     EmbeddingFigureData,
     FigureKind,
@@ -28,14 +29,23 @@ from twobytwo.render import (
     load_points,
     render_embedding,
     render_figure,
-    render_polytope,
     save_matrix,
     save_points,
 )
 from twobytwo.render.canvas import ArrowLine, Circle, Heatmap, Line, Rect, Text
-from twobytwo.render.figures import _fit_to_canvas
-from twobytwo.render.geometry import TETRAHEDRON, Projection, simplex_position
-from twobytwo.render.style import BLACK, BLUE, PURPLE, WHITE, fmt, hex_color, lerp_color, shade
+from twobytwo.render.figures import _ISO_FRACTIONS, _fit_to_canvas
+from twobytwo.render.geometry import HIDDEN_TETRA_EDGES, TETRAHEDRON, project, simplex_position
+from twobytwo.render.style import (
+    BLACK,
+    BLUE,
+    PURPLE,
+    SIZE_PT,
+    WHITE,
+    fmt,
+    hex_color,
+    lerp_color,
+    shade,
+)
 
 from conftest import (
     ALL_ZERO,
@@ -107,7 +117,7 @@ def test_random_polytope_svgs_well_formed():
 
     rng = random.Random(31)
     for _ in range(12):
-        ET.fromstring(render_polytope(verify.random_game(rng)))
+        ET.fromstring(render_figure(FigureSpec(FigureKind.POLYTOPE, verify.random_game(rng)), "svg"))
 
 
 def _balanced(text: str) -> bool:
@@ -137,12 +147,9 @@ def test_polytope_vertices_projected_exactly():
     game = game_from_flat(COORDINATION)
     style = StyleOptions()
     scene = build_scene(FigureSpec(FigureKind.POLYTOPE, game, style))
-    projection = Projection(style.camera_azimuth_deg, style.camera_elevation_deg)
-    place = _fit_to_canvas(
-        [projection.project(v) for v in TETRAHEDRON], style.size_pt, 0.12 * style.size_pt
-    )
+    place = _fit_to_canvas([project(v) for v in TETRAHEDRON], SIZE_PT, 0.12 * SIZE_PT)
     expected = [
-        place(projection.project(simplex_position(tuple(float(x) for x in v.prob))))
+        place(project(simplex_position(tuple(float(x) for x in v.prob))))
         for v in cce_polytope(game).vertices
     ]
     (dots,) = tagged(scene, "cce-vertex")
@@ -167,13 +174,107 @@ def test_tetrahedron_equidistant_and_hull_contains_vertices():
 
     rng = random.Random(37)
     games = [game_from_flat(COORDINATION)] + [verify.random_game(rng) for _ in range(10)]
-    style = StyleOptions()
-    projection = Projection(style.camera_azimuth_deg, style.camera_elevation_deg)
-    hull = _convex_hull([projection.project(v) for v in TETRAHEDRON])
+    hull = _convex_hull([project(v) for v in TETRAHEDRON])
     for game in games:
         for vertex in cce_polytope(game).vertices:
-            point = projection.project(simplex_position(tuple(float(x) for x in vertex.prob)))
+            point = project(simplex_position(tuple(float(x) for x in vertex.prob)))
             assert _inside_hull(hull, point)
+
+
+def _ref_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _ref_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _ref_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _ref_normalize(a):
+    n = math.sqrt(_ref_dot(a, a))
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
+@dataclass(frozen=True)
+class ReferenceProjection:
+    """A general perspective camera at distance 4 and focal length 2.4, looking
+    at the origin from (azimuth, elevation); camera and basis are computed on
+    every call."""
+
+    azimuth_deg: float
+    elevation_deg: float
+
+    @property
+    def camera(self):
+        az = math.radians(self.azimuth_deg)
+        el = math.radians(self.elevation_deg)
+        return (
+            4.0 * math.cos(el) * math.cos(az),
+            4.0 * math.cos(el) * math.sin(az),
+            4.0 * math.sin(el),
+        )
+
+    def _basis(self):
+        cam = self.camera
+        forward = _ref_normalize((-cam[0], -cam[1], -cam[2]))
+        world_up = (0.0, 0.0, 1.0)
+        side = _ref_cross(forward, world_up)
+        if _ref_dot(side, side) < 1e-12:  # looking straight up/down
+            world_up = (0.0, 1.0, 0.0)
+            side = _ref_cross(forward, world_up)
+        right = _ref_normalize(side)
+        up = _ref_cross(right, forward)
+        return right, up, forward
+
+    def project(self, point):
+        cam = self.camera
+        right, up, forward = self._basis()
+        v = _ref_sub(point, cam)
+        depth = _ref_dot(v, forward)
+        return (2.4 * _ref_dot(v, right) / depth, 2.4 * _ref_dot(v, up) / depth)
+
+
+def reference_hidden_tetra_edges(projection):
+    """Edges whose adjacent faces both face away from the camera."""
+    faces = tuple(itertools.combinations(range(4), 3))
+    cam = projection.camera
+    visible_faces = []
+    for face in faces:
+        a, b, c = (TETRAHEDRON[i] for i in face)
+        normal = _ref_cross(_ref_sub(b, a), _ref_sub(c, a))
+        centroid = tuple((a[i] + b[i] + c[i]) / 3.0 for i in range(3))
+        if _ref_dot(normal, centroid) < 0:
+            normal = (-normal[0], -normal[1], -normal[2])
+        visible_faces.append(_ref_dot(normal, _ref_sub(cam, centroid)) > 0)
+    return frozenset(
+        edge
+        for edge in itertools.combinations(range(4), 2)
+        if not any(visible for face, visible in zip(faces, visible_faces) if set(edge) <= set(face))
+    )
+
+
+def test_fixed_camera_matches_general_projection_exactly():
+    """The fixed camera projects every point that a polytope figure of a
+    quadruple game in {-3..3}^4 places (its CCE vertices and the product
+    joints of its Nash components) to the same floats as a general camera at
+    (-65, 18) degrees, and hides the same tetrahedron edges."""
+    reference = ReferenceProjection(-65.0, 18.0)
+    assert HIDDEN_TETRA_EDGES == reference_hidden_tetra_edges(reference)
+    probs = set()
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        game = game_from_flat((a, b, 0, 0, c, 0, d, 0))
+        probs.update(vertex.prob for vertex in cce_polytope(game).vertices)
+        for box in nash_set(game).components:
+            ps = {box.p_low + t * (box.p_high - box.p_low) for t in _ISO_FRACTIONS}
+            qs = {box.q_low + t * (box.q_high - box.q_low) for t in _ISO_FRACTIONS}
+            probs.update(product_joint(MarginalPair(p, q)).prob for p in ps for q in qs)
+    points = list(TETRAHEDRON) + [simplex_position(tuple(float(x) for x in prob)) for prob in probs]
+    assert len(points) > 4
+    for point in points:
+        assert project(point) == reference.project(point), point
 
 
 def _convex_hull(points):
@@ -280,7 +381,7 @@ def test_embedding_point_at_atan2_angles():
     )
     (dots,) = tagged(scene, "embed-point")
     assert len(dots.centers) == 1
-    s = style.size_pt
+    s = SIZE_PT
     margin, plot = 0.14 * s, s - 0.14 * s - 0.06 * s
     assert dots.centers[0][0] == pytest.approx(margin + angle / 360.0 * plot)
 
@@ -322,51 +423,6 @@ def test_style_toggles_remove_annotations():
 
 
 # --- errors and files ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("format", ["svg", "tikz"])
-def test_player_colors_given_as_lists(format):
-    game = game_from_flat(COORDINATION)
-    as_lists = StyleOptions(player_colors=([0, 0, 0], [128, 128, 128]))
-    assert as_lists == StyleOptions()
-    for kind in (FigureKind.PAYOFF_TABLE, FigureKind.ORD_GRAPH):
-        assert render_figure(FigureSpec(kind, game, as_lists), format) == render_figure(
-            FigureSpec(kind, game), format
-        )
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("size_pt", float("nan")),
-        ("size_pt", float("inf")),
-        ("size_pt", 0.0),
-        ("size_pt", -5.0),
-        ("stroke_width_pt", float("nan")),
-        ("stroke_width_pt", float("inf")),
-        ("stroke_width_pt", -0.5),
-        ("camera_azimuth_deg", float("nan")),
-        ("camera_azimuth_deg", float("-inf")),
-        ("camera_elevation_deg", float("nan")),
-        ("camera_elevation_deg", float("inf")),
-    ],
-)
-def test_style_options_reject_bad_numbers(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
-        StyleOptions(**{field: value})
-
-
-def test_style_options_accept_edge_numbers():
-    style = StyleOptions(
-        size_pt=1e-3, stroke_width_pt=0.0, camera_azimuth_deg=-720.0, camera_elevation_deg=90.0
-    )
-    for kind, payload in (
-        (FigureKind.JOINT, joint((".4", ".3", ".1", ".2"))),
-        (FigureKind.POLYTOPE, game_from_flat(COORDINATION)),
-    ):
-        svg = render_figure(FigureSpec(kind, payload, style), "svg")
-        ET.fromstring(svg)
-        assert not re.search("nan|inf", svg)
 
 
 def test_unsupported_format_rejected():

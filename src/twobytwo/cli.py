@@ -42,6 +42,9 @@ from .render.figures import FORMATS, _BUILDERS
 EXIT_OK = 0
 EXIT_FAILURE = 1
 
+#: The `br_graph` report line's letter for each edge's sign.
+_PREFERENCE_LETTERS = {1: "A", -1: "B", 0: "-"}
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that takes every token starting "-digit" or "-.digit" as a
@@ -104,8 +107,7 @@ def _parse_rationals(parser: argparse.ArgumentParser, tokens, count: int, what: 
 def _analysis_report(game: Game) -> str:
     lines = ["game " + " ".join(format_rational(v) for v in game_to_flat(game))]
 
-    graph = br_graph(game)
-    prefs = " ".join("-" if f is None else "AB"[f] for f in graph.fields())
+    prefs = " ".join(_PREFERENCE_LETTERS[f] for f in br_graph(game))
     lines.append(f"br_graph {prefs}")
     cls = br_class(game)
     lines.append(f"br_class {cls.index} {cls.name}")

@@ -236,10 +236,17 @@ def advantages(game: Game) -> tuple[int, int, int, int]:
     with the signs, zeros and ratio of the differences:
     `integerize((r0 - r2, r1 - r3)) + integerize((c0 - c1, c2 - c3))`.  It is
     computed once per `Game`, when the game is built.  The best-response
-    graph is their signs, the embedding their reduced directions, and the
+    graph is their `signs`, the embedding their reduced directions, and the
     Nash set and the CCE constraints are functions of them.
     """
     return game._advantages
+
+
+def signs(adv: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The sign (1, -1 or 0) of each advantage: the best-response graph, and the
+    key of the equilibrium tables."""
+    a, b, c, d = adv
+    return (a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0), (d > 0) - (d < 0)
 
 
 def integerize(values: Iterable[Fraction]) -> tuple[int, ...]:

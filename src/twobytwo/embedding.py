@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ADVANTAGE_ACTION, Game, advantages
-from .graphs import BRClass, BRGraph, _preference, class_from_br_graph
+from .core import ADVANTAGE_ACTION, Game, advantages, signs
+from .graphs import BRClass, BRGraph, class_from_br_graph
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,12 @@ def embed(game: Game) -> EmbeddingPoint:
     return EmbeddingPoint(row_direction=_direction(a, b), col_direction=_direction(c, d))
 
 
-def br_graph_of_embedding(point: EmbeddingPoint) -> BRGraph:
-    """The sign pattern of the directions is exactly the best-response graph."""
+def class_of_embedding(point: EmbeddingPoint) -> BRClass:
+    """Equals br_class of any game with this embedding: the signs of the
+    direction components are exactly its best-response graph."""
     row = point.row_direction or (0, 0)
     col = point.col_direction or (0, 0)
-    return BRGraph(*map(_preference, row + col))
-
-
-def class_of_embedding(point: EmbeddingPoint) -> BRClass:
-    """Equals br_class of any game with this embedding."""
-    return class_from_br_graph(br_graph_of_embedding(point))
+    return class_from_br_graph(BRGraph(*signs(row + col)))
 
 
 def permute_embedding(

@@ -20,13 +20,14 @@ The four CCE inequalities are also written, independently of those rows, in
 numerators.  For two-action games the correlated and coarse-correlated sets
 coincide, so this polytope serves as both.
 
-One type per sign pattern.  Let s be the signs of (a, b, c, d) =
-`advantages(game)`.  Both equilibrium sets take their combinatorial type
-from s alone, so each is looked up in a table keyed by s (`_nash_type`,
-`_cce_type`; at most 3**4 = 81 entries each), and a call does only the
-magnitude arithmetic.  For the Nash set this is plain: `_reaction_boxes`
-decides on signs, and only the indifference points b / (b - a) and
-d / (d - c) read magnitudes.  For the CCE polytope:
+One type per sign pattern.  Let s = `core.signs((a, b, c, d))`, the signs
+of `advantages(game)`: the same 4-tuple that `graphs.br_graph` returns as
+the game's best-response graph.  Both equilibrium sets take their
+combinatorial type from s alone, so each is looked up in a table keyed by s
+(`_nash_type`, `_cce_type`; at most 3**4 = 81 entries each), and a call does
+only the magnitude arithmetic.  For the Nash set this is plain:
+`_reaction_boxes` decides on signs, and only the indifference points
+b / (b - a) and d / (d - c) read magnitudes.  For the CCE polytope:
 
 - Candidates.  The deviation rows are (0, 0, a, b), (-a, -b, 0, 0),
   (0, c, 0, d) and (-c, 0, -d, 0).  The walk crosses a cycle edge only when
@@ -93,6 +94,7 @@ from .core import (
     advantages,
     best_response_set,
     product_joint,
+    signs,
 )
 
 _ZERO = Fraction(0)
@@ -270,13 +272,8 @@ def _cycle_vertex_numerators(rows: tuple) -> dict[tuple[int, ...], tuple[int, in
     return found
 
 
-def _signs(adv: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    a, b, c, d = adv
-    return (a > 0) - (a < 0), (b > 0) - (b < 0), (c > 0) - (c < 0), (d > 0) - (d < 0)
-
-
 @functools.cache
-def _cce_type(signs: tuple[int, int, int, int]):
+def _cce_type(s: tuple[int, int, int, int]):
     """The combinatorial type of the CCE polytope for one sign pattern.
 
     Returns each vertex as a run (start, length), the edges as index pairs
@@ -286,7 +283,7 @@ def _cce_type(signs: tuple[int, int, int, int]):
     vertex is uniform on its support; see the module docstring for why the
     type is the same for every magnitude, and for the dimension.
     """
-    rows = _rows(*signs)
+    rows = _rows(*s)
     run_of = _cycle_vertex_numerators(rows)
     found = sorted(run_of)
     tight_sets = [
@@ -337,7 +334,7 @@ def cce_polytope(game: Game) -> CcePolytope:
     lies on the nonnegative side of every halfspace row.
     """
     adv = advantages(game)
-    runs, edges, dimension, finished = _cce_type(_signs(adv))
+    runs, edges, dimension, finished = _cce_type(signs(adv))
     if finished is not None:
         return finished
     a, b, c, d = map(abs, adv)
@@ -413,7 +410,7 @@ def _normalize(boxes: list[tuple]) -> list[tuple]:
 
 
 @functools.cache
-def _nash_type(signs: tuple[int, int, int, int]):
+def _nash_type(s: tuple[int, int, int, int]):
     """The Nash components for one sign pattern, as endpoint ranks.
 
     Returns the normalized rank boxes, whether any uses the p and the q
@@ -421,7 +418,7 @@ def _nash_type(signs: tuple[int, int, int, int]):
     does, else None.  The rank-box algebra runs on the signs as advantages:
     `_reaction_boxes` decides on signs only.
     """
-    sa, sb, sc, sd = signs
+    sa, sb, sc, sd = s
     row_boxes, col_boxes = _reaction_boxes(sa, sb), _reaction_boxes(sc, sd)
     pieces = []
     for p_low, p_high, q_low, q_high in row_boxes:
@@ -460,7 +457,7 @@ def nash_set(game: Game) -> NashSet:
     `Box`es.
     """
     adv = advantages(game)
-    ranks, uses_p, uses_q, finished = _nash_type(_signs(adv))
+    ranks, uses_p, uses_q, finished = _nash_type(signs(adv))
     if finished is not None:
         return finished
     a, b, c, d = adv

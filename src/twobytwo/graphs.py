@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ADVANTAGE_ACTION,
@@ -14,6 +15,7 @@ from .core import (
     Player,
     advantages,
     permute_cells,
+    signs,
 )
 
 
@@ -30,26 +32,22 @@ class OrdinalGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class BRGraph:
-    """Four tri-state preference edges: 0 = prefers A, 1 = prefers B, None = indifferent."""
+class BRGraph(NamedTuple):
+    """Four tri-state preference edges, each the sign of its advantage
+    (`core.signs`): 1 = prefers A, -1 = prefers B, 0 = indifferent.
 
-    row_given_col_a: int | None
-    row_given_col_b: int | None
-    col_given_row_a: int | None
-    col_given_row_b: int | None
+    The graph is the 4-tuple that keys the equilibrium tables of `equilibria`.
+    """
 
-    def fields(self) -> tuple[int | None, int | None, int | None, int | None]:
-        return (
-            self.row_given_col_a,
-            self.row_given_col_b,
-            self.col_given_row_a,
-            self.col_given_row_b,
-        )
+    row_given_col_a: int
+    row_given_col_b: int
+    col_given_row_a: int
+    col_given_row_b: int
 
     def encode(self) -> tuple[int, int, int, int]:
         """Total order over the 81 graphs: A < B < indifferent, fieldwise."""
-        return tuple(2 if f is None else f for f in self.fields())
+        # Indexed by the sign: 1 -> 0, -1 -> 1, 0 -> 2.
+        return tuple((2, 0, 1)[f] for f in self)
 
 
 @dataclass(frozen=True)
@@ -106,19 +104,10 @@ def ordinal_graph(game: Game, player: Player) -> OrdinalGraph:
     return OrdinalGraph(levels=levels, edges=edges)
 
 
-def _preference(better_for_a: int) -> int | None:
-    """The preference edge an advantage of A over B gives: A, B, or indifferent."""
-    if better_for_a > 0:
-        return 0
-    if better_for_a < 0:
-        return 1
-    return None
-
-
 def br_graph(game: Game) -> BRGraph:
     """Strict pairwise payoff comparisons, one per player per opposing action:
     the signs of the integer advantages."""
-    return BRGraph(*map(_preference, advantages(game)))
+    return BRGraph(*signs(advantages(game)))
 
 
 def permute_br_graph(
@@ -130,20 +119,18 @@ def permute_br_graph(
     """Symmetry action on BR graphs, mirroring `core.permute` exactly.
 
     Each edge is the sign of an advantage, so it moves as `core.ADVANTAGE_ACTION`
-    moves that advantage; a negated advantage prefers the other action.
+    moves that advantage, as `embedding.permute_embedding` moves the direction
+    components: a negated advantage prefers the other action.
     """
-    fields = graph.fields()
     return BRGraph(*(
-        fields[k] if sign > 0 or fields[k] is None else 1 - fields[k]
+        sign * graph[k]
         for k, sign in ADVANTAGE_ACTION[swap_row_actions, swap_col_actions, swap_players]
     ))
 
 
 def all_br_graphs() -> tuple[BRGraph, ...]:
-    states = (0, 1, None)
-    return tuple(
-        BRGraph(*fields) for fields in itertools.product(states, repeat=4)
-    )
+    """The 81 graphs, in `encode` order."""
+    return tuple(BRGraph(*edges) for edges in itertools.product((1, -1, 0), repeat=4))
 
 
 def _orbit(graph: BRGraph) -> set[BRGraph]:

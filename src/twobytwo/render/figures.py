@@ -304,9 +304,9 @@ def _build_br_graph(game: Game, style: StyleOptions) -> Scene:
         (graph.col_given_row_b, 2, 3),  # horizontal, bottom row: BA <-> BB
     )
     for pref, cell_of_a, cell_of_b in edges:
-        if pref is None:
+        if pref == 0:
             continue
-        src, dst = (cell_of_b, cell_of_a) if pref == 0 else (cell_of_a, cell_of_b)
+        src, dst = (cell_of_b, cell_of_a) if pref == 1 else (cell_of_a, cell_of_b)
         a, b = _shorten(positions[src], positions[dst], trim)
         scene.add(
             ArrowLine(
@@ -413,13 +413,13 @@ def _build_polytope(game: Game, style: StyleOptions) -> Scene:
 # --- embedding -----------------------------------------------------------------------
 
 
-_QUADRANT_PREFS = ((0, 0), (1, 0), (1, 1), (0, 1))
+#: One player's two best-response edges in each quadrant of the angle plane:
+#: the signs of the direction's components there.
+_QUADRANT_PREFS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
 
 def _cell_class_name(xq: int, yq: int) -> str:
-    f1, f2 = _QUADRANT_PREFS[xq]
-    f3, f4 = _QUADRANT_PREFS[yq]
-    return class_from_br_graph(BRGraph(f1, f2, f3, f4)).name
+    return class_from_br_graph(BRGraph(*_QUADRANT_PREFS[xq], *_QUADRANT_PREFS[yq])).name
 
 
 def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:

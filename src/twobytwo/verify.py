@@ -436,7 +436,11 @@ def check_game(
     combos: int = 100,
     timings: dict[str, tuple[int, int]] | None = None,
 ) -> list[str]:
-    """Run every check on one game; add each check's (calls, total ns) to `timings`."""
+    """Run every check on one game; add each check's (calls, total ns) to `timings`.
+
+    An exception inside a check becomes one failure message naming the check,
+    so the trial fails with its game instead of ending the run.
+    """
     checks = (
         ("check_ne_grid", lambda: check_ne_grid(game)),
         ("check_ne_samples", lambda: check_ne_samples(game, rng)),
@@ -448,7 +452,10 @@ def check_game(
     failures = []
     for name, check in checks:
         start = time.perf_counter_ns()
-        failures += check()
+        try:
+            failures += check()
+        except Exception as exc:
+            failures.append(f"{name} raised {type(exc).__name__}: {exc}")
         if timings is not None:
             calls, total_ns = timings.get(name, (0, 0))
             timings[name] = (calls + 1, total_ns + time.perf_counter_ns() - start)

@@ -15,6 +15,12 @@ grep -qx 'cce_dimension 0' "$RUNNER_TEMP/pd.txt"
 python -m twobytwo analyze -1 -1 0 0 -1 0 0 0 > "$RUNNER_TEMP/segment.txt"
 grep -qx 'cce_dimension 1' "$RUNNER_TEMP/segment.txt"
 test "$(grep '^cce_edge ' "$RUNNER_TEMP/segment.txt")" = "cce_edge 0 1"
+# The best-response graph is the signs of the four advantages, written
+# A (positive), B (negative) and - (zero), and its class follows from it.
+grep -qx 'br_graph B B B B' "$RUNNER_TEMP/pd.txt"
+grep -qx 'br_class 1 class-1' "$RUNNER_TEMP/pd.txt"
+grep -qx 'br_graph B B B -' "$RUNNER_TEMP/segment.txt"
+grep -qx 'br_class 4 class-4' "$RUNNER_TEMP/segment.txt"
 python -m twobytwo analyze -1 1 0 0 0 0 0 0 > "$RUNNER_TEMP/tetra.txt"
 test "$(grep -c '^cce_vertex ' "$RUNNER_TEMP/tetra.txt")" -eq 4
 test "$(grep '^cce_vertex ' "$RUNNER_TEMP/tetra.txt" | grep -c '1/2')" -eq 2
@@ -23,6 +29,8 @@ test "$(grep -c '^cce_edge ' "$RUNNER_TEMP/tetra.txt")" -eq 6
 # CCE vertices on runs of 4 cells (coordination: 5 vertices) and on
 # all-zero deviation rows (the all-zero game: the 4 pure cells).
 python -m twobytwo analyze 2 0 0 1 2 0 0 1 > "$RUNNER_TEMP/coord.txt"
+grep -qx 'br_graph A B A B' "$RUNNER_TEMP/coord.txt"
+grep -qx 'br_class 6 coordination' "$RUNNER_TEMP/coord.txt"
 test "$(grep -c '^cce_vertex ' "$RUNNER_TEMP/coord.txt")" -eq 5
 grep -qx 'cce_dimension 3' "$RUNNER_TEMP/coord.txt"
 # Edges and dimension come from the table of the game's sign pattern:
@@ -46,6 +54,8 @@ grep -qx 'nash_component 0 1 0 1' "$RUNNER_TEMP/zero.txt"
 python -m twobytwo analyze 0 1 0 0 0 0 1 0 > "$RUNNER_TEMP/ell.txt"
 test "$(grep '^nash_component ' "$RUNNER_TEMP/ell.txt")" = "$(printf 'nash_component 0 1 1 1\nnash_component 1 1 0 1')"
 python -m twobytwo analyze 1 -1 -1 1 0 0 0 0 > "$RUNNER_TEMP/zigzag.txt"
+grep -qx 'br_graph A B - -' "$RUNNER_TEMP/zigzag.txt"
+grep -qx 'br_class 10 horseplay' "$RUNNER_TEMP/zigzag.txt"
 test "$(grep '^nash_component ' "$RUNNER_TEMP/zigzag.txt")" = "$(printf 'nash_component 0 0 0 1/2\nnash_component 0 1 1/2 1/2\nnash_component 1 1 1/2 1')"
 # Payoffs with distinct denominators: the column player's advantage pair
 # (5/6, -35/36) clears to (30, -35) in the CCE rows and reduces to the
@@ -55,6 +65,10 @@ grep -qx 'nash_component 7/13 7/13 100/289 100/289' "$RUNNER_TEMP/cleared.txt"
 grep -qx 'cce_vertex 700/3757 1323/3757 600/3757 1134/3757' "$RUNNER_TEMP/cleared.txt"
 grep -qx 'embedding_row 189 -100' "$RUNNER_TEMP/cleared.txt"
 grep -qx 'embedding_col 6 -7' "$RUNNER_TEMP/cleared.txt"
+# Matching pennies: a strict best-response 4-cycle.
+python -m twobytwo analyze 1 -1 -1 1 -1 1 1 -1 > "$RUNNER_TEMP/mp.txt"
+grep -qx 'br_graph A B B A' "$RUNNER_TEMP/mp.txt"
+grep -qx 'br_class 8 cyclic' "$RUNNER_TEMP/mp.txt"
 test "$(python -m twobytwo verify --seed 0 --trials 100)" = "PASS 100/100"
 test "$(python -m twobytwo verify --seed 7 --trials 100)" = "PASS 100/100"
 test "$(python -m twobytwo verify --seed 42 --trials 100)" = "PASS 100/100"
@@ -65,6 +79,14 @@ test "$(grep -c '^timing ' "$RUNNER_TEMP/timings.txt")" -eq 6
 test "$(grep '^timing ' "$RUNNER_TEMP/timings.txt" | cut -d' ' -f2 | paste -sd' ' -)" = "check_ne_grid check_ne_samples check_cce check_affine_invariance check_permute_equivariance check_embedding_consistency"
 python -m twobytwo render --kind polytope --format svg 2 0 0 1 2 0 0 1 -o "$RUNNER_TEMP/fig.svg"
 python -m twobytwo render --kind brgraph --format tikz 1 -1 -1 1 -1 1 1 -1 -o "$RUNNER_TEMP/mp.tex"
+# Every other figure kind in the README's table, once each.
+python -m twobytwo render --kind ordgraph 2 0 0 1 2 0 0 1 -o "$RUNNER_TEMP/ord.svg"
+python -m twobytwo render --kind payoffs 2 0 0 1 2 0 0 1 -o "$RUNNER_TEMP/payoffs.tex"
+python -m twobytwo render --kind joint .4 .3 .1 .2 -o "$RUNNER_TEMP/cells.svg"
+python -m twobytwo render --kind rowcond .4 .3 .1 .2 -o "$RUNNER_TEMP/rowcond.tex"
+python -m twobytwo render --kind colcond .4 .3 .1 .2 -o "$RUNNER_TEMP/colcond.svg"
+python -m twobytwo render --kind marginal .4 .3 .1 .2 -o "$RUNNER_TEMP/marginal.tex"
+python -m twobytwo render --kind jointmarginal .4 .3 .1 .2 -o "$RUNNER_TEMP/jointmarginal.svg"
 printf '12.5 300\n200 45\n90 180\n' > "$RUNNER_TEMP/points.dat"
 printf '0 1 2\n3 4 5\n' > "$RUNNER_TEMP/heat.dat"
 python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/points.dat" --matrix "$RUNNER_TEMP/heat.dat" -o "$RUNNER_TEMP/emb.svg"

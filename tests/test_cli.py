@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -478,3 +479,21 @@ def test_cli_examples_script(tmp_path):
         timeout=600,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_cli_examples_script_runs_every_readme_command():
+    """Every subcommand in the README's CLI block and every kind in its figure
+    table is run by the script; commands are compared, not lines, since the
+    script writes to its own file names."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    script = (root / "tests" / "cli_examples.sh").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    cli_block = cli_section.split("```\n", 2)[1]
+    readme_commands = set(re.findall(r"^twobytwo (\w+)", cli_block, re.MULTILINE))
+    kinds_table = cli_section.split("\n### Figure kinds\n", 1)[1]
+    readme_kinds = set(re.findall(r"^\| `(\w+)`", kinds_table, re.MULTILINE))
+    assert readme_commands == {"analyze", "census", "verify", "render"}
+    assert readme_kinds == {kind.value for kind in FigureKind}
+    assert readme_commands <= set(re.findall(r"python -m twobytwo (\w+)", script))
+    assert readme_kinds <= set(re.findall(r"--kind (\w+)", script))

@@ -856,9 +856,9 @@ def test_cyclic_games_have_unique_interior_equilibrium():
     while count < 25:
         g = verify.random_game(rng)
         graph = br_graph(g)
-        if None in graph.fields():
+        if 0 in graph:
             continue
-        if graph not in (BRGraph(0, 1, 1, 0), BRGraph(1, 0, 0, 1)):
+        if graph not in (BRGraph(1, -1, -1, 1), BRGraph(-1, 1, 1, -1)):
             continue
         count += 1
         ns = nash_set(g)

@@ -3,7 +3,17 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
-from twobytwo.core import Player, SYMMETRY_FLAGS, game_from_flat, permute, permute_cells, transform_affine
+from twobytwo.cli import _analysis_report
+from twobytwo.core import (
+    Player,
+    SYMMETRY_FLAGS,
+    advantages,
+    game_from_flat,
+    permute,
+    permute_cells,
+    signs,
+    transform_affine,
+)
 from twobytwo.graphs import (
     BRGraph,
     all_br_graphs,
@@ -80,15 +90,26 @@ def test_ordinal_hamiltonian_path_for_strict_games():
 
 
 def test_br_graph_coordination(coordination):
-    assert br_graph(coordination) == BRGraph(0, 1, 0, 1)
+    assert br_graph(coordination) == BRGraph(1, -1, 1, -1)
 
 
 def test_br_graph_all_zero(all_zero):
-    assert br_graph(all_zero) == BRGraph(None, None, None, None)
+    assert br_graph(all_zero) == BRGraph(0, 0, 0, 0)
 
 
 def test_br_graph_matching_pennies(mp):
-    assert br_graph(mp) == BRGraph(0, 1, 1, 0)
+    assert br_graph(mp) == BRGraph(1, -1, -1, 1)
+
+
+def test_br_graph_is_the_sign_tuple_on_all_81_patterns():
+    """Each sign pattern lifted to a game: the graph is the pattern itself, and
+    the report writes it as A (positive), B (negative) and - (zero)."""
+    for pattern in itertools.product((1, -1, 0), repeat=4):
+        a, b, c, d = pattern
+        g = game_from_flat((a, b, 0, 0, c, 0, d, 0))
+        assert br_graph(g) == pattern == signs(advantages(g))
+        letters = " ".join("A" if x > 0 else "B" if x < 0 else "-" for x in pattern)
+        assert f"br_graph {letters}" in _analysis_report(g).splitlines()
 
 
 def test_br_graph_affine_invariant():
@@ -115,7 +136,7 @@ def test_br_graph_equivariance_all_flags():
 
 def test_all_zero_class_is_singleton(all_zero):
     cls = br_class(all_zero)
-    assert cls.canonical == BRGraph(None, None, None, None)
+    assert cls.canonical == BRGraph(0, 0, 0, 0)
     orbit = {permute_br_graph(cls.canonical, *flags) for flags in SYMMETRY_FLAGS}
     assert orbit == {cls.canonical}
     assert cls.name == "zero"

@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
 from test_equilibria import deviation_gain, per_call_cce_polytope, per_call_nash_set, reference_halfspace_rows
@@ -330,6 +333,47 @@ def test_negative_control_vertex_not_summing_to_one(monkeypatch, capsys):
 
     assert main(["verify", "--seed", "0", "--trials", "3"]) == 1
     assert "does not sum to 1" in capsys.readouterr().out
+
+
+def test_negative_control_check_raising_is_contained(monkeypatch):
+    """`cce_polytope` patched to raise: each check that calls it fails the trial
+    with a message naming the check and the exception, timings are still kept,
+    and `verify` prints the game and exits 1 with nothing on stderr."""
+
+    def broken(game):
+        raise RuntimeError("no polytope")
+
+    monkeypatch.setattr(verify, "cce_polytope", broken)
+    game = verify.random_game(random.Random(0))
+    timings = {}
+    messages = verify.check_game(game, random.Random(1), combos=5, timings=timings)
+    assert "check_cce raised RuntimeError: no polytope" in messages
+    assert list(timings) == [
+        "check_ne_grid", "check_ne_samples", "check_cce", "check_affine_invariance",
+        "check_permute_equivariance", "check_embedding_consistency",
+    ]
+
+    program = (
+        "import sys\n"
+        "from twobytwo import verify\n"
+        "from twobytwo.cli import main\n"
+        "def broken(game):\n"
+        "    raise RuntimeError('no polytope')\n"
+        "verify.cce_polytope = broken\n"
+        "sys.exit(main(['verify', '--seed', '0', '--trials', '1']))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    flat = " ".join(map(core.format_rational, game_to_flat(game)))
+    assert result.returncode == 1
+    assert result.stdout.startswith(f"FAIL {flat}\n")
+    assert "  check_cce raised RuntimeError: no polytope\n" in result.stdout
+    assert result.stdout.endswith("PASS 0/1\n")
+    assert result.stderr == ""
 
 
 def test_check_cce_reuses_verdicts_without_merging_messages(monkeypatch):

@@ -415,3 +415,10 @@ def _advantage_action(flags: tuple[bool, bool, bool]) -> tuple[tuple[int, int], 
 #: `SYMMETRY_TABLE`: component k of the image's advantages is sign times
 #: component index of the original's, for (index, sign) = ADVANTAGE_ACTION[flags][k].
 ADVANTAGE_ACTION = {flags: _advantage_action(flags) for flags in SYMMETRY_TABLE}
+
+
+def permute_advantages(values: Sequence[int], flags: tuple[bool, bool, bool]) -> tuple[int, ...]:
+    """The symmetry `flags` on any 4-tuple in `advantages` order: the
+    advantages of `permute(game, *flags)` from those of `game`, and so also
+    their signs (a best-response graph) and their reduced directions."""
+    return tuple([sign * values[k] for k, sign in ADVANTAGE_ACTION[flags]])

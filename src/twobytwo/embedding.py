@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ADVANTAGE_ACTION, Game, advantages, signs
+from .core import Game, advantages, permute_advantages, signs
 from .graphs import BRClass, BRGraph, class_from_br_graph
 
 
@@ -68,12 +68,15 @@ def embed(game: Game) -> EmbeddingPoint:
     return EmbeddingPoint(row_direction=_direction(a, b), col_direction=_direction(c, d))
 
 
+def _components(point: EmbeddingPoint) -> tuple[int, int, int, int]:
+    """Both directions as one 4-tuple in `advantages` order; a trivial player's are zero."""
+    return (point.row_direction or (0, 0)) + (point.col_direction or (0, 0))
+
+
 def class_of_embedding(point: EmbeddingPoint) -> BRClass:
     """Equals br_class of any game with this embedding: the signs of the
     direction components are exactly its best-response graph."""
-    row = point.row_direction or (0, 0)
-    col = point.col_direction or (0, 0)
-    return class_from_br_graph(BRGraph(*signs(row + col)))
+    return class_from_br_graph(BRGraph(*signs(_components(point))))
 
 
 def permute_embedding(
@@ -86,16 +89,11 @@ def permute_embedding(
 
     Swapping a player's own actions negates that player's direction; swapping
     the opponent's actions exchanges its two components; swapping players
-    exchanges the directions.  The components move as `core.ADVANTAGE_ACTION`
-    moves the advantages they reduce.
+    exchanges the directions.  The components move as the advantages they
+    reduce (`core.permute_advantages`).
     """
-    row = point.row_direction or (0, 0)
-    col = point.col_direction or (0, 0)
-    components = row + col
-    x0, x1, y0, y1 = (
-        sign * components[k]
-        for k, sign in ADVANTAGE_ACTION[swap_row_actions, swap_col_actions, swap_players]
-    )
+    flags = (swap_row_actions, swap_col_actions, swap_players)
+    x0, x1, y0, y1 = permute_advantages(_components(point), flags)
     return EmbeddingPoint(
         row_direction=(x0, x1) if x0 or x1 else None,
         col_direction=(y0, y1) if y0 or y1 else None,

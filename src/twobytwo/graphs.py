@@ -8,12 +8,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    ADVANTAGE_ACTION,
     CELL_NAMES,
     SYMMETRY_FLAGS,
     Game,
     Player,
     advantages,
+    permute_advantages,
     permute_cells,
     signs,
 )
@@ -43,11 +43,6 @@ class BRGraph(NamedTuple):
     row_given_col_b: int
     col_given_row_a: int
     col_given_row_b: int
-
-    def encode(self) -> tuple[int, int, int, int]:
-        """Total order over the 81 graphs: A < B < indifferent, fieldwise."""
-        # Indexed by the sign: 1 -> 0, -1 -> 1, 0 -> 2.
-        return tuple((2, 0, 1)[f] for f in self)
 
 
 @dataclass(frozen=True)
@@ -110,47 +105,27 @@ def br_graph(game: Game) -> BRGraph:
     return BRGraph(*signs(advantages(game)))
 
 
-def permute_br_graph(
-    graph: BRGraph,
-    swap_row_actions: bool = False,
-    swap_col_actions: bool = False,
-    swap_players: bool = False,
-) -> BRGraph:
-    """Symmetry action on BR graphs, mirroring `core.permute` exactly.
-
-    Each edge is the sign of an advantage, so it moves as `core.ADVANTAGE_ACTION`
-    moves that advantage, as `embedding.permute_embedding` moves the direction
-    components: a negated advantage prefers the other action.
-    """
-    return BRGraph(*(
-        sign * graph[k]
-        for k, sign in ADVANTAGE_ACTION[swap_row_actions, swap_col_actions, swap_players]
-    ))
-
-
 def all_br_graphs() -> tuple[BRGraph, ...]:
-    """The 81 graphs, in `encode` order."""
+    """The 81 graphs in lexicographic order, each edge ordered A < B < indifferent."""
     return tuple(BRGraph(*edges) for edges in itertools.product((1, -1, 0), repeat=4))
-
-
-def _orbit(graph: BRGraph) -> set[BRGraph]:
-    return {permute_br_graph(graph, *flags) for flags in SYMMETRY_FLAGS}
 
 
 @functools.lru_cache(maxsize=1)
 def _class_table() -> dict[BRGraph, tuple[BRGraph, int]]:
-    """Map every BR graph to (canonical orbit representative, 1-based class index)."""
-    canonical_of: dict[BRGraph, BRGraph] = {}
+    """Map every BR graph to (canonical orbit representative, 1-based class index).
+
+    Each edge is the sign of an advantage, so a graph's orbit is its images
+    under `core.permute_advantages`.  The canonical graph of an orbit is its
+    first in `all_br_graphs` order, and classes are numbered in that order.
+    """
+    table: dict[BRGraph, tuple[BRGraph, int]] = {}
+    index = 0
     for graph in all_br_graphs():
-        if graph in canonical_of:
-            continue
-        orbit = _orbit(graph)
-        rep = min(orbit, key=BRGraph.encode)
-        for member in orbit:
-            canonical_of[member] = rep
-    reps = sorted(set(canonical_of.values()), key=BRGraph.encode)
-    index_of = {rep: i + 1 for i, rep in enumerate(reps)}
-    return {g: (rep, index_of[rep]) for g, rep in canonical_of.items()}
+        if graph not in table:
+            index += 1
+            orbit = (BRGraph(*permute_advantages(graph, flags)) for flags in SYMMETRY_FLAGS)
+            table.update(dict.fromkeys(orbit, (graph, index)))
+    return table
 
 
 #: The best-response classes with a name; every other class is `class-{index}`.

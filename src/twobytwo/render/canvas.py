@@ -221,29 +221,15 @@ def _tikz_escape(text: str) -> str:
     return "".join(_TIKZ_ESCAPES.get(ch, ch) for ch in text)
 
 
-def _collect_colors(scene: Scene) -> list[Color]:
-    """Every color the scene draws with, in the order of first use."""
-    seen: dict[Color | None, None] = {}  # insertion-ordered set
-    for prim in scene.prims:
-        if isinstance(prim, (Line, ArrowLine, Text)):
-            seen[prim.color] = None
-        elif isinstance(prim, Rect):
-            seen[prim.fill] = None
-            seen[prim.stroke] = None
-        elif isinstance(prim, Heatmap):
-            seen.update(dict.fromkeys(prim.fills))  # keeps earlier colors where they are
-        elif isinstance(prim, Circle):
-            seen[prim.fill] = None
-    seen.pop(None, None)
-    return list(seen)
-
-
 def to_tikz(scene: Scene) -> str:
-    out = [r"\begin{tikzpicture}[x=1pt,y=1pt,line cap=round,line join=round]"]
-    names = {color: f"c{hex_color(color)}" for color in _collect_colors(scene)}
-    for (r, g, b), name in names.items():
-        out.append(rf"\definecolor{{{name}}}{{RGB}}{{{r},{g},{b}}}")
-    cname = names.__getitem__
+    out = []
+    names: dict[Color, str] = {}  # every color drawn with, named on first use
+
+    def cname(color: Color) -> str:
+        name = names.get(color)
+        if name is None:
+            name = names[color] = f"c{hex_color(color)}"
+        return name
 
     def path_options(fill: Color | None, stroke: Color | None, width: float) -> str:
         opts = []
@@ -301,5 +287,6 @@ def to_tikz(scene: Scene) -> str:
             )
         else:  # pragma: no cover
             raise TypeError(f"unknown primitive {prim!r}")
-    out.append(r"\end{tikzpicture}")
-    return "\n".join(out) + "\n"
+    head = [r"\begin{tikzpicture}[x=1pt,y=1pt,line cap=round,line join=round]"]
+    head += [rf"\definecolor{{{name}}}{{RGB}}{{{r},{g},{b}}}" for (r, g, b), name in names.items()]
+    return "\n".join(head + out + [r"\end{tikzpicture}"]) + "\n"

@@ -32,7 +32,7 @@ from ..core import (
 from ..embedding import EmbeddingPoint
 from ..equilibria import cce_polytope, nash_set
 from ..graphs import BRGraph, br_graph, class_from_br_graph, ordinal_graph
-from .canvas import ArrowLine, Circle, Heatmap, Line, Rect, Scene, Text
+from .canvas import ArrowLine, Circle, Heatmap, Line, Rect, Scene, Text, to_svg, to_tikz
 from .geometry import HIDDEN_TETRA_EDGES, TETRA_EDGES, TETRAHEDRON, project, simplex_position
 from .style import (
     BLACK,
@@ -546,8 +546,6 @@ def build_scene(spec: FigureSpec) -> Scene:
 
 def render_figure(spec: FigureSpec, format: str) -> str:
     """Serialize one figure; deterministic, byte-identical for identical inputs."""
-    from .canvas import to_svg, to_tikz
-
     if format not in FORMATS:
         raise UnsupportedFigureError(
             f"unsupported format {format!r} for kind {spec.kind.value!r}"

@@ -31,6 +31,7 @@ from .core import (
     game_to_flat,
     integerize,
     permute,
+    permute_advantages,
     transform_affine,
 )
 from .embedding import class_of_embedding, embed, permute_embedding
@@ -44,9 +45,10 @@ from .equilibria import (
     nash_product_joints,
     nash_set,
 )
-from .graphs import br_class, br_graph, permute_br_graph
+from .graphs import br_class, br_graph
 
 GRID_STEPS = 100
+CCE_COMBOS = 100
 
 # The sum-to-one row: every point of the simplex is tight on it.
 _SUM_ROW = (1, 1, 1, 1)
@@ -238,7 +240,7 @@ def cramer_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int
     return found
 
 
-def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
+def check_cce(game: Game, rng: random.Random) -> list[str]:
     """Vertex feasibility, tightness rank, edge tightness, completeness, edge
     completeness, dimension, convexity, and NE containment.
 
@@ -249,10 +251,10 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     `JointDistribution`, so each must have numerators summing to D;
     nonnegativity is the sign of the nonnegativity rows.
     Feasibility and tightness are the signs of integer dot products.
-    Convexity is tested on `combos` random convex combinations of the
+    Convexity is tested on `CCE_COMBOS` random convex combinations of the
     vertices, drawn with integer weights 0..10: `cce_holds` on the integer
     advantages and the four integer numerator sums of a combination.  All
-    `combos` times k weights are drawn in one list, in the order of the
+    `CCE_COMBOS` times k weights are drawn in one list, in the order of the
     combinations, and `cce_holds`'s verdict is reused for equal weights,
     which give the same point.  A `Fraction` mix is built only to report a
     combination outside the set, once for each time it is drawn.
@@ -325,7 +327,7 @@ def check_cce(game: Game, rng: random.Random, combos: int = 100) -> list[str]:
     adv = advantages(game)
     columns = tuple(zip(*numerators))
     k = len(numerators)
-    draws = [rng.randint(0, 10) for _ in range(combos * k)]
+    draws = [rng.randint(0, 10) for _ in range(CCE_COMBOS * k)]
     holds = {}
     # zip over k references to one iterator walks the draws k at a time.
     for weights in zip(*[iter(draws)] * k):
@@ -409,7 +411,7 @@ def check_permute_equivariance(game: Game) -> list[str]:
     base_vertices = set(_vertex_keys(cce_polytope(game)))
     for flags, (perm, _) in SYMMETRY_TABLE.items():
         other = permute(game, *flags)
-        if br_graph(other) != permute_br_graph(base_br, *flags):
+        if br_graph(other) != permute_advantages(base_br, flags):
             failures.append(f"br_graph equivariance broken for flags {flags}")
         if embed(other) != permute_embedding(base_embed, *flags):
             failures.append(f"embedding equivariance broken for flags {flags}")
@@ -433,7 +435,6 @@ def check_embedding_consistency(game: Game) -> list[str]:
 def check_game(
     game: Game,
     rng: random.Random,
-    combos: int = 100,
     timings: dict[str, tuple[int, int]] | None = None,
 ) -> list[str]:
     """Run every check on one game; add each check's (calls, total ns) to `timings`.
@@ -444,7 +445,7 @@ def check_game(
     checks = (
         ("check_ne_grid", lambda: check_ne_grid(game)),
         ("check_ne_samples", lambda: check_ne_samples(game, rng)),
-        ("check_cce", lambda: check_cce(game, rng, combos=combos)),
+        ("check_cce", lambda: check_cce(game, rng)),
         ("check_affine_invariance", lambda: check_affine_invariance(game, rng)),
         ("check_permute_equivariance", lambda: check_permute_equivariance(game)),
         ("check_embedding_consistency", lambda: check_embedding_consistency(game)),
@@ -487,13 +488,13 @@ class VerifyReport:
         return not self.failures
 
 
-def run(seed: int, trials: int, combos: int = 100) -> VerifyReport:
+def run(seed: int, trials: int) -> VerifyReport:
     """Run the full oracle suite on seeded random games; deterministic per seed."""
     rng = random.Random(seed)
     report = VerifyReport(trials=trials)
     for _ in range(trials):
         game = random_game(rng)
-        messages = check_game(game, rng, combos=combos, timings=report.timings)
+        messages = check_game(game, rng, timings=report.timings)
         if messages:
             report.failures.append(VerifyFailure(game=game, messages=messages))
     return report

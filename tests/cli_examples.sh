@@ -6,7 +6,17 @@
 set -eu
 RUNNER_TEMP="${RUNNER_TEMP:-$(mktemp -d)}"
 export PYTHONPATH=src
-python -m twobytwo census
+# The six census counts, the paper's taxonomy: 576 strict ordinal games, 144
+# and 78 of them up to relabelling actions and players, and 15 classes of the
+# 81 best-response graphs.
+python -m twobytwo census > "$RUNNER_TEMP/census.txt"
+test "$(cat "$RUNNER_TEMP/census.txt")" = "$(printf '%s\n' \
+  'strict_ordinal_total 576' \
+  'strict_ordinal_up_to_strategy 144' \
+  'strict_ordinal_up_to_strategy_and_player 78' \
+  'partial_ordinal_classes 726' \
+  'br_graphs 81' \
+  'br_classes 15')"
 # One pin for each CCE vertex count: the prisoner's dilemma has 1 vertex
 # (dimension 0), the next game 2 (one edge), and the one after 4,
 # two of them on runs of 2 cells (a tetrahedron: dimension 3, 6 edges).
@@ -41,6 +51,8 @@ python -m twobytwo analyze -1 0 0 0 -1 0 0 0 > "$RUNNER_TEMP/triangle.txt"
 grep -qx 'cce_dimension 2' "$RUNNER_TEMP/triangle.txt"
 test "$(grep '^cce_edge ' "$RUNNER_TEMP/triangle.txt" | paste -sd, -)" = "cce_edge 0 1,cce_edge 0 2,cce_edge 1 2"
 python -m twobytwo analyze 0 0 0 0 0 0 0 0 > "$RUNNER_TEMP/zero.txt"
+grep -qx 'br_graph - - - -' "$RUNNER_TEMP/zero.txt"
+grep -qx 'br_class 15 zero' "$RUNNER_TEMP/zero.txt"
 test "$(grep -c '^cce_vertex ' "$RUNNER_TEMP/zero.txt")" -eq 4
 grep -qx 'cce_dimension 3' "$RUNNER_TEMP/zero.txt"
 # Nash components with an interior indifference point on each axis
@@ -65,6 +77,10 @@ grep -qx 'nash_component 7/13 7/13 100/289 100/289' "$RUNNER_TEMP/cleared.txt"
 grep -qx 'cce_vertex 700/3757 1323/3757 600/3757 1134/3757' "$RUNNER_TEMP/cleared.txt"
 grep -qx 'embedding_row 189 -100' "$RUNNER_TEMP/cleared.txt"
 grep -qx 'embedding_col 6 -7' "$RUNNER_TEMP/cleared.txt"
+# A safety game: the column player is indifferent against row action B.
+python -m twobytwo analyze 1 -1 -1 1 1 -1 0 0 > "$RUNNER_TEMP/safety.txt"
+grep -qx 'br_graph A B A -' "$RUNNER_TEMP/safety.txt"
+grep -qx 'br_class 7 safety' "$RUNNER_TEMP/safety.txt"
 # Matching pennies: a strict best-response 4-cycle.
 python -m twobytwo analyze 1 -1 -1 1 -1 1 1 -1 > "$RUNNER_TEMP/mp.txt"
 grep -qx 'br_graph A B B A' "$RUNNER_TEMP/mp.txt"

@@ -163,7 +163,7 @@ def test_cce_oracle_suite(oracle_games):
     rng = random.Random(ORACLE_SEED + 2)
     failures = []
     for game in oracle_games:
-        failures += verify.check_cce(game, rng, combos=100)
+        failures += verify.check_cce(game, rng)
     assert not failures, failures[:5]
     _report("cce-oracle-suite", started)
 

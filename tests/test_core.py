@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -16,10 +17,12 @@ from twobytwo.core import (
     expected_payoff,
     format_rational,
     game_from_flat,
+    advantages,
     game_to_flat,
     joint,
     marginals_from_joint,
     permute,
+    permute_advantages,
     product_joint,
     transform_affine,
 )
@@ -463,3 +466,28 @@ def test_permute_flags_all_distinct():
     generic = game_from_flat([F(i * i + 1, i + 1) for i in range(8)])
     images = {game_to_flat(_apply(f, generic)) for f in SYMMETRY_FLAGS}
     assert len(images) == 8
+
+
+def test_permute_advantages_is_the_action_on_advantages():
+    """The advantages of every symmetric image, read off the permuted payoffs,
+    equal the symmetry applied to the game's advantages: on the 81 sign
+    patterns at three magnitude tiers, on payoffs with distinct denominators
+    and on seeded games."""
+    rng = random.Random(41)
+    tiers = (lambda: 1, lambda: rng.randint(2**80, 2**81), lambda: rng.randint(10**29, 10**30 - 1))
+    games = [
+        game_from_flat((a * tier(), b * tier(), 0, 0, c * tier(), 0, d * tier(), 0))
+        for tier in tiers
+        for a, b, c, d in itertools.product((1, -1, 0), repeat=4)
+    ]
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    games += [game_from_flat(("1/2", "-1/3", "-2/5", "1/7", "1/3", "-1/2", "-3/4", "2/9"))]
+    games += [
+        game_from_flat([F(rng.randint(-50, 50), p) for p in rng.sample(primes, 8)])
+        for _ in range(50)
+    ]
+    games += [verify.random_game(rng) for _ in range(200)]
+    for game in games:
+        adv = advantages(game)
+        for flags in SYMMETRY_FLAGS:
+            assert permute_advantages(adv, flags) == advantages(permute(game, *flags)), (game, flags)

@@ -5,11 +5,13 @@ from fractions import Fraction as F
 
 from twobytwo.cli import _analysis_report
 from twobytwo.core import (
+    ADVANTAGE_ACTION,
     Player,
     SYMMETRY_FLAGS,
     advantages,
     game_from_flat,
     permute,
+    permute_advantages,
     permute_cells,
     signs,
     transform_affine,
@@ -24,7 +26,6 @@ from twobytwo.graphs import (
     dense_ranks,
     format_ordinal_levels,
     ordinal_graph,
-    permute_br_graph,
     _dense_rank_tuples,
 )
 
@@ -128,7 +129,7 @@ def test_br_graph_equivariance_all_flags():
         g = random_game(rng)
         base = br_graph(g)
         for flags in SYMMETRY_FLAGS:
-            assert br_graph(permute(g, *flags)) == permute_br_graph(base, *flags)
+            assert br_graph(permute(g, *flags)) == permute_advantages(base, flags)
 
 
 # --- classes ---------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_br_graph_equivariance_all_flags():
 def test_all_zero_class_is_singleton(all_zero):
     cls = br_class(all_zero)
     assert cls.canonical == BRGraph(0, 0, 0, 0)
-    orbit = {permute_br_graph(cls.canonical, *flags) for flags in SYMMETRY_FLAGS}
+    orbit = {permute_advantages(cls.canonical, flags) for flags in SYMMETRY_FLAGS}
     assert orbit == {cls.canonical}
     assert cls.name == "zero"
 
@@ -177,11 +178,67 @@ def test_br_graphs_partition_into_15_orbits():
 
 
 def test_class_indices_stable_and_canonical_minimal():
+    order = all_br_graphs()
+    for graph in order:
+        cls = class_from_br_graph(graph)
+        orbit = {BRGraph(*permute_advantages(graph, flags)) for flags in SYMMETRY_FLAGS}
+        assert cls.canonical in orbit
+        assert order.index(cls.canonical) == min(order.index(g) for g in orbit)
+
+
+# The class table as it was built before it followed the enumeration order:
+# `BRGraph.encode`, `graphs.permute_br_graph`, `graphs._orbit` and
+# `graphs._class_table`, kept as the reference with their names prefixed and
+# their annotations dropped.
+
+
+def reference_encode(self):
+    """Total order over the 81 graphs: A < B < indifferent, fieldwise."""
+    # Indexed by the sign: 1 -> 0, -1 -> 1, 0 -> 2.
+    return tuple((2, 0, 1)[f] for f in self)
+
+
+def reference_permute_br_graph(
+    graph,
+    swap_row_actions=False,
+    swap_col_actions=False,
+    swap_players=False,
+):
+    return BRGraph(*(
+        sign * graph[k]
+        for k, sign in ADVANTAGE_ACTION[swap_row_actions, swap_col_actions, swap_players]
+    ))
+
+
+def reference_orbit(graph):
+    return {reference_permute_br_graph(graph, *flags) for flags in SYMMETRY_FLAGS}
+
+
+def reference_class_table():
+    """Map every BR graph to (canonical orbit representative, 1-based class index)."""
+    canonical_of = {}
+    for graph in all_br_graphs():
+        if graph in canonical_of:
+            continue
+        orbit = reference_orbit(graph)
+        rep = min(orbit, key=reference_encode)
+        for member in orbit:
+            canonical_of[member] = rep
+    reps = sorted(set(canonical_of.values()), key=reference_encode)
+    index_of = {rep: i + 1 for i, rep in enumerate(reps)}
+    return {g: (rep, index_of[rep]) for g, rep in canonical_of.items()}
+
+
+def test_class_table_equals_encode_ordered_table():
+    """The first graph of each orbit in `all_br_graphs` order is the orbit's
+    `encode`-least one, so the canonical graphs and the class numbers are
+    those of the sort by `encode`."""
+    expected = reference_class_table()
+    assert len(expected) == 81
     for graph in all_br_graphs():
         cls = class_from_br_graph(graph)
-        orbit = {permute_br_graph(graph, *flags) for flags in SYMMETRY_FLAGS}
-        assert cls.canonical in orbit
-        assert cls.canonical.encode() == min(g.encode() for g in orbit)
+        assert (cls.canonical, cls.index) == expected[graph], graph
+    assert sorted(all_br_graphs(), key=reference_encode) == list(all_br_graphs())
 
 
 # --- class names ---------------------------------------------------------------------

@@ -3,8 +3,8 @@ magnitudes around and beyond 2**62, and large denominators.
 
 The verifier's own checks serve as the properties, so a failure shrinks to a
 minimal game.  A last property feeds generated point and matrix files to the
-embedding render command.  Examples are derandomized, so every run tries the
-same inputs.
+embedding render command, and another arbitrary payoff tokens to `analyze`.
+Examples are derandomized, so every run tries the same inputs.
 """
 
 import contextlib
@@ -21,10 +21,13 @@ from hypothesis import strategies as st
 
 from twobytwo import cli, verify
 from twobytwo.core import (
+    MAX_LITERAL_DIGITS,
     SYMMETRY_FLAGS,
     JointDistribution,
     Player,
     advantages,
+    as_rational,
+    format_rational,
     game_from_flat,
     integerize,
     permute,
@@ -312,3 +315,76 @@ def test_render_embedding_from_files_exits_cleanly(points, matrix, format):
         assert not re.search("nan|inf", text), text
     else:
         assert text.startswith("\\begin{tikzpicture}") and text.endswith("\\end{tikzpicture}\n")
+
+
+# --- the analyze command on arbitrary payoff tokens ---------------------------------
+
+digits = st.integers(0, 10 ** 6).map(str)
+exponent = st.integers(-5, 5) | st.integers(MAX_LITERAL_DIGITS - 3, MAX_LITERAL_DIGITS + 3).map(
+    lambda e: e * (-1) ** (e % 2)  # negative exponents near the bound too
+)
+# Fractions, decimals, digit groups and exponents: valid, except for an
+# exponent that takes a literal past `MAX_LITERAL_DIGITS`.
+numeric = st.one_of(
+    digits,
+    st.builds("{}/{}".format, digits, st.integers(1, 10 ** 6)),
+    st.builds("{}.{}".format, digits, digits),
+    st.builds(".{}".format, digits),
+    st.builds("{}_{}".format, digits, digits),
+    st.builds("{}e{}".format, st.sampled_from(["1", "9", "12", "1.5", ".5", "1_0"]), exponent),
+)
+malformed = st.one_of(
+    st.builds("{}/0".format, digits),
+    st.sampled_from(["", ".", "/", "e5", "1e", "_1", "1_", "1__0", "1/2/3", "1e2.5", "nan", "inf", "0x10"]),
+    st.sampled_from(["\u0661\u0662", "\uff11", "\u00bd", "\u0967"]),  # Arabic-Indic, fullwidth, vulgar, Devanagari
+)
+
+
+def signed(body):
+    # "-" before anything but a digit or ".digit" makes an option, which
+    # `analyze` must name too.
+    return st.builds("{}{}".format, st.sampled_from(["", "", "-", "+"]), body)
+
+
+payoff_token = st.one_of(signed(numeric), signed(numeric), signed(malformed), st.sampled_from([" 1", "1 ", "1\t"]))
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+def literal_digits(token):
+    """Digits of a valid literal, an exponent counted as its magnitude."""
+    mantissa, _, exp = token.lower().partition("e")
+    return sum(map(str.isdigit, mantissa)) + (abs(int(exp)) if exp else 0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(
+    st.lists(signed(numeric), min_size=8, max_size=8)
+    | st.lists(payoff_token, min_size=8, max_size=8)
+    | st.lists(payoff_token, max_size=10)
+)
+def test_analyze_exits_cleanly_on_any_tokens(tokens):
+    """Exit 0 with the game and its class, no literal longer than the bound,
+    or exit 2 naming a bad token or the expected count; any other exception
+    fails the property."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["analyze", *tokens])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        options = [t for t in tokens if t[:1] == "-" and len(t) > 1 and not NEGATIVE_NUMBER.match(t)]
+        named = [t for t in tokens if f"invalid payoff literal '{t}'" in err]
+        counted = f"expected 8 payoff values, got {len(tokens)}" in err
+        unrecognized = "unrecognized arguments: " in err and all(t in err for t in options)
+        assert named or (counted and len(tokens) != 8) or (options and unrecognized), (tokens, err)
+        return
+    assert (code, err) == (0, ""), (tokens, err)
+    lines = out.splitlines()
+    assert lines[0] == "game " + " ".join(format_rational(as_rational(t)) for t in tokens)
+    assert max(map(literal_digits, tokens)) <= MAX_LITERAL_DIGITS, tokens
+    assert re.fullmatch(r"br_graph [AB-]( [AB-]){3}", lines[1]), lines[1]
+    index, name = re.fullmatch(r"br_class (\d+) (\S+)", lines[2]).groups()
+    assert 1 <= int(index) <= 15 and name, lines[2]

@@ -515,6 +515,18 @@ def reference_collect_colors(scene):
     return seen
 
 
+def reference_color_definitions(scene):
+    """The `\\definecolor` line of each color the scene draws with, in the order of first use."""
+    return [
+        rf"\definecolor{{c{reference_hex_color(c)}}}{{RGB}}{{{c[0]},{c[1]},{c[2]}}}"
+        for c in reference_collect_colors(scene)
+    ]
+
+
+def color_definitions(tikz):
+    return [line for line in tikz.splitlines() if line.startswith(r"\definecolor")]
+
+
 def large_heatmap_spec():
     rng = random.Random(36)
     # One decimal place: about a hundred distinct colors over 1,440 cells, so
@@ -529,7 +541,6 @@ def test_large_heatmap_emission_matches_reference_helpers(format, monkeypatch):
     spec = large_heatmap_spec()
     scene = build_scene(spec)
     colors = reference_collect_colors(scene)
-    assert canvas._collect_colors(scene) == colors
     (cells,) = tagged(scene, "heatmap-cell")
     assert (cells.cols, len(cells.fills)) == (40, 36 * 40)
     assert 50 < len(colors) < count_drawn(scene, "heatmap-cell") == len(cells.fills)
@@ -537,21 +548,17 @@ def test_large_heatmap_emission_matches_reference_helpers(format, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(canvas, "fmt", reference_fmt)
         patch.setattr(canvas, "hex_color", reference_hex_color)
-        patch.setattr(canvas, "_collect_colors", reference_collect_colors)
         patch.setattr(figures, "lerp_color", reference_lerp_color)
         reference = render_figure(spec, format)
     assert text == reference
     if format == "tikz":
-        defined = [line for line in text.splitlines() if line.startswith(r"\definecolor")]
-        assert defined == [
-            rf"\definecolor{{c{reference_hex_color(c)}}}{{RGB}}{{{c[0]},{c[1]},{c[2]}}}" for c in colors
-        ]
+        assert color_definitions(text) == reference_color_definitions(scene)
 
 
 def test_collect_colors_matches_reference_on_golden_scenes():
     for kind, payload in golden_specs().items():
         scene = build_scene(FigureSpec(kind, payload))
-        assert canvas._collect_colors(scene) == reference_collect_colors(scene), kind
+        assert color_definitions(canvas.to_tikz(scene)) == reference_color_definitions(scene), kind
 
 
 def test_fmt_matches_reference():
@@ -774,7 +781,7 @@ def _assert_matches_reference(scene, format):
     text, expected = emit(scene), reference(scene)
     same = text == expected  # a bare flag: pytest's diff of two whole figures takes minutes
     assert same, _first_difference(text, expected)
-    assert canvas._collect_colors(scene) == reference_collect_colors(scene)
+    assert color_definitions(canvas.to_tikz(scene)) == reference_color_definitions(scene)
     drawn = Counter(prim.tag for prim in expand_prims(scene))
     assert {tag: count_drawn(scene, tag) for tag in drawn} == drawn
 

@@ -33,14 +33,14 @@ from twobytwo.verify import _matrix_rank
 
 
 def test_suite_passes_on_seeded_games():
-    report = verify.run(seed=7, trials=15, combos=25)
+    report = verify.run(seed=7, trials=15)
     assert report.ok
     assert report.passed == report.trials == 15
 
 
 def test_suite_deterministic_per_seed():
-    a = verify.run(seed=42, trials=6, combos=10)
-    b = verify.run(seed=42, trials=6, combos=10)
+    a = verify.run(seed=42, trials=6)
+    b = verify.run(seed=42, trials=6)
     assert a.ok == b.ok
     assert len(a.failures) == len(b.failures)
 
@@ -61,7 +61,7 @@ def test_negative_control_broken_membership(monkeypatch):
     """A build with a flipped constraint sign must be caught, not waved through."""
     real = verify.joint_in_cce
     monkeypatch.setattr(verify, "joint_in_cce", lambda g, s: not real(g, s))
-    report = verify.run(seed=3, trials=3, combos=10)
+    report = verify.run(seed=3, trials=3)
     assert not report.ok
     assert report.failures
     flat = report.failures[0].flat()
@@ -71,7 +71,7 @@ def test_negative_control_broken_membership(monkeypatch):
 def test_negative_control_broken_is_nash(monkeypatch):
     real = verify.is_nash
     monkeypatch.setattr(verify, "is_nash", lambda g, m: not real(g, m))
-    report = verify.run(seed=3, trials=3, combos=5)
+    report = verify.run(seed=3, trials=3)
     assert not report.ok
 
 
@@ -87,7 +87,7 @@ def test_negative_control_dropped_nash_component(monkeypatch):
     failures = verify.check_ne_grid(game_from_flat((2, 0, 0, 1, 2, 0, 0, 1)))
     assert any("routes vs nash_set boxes" in f for f in failures)
 
-    report = verify.run(seed=3, trials=4, combos=5)
+    report = verify.run(seed=3, trials=4)
     assert not report.ok
     for failure in report.failures:
         assert len(real(failure.game).components) > 1
@@ -186,9 +186,10 @@ def test_check_cce_draws_the_same_rng_stream():
     for flat in (PRISONERS_DILEMMA, MATCHING_PENNIES, COORDINATION, ALL_ZERO, TRAFFIC_LIGHTS):
         assert verify.check_cce(game_from_flat(flat), rng) == []
     for _ in range(5):
-        assert verify.check_cce(verify.random_game(rng), rng, combos=20) == []
-    # The value the Fraction-mix implementation leaves behind for the same calls.
-    assert rng.random() == 0.3073553902230812
+        assert verify.check_cce(verify.random_game(rng), rng) == []
+    # The value `reference_check_cce`, the Fraction-mix implementation, leaves
+    # behind for the same calls at 100 combinations.
+    assert rng.random() == 0.1253692278160342
 
 
 def reference_check_cce(game, rng, combos=100):
@@ -231,12 +232,12 @@ def reference_check_cce(game, rng, combos=100):
     return failures
 
 
-def assert_check_cce_matches_reference(games, seed, combos=100):
+def assert_check_cce_matches_reference(games, seed):
     """Same messages and the same rng state after, game by game."""
     ours, theirs = random.Random(seed), random.Random(seed)
     for game in games:
-        expected = reference_check_cce(game, theirs, combos)
-        assert verify.check_cce(game, ours, combos) == expected, game
+        expected = reference_check_cce(game, theirs, verify.CCE_COMBOS)
+        assert verify.check_cce(game, ours) == expected, game
         assert ours.getstate() == theirs.getstate()
 
 
@@ -259,7 +260,6 @@ def test_check_cce_matches_fraction_reference(monkeypatch):
                             Fraction(5, big), 0, Fraction(-1, 3), Fraction(2, big))),
         ],
         seed=5,
-        combos=40,
     )
 
     real = verify.cce_polytope
@@ -272,7 +272,7 @@ def test_check_cce_matches_fraction_reference(monkeypatch):
     monkeypatch.setattr(verify, "cce_polytope", add_bad_vertex)
     games = [game_from_flat(PRISONERS_DILEMMA)] + [verify.random_game(rng) for _ in range(20)]
     assert verify.check_cce(games[0], random.Random(0))  # the bad vertex is reported
-    assert_check_cce_matches_reference(games, seed=9, combos=30)
+    assert_check_cce_matches_reference(games, seed=9)
 
 
 def test_negative_control_infeasible_cce_vertex(monkeypatch):
@@ -294,7 +294,7 @@ def test_negative_control_broken_cce_holds(monkeypatch):
     """A flipped `cce_holds`, as the convexity test binds it, must reject every combination."""
     real = verify.cce_holds
     monkeypatch.setattr(verify, "cce_holds", lambda adv, weights: not real(adv, weights))
-    report = verify.run(seed=3, trials=4, combos=20)
+    report = verify.run(seed=3, trials=4)
     assert len(report.failures) == 4
     for failure in report.failures:
         assert failure.messages
@@ -346,7 +346,7 @@ def test_negative_control_check_raising_is_contained(monkeypatch):
     monkeypatch.setattr(verify, "cce_polytope", broken)
     game = verify.random_game(random.Random(0))
     timings = {}
-    messages = verify.check_game(game, random.Random(1), combos=5, timings=timings)
+    messages = verify.check_game(game, random.Random(1), timings=timings)
     assert "check_cce raised RuntimeError: no polytope" in messages
     assert list(timings) == [
         "check_ne_grid", "check_ne_samples", "check_cce", "check_affine_invariance",
@@ -404,7 +404,7 @@ def test_check_cce_reuses_verdicts_without_merging_messages(monkeypatch):
 
 
 def test_run_records_per_check_timings():
-    report = verify.run(seed=2, trials=3, combos=5)
+    report = verify.run(seed=2, trials=3)
     assert list(report.timings) == [
         "check_ne_grid",
         "check_ne_samples",
@@ -435,7 +435,7 @@ def test_negative_control_swapped_column_cce_rows(monkeypatch):
     # Both binding sites, although `cce_polytope` reads neither.
     monkeypatch.setattr(equilibria, "halfspace_rows", swap_column_cells)
     monkeypatch.setattr(verify, "halfspace_rows", swap_column_cells)
-    report = verify.run(seed=3, trials=4, combos=20)
+    report = verify.run(seed=3, trials=4)
     assert len(report.failures) == 4
     for failure in report.failures:
         assert any(m.startswith("missing CCE vertex (") for m in failure.messages), failure.messages
@@ -467,7 +467,7 @@ def test_negative_control_swapped_column_advantages(monkeypatch):
         return (a, b, d, c)
 
     patch_every_binding(monkeypatch, real, swap_column_pair)
-    report = verify.run(seed=3, trials=4, combos=20)
+    report = verify.run(seed=3, trials=4)
     assert len(report.failures) == 4
     assert any(
         m.startswith("grid oracle mismatch")
@@ -491,7 +491,7 @@ def test_swapped_advantages_leave_no_stale_type(monkeypatch):
     equilibria._nash_type.cache_clear()
     with monkeypatch.context() as patched:
         patch_every_binding(patched, real, swap_column_pair)
-        assert len(verify.run(seed=3, trials=4, combos=20).failures) == 4
+        assert len(verify.run(seed=3, trials=4).failures) == 4
         assert equilibria._cce_type.cache_info().currsize > 0
     assert equilibria.advantages is core.advantages
     for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
@@ -546,7 +546,7 @@ def test_negative_control_dropped_cce_vertex(monkeypatch):
     failures = verify.check_cce(coordination, random.Random(0))
     assert failures == ["missing CCE vertex (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"]
 
-    report = verify.run(seed=1, trials=3, combos=20)
+    report = verify.run(seed=1, trials=3)
     assert report.failures
     for failure in report.failures:
         assert len(real(failure.game).vertices) > 1
@@ -583,7 +583,7 @@ def test_negative_control_dropped_cce_edge(monkeypatch):
     assert real(coordination).edges[0] == (0, 1)
     assert verify.check_cce(coordination, random.Random(0)) == ["missing CCE edge (0,1)"]
 
-    report = verify.run(seed=1, trials=20, combos=20)
+    report = verify.run(seed=1, trials=20)
     assert report.failures
     for failure in report.failures:
         i, j = real(failure.game).edges[0]
@@ -617,7 +617,7 @@ def test_negative_control_dimension_off_by_one(monkeypatch):
             assert verify.check_cce(game_from_flat(COORDINATION), random.Random(0)) == [
                 f"CCE dimension {3 + delta}, but the vertices span 3"
             ]
-            report = verify.run(seed=1, trials=5, combos=20)
+            report = verify.run(seed=1, trials=5)
         assert len(report.failures) == 5
         for failure in report.failures:
             dimension = real(failure.game).dimension
@@ -630,7 +630,7 @@ def test_check_cce_edges_and_dimension_clean_on_quadruples():
     test of the verifier agree, and so do both dimensions."""
     rng = random.Random(2)
     for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
-        assert verify.check_cce(game_from_flat((a, b, 0, 0, c, 0, d, 0)), rng, combos=1) == []
+        assert verify.check_cce(game_from_flat((a, b, 0, 0, c, 0, d, 0)), rng) == []
 
 
 def reference_map_box(box, flags):

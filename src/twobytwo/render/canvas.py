@@ -184,19 +184,17 @@ def to_svg(scene: Scene) -> str:
             cw, ch, cols = prim.cell_w, prim.cell_h, prim.cols
             xs = [fmt(prim.x + c * cw) for c in range(cols)]
             size = f'width="{fmt(cw)}" height="{fmt(ch)}" '
-            tail = {
-                fill: f"{paint(fill, None, 0.0)}{attr_class(prim.tag)}/>"
-                for fill in dict.fromkeys(prim.fills)
-            }
+            cls = attr_class(prim.tag)
+            tail = {fill: f'fill="#{hex_color(fill)}"{cls}/>' for fill in set(prim.fills)}
             for r in range(len(prim.fills) // cols):
                 row_y = prim.top - (r + 1) * ch
                 middle = f'" y="{fmt(y(row_y + ch))}" {size}'
                 row = prim.fills[r * cols:(r + 1) * cols]
-                out.extend(f'<rect x="{x}{middle}{tail[fill]}' for x, fill in zip(xs, row))
+                out.extend([f'<rect x="{x}{middle}{tail[fill]}' for x, fill in zip(xs, row)])
         elif isinstance(prim, Circle):
             tail = f'" r="{fmt(prim.r)}" {paint(prim.fill, None, 0.0)}{attr_class(prim.tag)}/>'
             out.extend(
-                f'<circle cx="{fmt(cx)}" cy="{fmt(y(cy))}{tail}' for cx, cy in prim.centers
+                [f'<circle cx="{fmt(cx)}" cy="{fmt(h - cy)}{tail}' for cx, cy in prim.centers]
             )
         elif isinstance(prim, Text):
             anchor, dy = _SVG_ANCHOR[prim.anchor]
@@ -261,22 +259,19 @@ def to_tikz(scene: Scene) -> str:
         elif isinstance(prim, Heatmap):
             cw, ch, cols = prim.cell_w, prim.cell_h, prim.cols
             spans = [(fmt(x), fmt(x + cw)) for x in (prim.x + c * cw for c in range(cols))]
-            head = {
-                fill: rf"\path[{path_options(fill, None, 0.0)}] ("
-                for fill in dict.fromkeys(prim.fills)
-            }
+            head = {fill: rf"\path[fill={cname(fill)}] (" for fill in dict.fromkeys(prim.fills)}
             for r in range(len(prim.fills) // cols):
                 row_y = prim.top - (r + 1) * ch
                 low, high = fmt(row_y), fmt(row_y + ch)
                 row = prim.fills[r * cols:(r + 1) * cols]
-                out.extend(
+                out.extend([
                     f"{head[fill]}{x0},{low}) rectangle ({x1},{high});"
                     for (x0, x1), fill in zip(spans, row)
-                )
+                ])
         elif isinstance(prim, Circle):
             head = rf"\path[{path_options(prim.fill, None, 0.0)}] ("
             tail = f") circle[radius={fmt(prim.r)}];"
-            out.extend(f"{head}{fmt(cx)},{fmt(cy)}{tail}" for cx, cy in prim.centers)
+            out.extend([f"{head}{fmt(cx)},{fmt(cy)}{tail}" for cx, cy in prim.centers])
         elif isinstance(prim, Text):
             size = fmt(prim.size)
             baseline = fmt(prim.size * 1.2)

@@ -18,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from ..core import (
     Game,
@@ -45,7 +46,7 @@ from .style import (
     STROKE_WIDTH_PT,
     WHITE,
     StyleOptions,
-    lerp_color,
+    lerp_colors,
     shade,
 )
 
@@ -79,16 +80,19 @@ class EmbeddingFigureData:
     heatmap: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        # Checked in bulk; the items are walked only to name the first bad one.
         isfinite = math.isfinite
         rows = self.heatmap
         if rows is not None:
-            if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+            if not rows or not rows[0] or len(set(map(len, rows))) != 1:
                 raise ValueError("heatmap matrix must be rectangular and nonempty")
-            for row in rows:
-                for value in row:
-                    if not isfinite(value):
-                        raise ValueError(f"non-finite heatmap value {value!r}")
-        for point in self.points:
+            if not all(map(isfinite, chain.from_iterable(rows))):
+                value = next(v for v in chain.from_iterable(rows) if not isfinite(v))
+                raise ValueError(f"non-finite heatmap value {value!r}")
+        points = self.points
+        if set(map(len, points)) <= {2} and all(map(isfinite, chain.from_iterable(points))):
+            return
+        for point in points:
             if len(point) != 2:
                 raise ValueError(f"point {point!r} is not a (row angle, column angle) pair")
             if not (isfinite(point[0]) and isfinite(point[1])):
@@ -440,10 +444,8 @@ def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:
             values = [v / 2 for v in values]
             low, high = low / 2, high / 2
         span = high - low
-        fills = tuple(
-            lerp_color(WHITE, PURPLE, 0.5 if high == low else (value - low) / span)
-            for value in values
-        )
+        ts = [0.5] * len(values) if high == low else ((value - low) / span for value in values)
+        fills = tuple(lerp_colors(WHITE, PURPLE, ts))
         n_rows, n_cols = len(rows), len(rows[0])
         scene.add(
             Heatmap(
@@ -508,7 +510,8 @@ def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:
                 )
 
     if data.points:
-        centers = tuple(at(ax % 360.0, ay % 360.0) for ax, ay in data.points)
+        centers = tuple([(margin + ax % 360.0 / 360.0 * plot, margin + ay % 360.0 / 360.0 * plot)
+                         for ax, ay in data.points])  # at(ax % 360.0, ay % 360.0), inlined
         scene.add(Circle(centers=centers, r=0.016 * s, fill=BLUE, tag="embed-point"))
     return scene
 

@@ -2,9 +2,9 @@
 
 Point files are two whitespace-separated numeric columns, one point per line;
 heatmap files are a whitespace-separated numeric matrix, one row per line.
-Values are plotting data, so floats are fine here, but they must be finite
-and ASCII, as payoff literals are: `float` alone would also take any Unicode
-decimal digit.
+Files are UTF-8 text with `\\n`, `\\r\\n` or `\\r` line ends.  Values are
+plotting data, so floats are fine here, but they must be finite and ASCII, as
+payoff literals are: `float` alone would also take any Unicode decimal digit.
 """
 
 from __future__ import annotations
@@ -13,29 +13,51 @@ import math
 import os
 
 
-def _finite(path, lineno: int, fields: list[str]) -> tuple[float, ...]:
-    if not "".join(fields).isascii():  # joined: one call per line, cheaper than one per field
-        raise ValueError(f"{path}:{lineno}: non-numeric value")
+def _load(path, columns: int | None) -> tuple[tuple[float, ...], ...]:
+    """The values of every nonblank line: `columns` to a line, or any one count if None.
+
+    The file is read and checked whole.  Its lines are walked only when that
+    fails: to name the first bad line as `path:line`, or, when every line is
+    good, to report a matrix file as empty or ragged.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        values = tuple(map(float, fields))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{path}:{lineno}: non-finite value")
-    return values
+        text, undecodable = data.decode("utf-8"), False
+    except UnicodeDecodeError as exc:  # the text up to the line that holds the bad byte
+        text, undecodable = data[:exc.start].decode("utf-8"), True
+    # The line ends of text-mode reading; str.splitlines() would also split at \x0c, \x1c, ...
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    counts = set(map(len, map(str.split, lines))) - {0}
+    if not undecodable and (counts <= {columns} if columns else len(counts) == 1):
+        fields = text.split()
+        if "".join(fields).isascii():  # `float` takes any Unicode digit
+            try:
+                values = list(map(float, fields))
+            except ValueError:
+                pass
+            else:
+                if all(map(math.isfinite, values)):
+                    return tuple(zip(*[iter(values)] * (columns or counts.pop())))
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if undecodable and lineno == len(lines):
+            raise ValueError(f"{path}:{lineno}: non-numeric value")
+        if columns and fields and len(fields) != columns:
+            raise ValueError(f"{path}:{lineno}: expected {columns} columns, got {len(fields)}")
+        try:
+            values = list(map(float, fields)) if "".join(fields).isascii() else None
+        except ValueError:
+            values = None
+        if values is None:
+            raise ValueError(f"{path}:{lineno}: non-numeric value")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+    raise ValueError(f"{path}: empty matrix" if not counts else f"{path}: rows have unequal lengths")
 
 
 def load_points(path: str | os.PathLike) -> tuple[tuple[float, float], ...]:
-    points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-            points.append(_finite(path, lineno, fields))
-    return tuple(points)
+    return _load(path, 2)
 
 
 def save_points(path: str | os.PathLike, points) -> None:
@@ -45,18 +67,7 @@ def save_points(path: str | os.PathLike, points) -> None:
 
 
 def load_matrix(path: str | os.PathLike) -> tuple[tuple[float, ...], ...]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            rows.append(_finite(path, lineno, fields))
-    if not rows:
-        raise ValueError(f"{path}: empty matrix")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError(f"{path}: rows have unequal lengths")
-    return tuple(rows)
+    return _load(path, None)
 
 
 def save_matrix(path: str | os.PathLike, rows) -> None:

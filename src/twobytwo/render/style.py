@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -48,11 +49,19 @@ def shade(color: Color, probability: float) -> Color:
     return tuple(round(255 - t * (255 - channel)) for channel in color)
 
 
-def lerp_color(low: Color, high: Color, t: float) -> Color:
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # NaN passes, as through min/max
+def lerp_colors(low: Color, high: Color, ts: Iterable[float]) -> list[Color]:
+    """The color at each t of `ts` on the line from `low` (t <= 0) to `high` (t >= 1)."""
     r0, g0, b0 = low
-    r1, g1, b1 = high
-    return (round(r0 + t * (r1 - r0)), round(g0 + t * (g1 - g0)), round(b0 + t * (b1 - b0)))
+    dr, dg, db = high[0] - r0, high[1] - g0, high[2] - b0
+    return [
+        (round(r0 + c * dr), round(g0 + c * dg), round(b0 + c * db))
+        for t in ts
+        for c in [0.0 if t < 0.0 else 1.0 if t > 1.0 else t]  # NaN passes, as through min/max
+    ]
+
+
+def lerp_color(low: Color, high: Color, t: float) -> Color:
+    return lerp_colors(low, high, (t,))[0]
 
 
 def hex_color(color: Color) -> str:

@@ -107,11 +107,23 @@ printf '12.5 300\n200 45\n90 180\n' > "$RUNNER_TEMP/points.dat"
 printf '0 1 2\n3 4 5\n' > "$RUNNER_TEMP/heat.dat"
 python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/points.dat" --matrix "$RUNNER_TEMP/heat.dat" -o "$RUNNER_TEMP/emb.svg"
 python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/points.dat" --matrix "$RUNNER_TEMP/heat.dat" -o "$RUNNER_TEMP/emb.tex"
-# Three usage errors, each of which must exit with exactly 2: a non-finite
-# point, a point file given to a kind other than embedding, and a point
-# written in non-ASCII (Arabic-Indic) digits.
+# The same data files with CRLF line ends draw the same figures, byte for byte.
+sed 's/$/\r/' "$RUNNER_TEMP/points.dat" > "$RUNNER_TEMP/points-crlf.dat"
+sed 's/$/\r/' "$RUNNER_TEMP/heat.dat" > "$RUNNER_TEMP/heat-crlf.dat"
+test "$(wc -c < "$RUNNER_TEMP/points-crlf.dat")" -eq "$(($(wc -c < "$RUNNER_TEMP/points.dat") + 3))"
+python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/points-crlf.dat" --matrix "$RUNNER_TEMP/heat-crlf.dat" -o "$RUNNER_TEMP/emb-crlf.svg"
+python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/points-crlf.dat" --matrix "$RUNNER_TEMP/heat-crlf.dat" -o "$RUNNER_TEMP/emb-crlf.tex"
+cmp "$RUNNER_TEMP/emb.svg" "$RUNNER_TEMP/emb-crlf.svg"
+cmp "$RUNNER_TEMP/emb.tex" "$RUNNER_TEMP/emb-crlf.tex"
+# Four usage errors, each of which must exit with exactly 2: a non-finite
+# point, a point file given to a kind other than embedding, a point written
+# in non-ASCII (Arabic-Indic) digits, and a point file that is not UTF-8,
+# whose path:line the message names.
 printf 'nan 0\n' > "$RUNNER_TEMP/nan.dat"
 code=0; python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/nan.dat" -o "$RUNNER_TEMP/nan.svg" || code=$?; test "$code" -eq 2
 code=0; python -m twobytwo render --kind joint .4 .3 .1 .2 --points "$RUNNER_TEMP/points.dat" -o "$RUNNER_TEMP/joint.svg" || code=$?; test "$code" -eq 2
 printf '\331\241\331\242 \331\243\n' > "$RUNNER_TEMP/digits.dat"
 code=0; python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/digits.dat" -o "$RUNNER_TEMP/digits.svg" || code=$?; test "$code" -eq 2
+printf '1 2\n3 \3774\n' > "$RUNNER_TEMP/latin1.dat"
+code=0; python -m twobytwo render --kind embedding --points "$RUNNER_TEMP/latin1.dat" -o "$RUNNER_TEMP/latin1.svg" 2> "$RUNNER_TEMP/latin1.err" || code=$?; test "$code" -eq 2
+grep -qF "$RUNNER_TEMP/latin1.dat:2: non-numeric value" "$RUNNER_TEMP/latin1.err"

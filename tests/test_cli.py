@@ -328,6 +328,16 @@ def test_render_non_finite_points_usage_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_render_non_utf8_data_file_usage_error(tmp_path, capsys):
+    data = tmp_path / "bad.dat"
+    data.write_bytes(b"1 2\n3 \xff4\n")
+    for flag in ("--points", "--matrix"):
+        code, _, err = run_cli(capsys, "render", "--kind", "embedding",
+                               flag, str(data), "-o", str(tmp_path / "x.svg"))
+        assert code == 2 and f"{data}:2: non-numeric value" in err
+        assert "codec" not in err
+
+
 def test_render_style_toggles(tmp_path, capsys):
     plain, bare = tmp_path / "a.svg", tmp_path / "b.svg"
     base = ("render", "--kind", "embedding", "2", "0", "0", "1", "2", "0", "0", "1")

@@ -44,6 +44,7 @@ from twobytwo.render.style import (
     fmt,
     hex_color,
     lerp_color,
+    lerp_colors,
     shade,
 )
 
@@ -476,6 +477,114 @@ def test_data_files_take_only_ascii_literals(tmp_path):
         assert loader(path) == ((10.0, 2.0),)
 
 
+@pytest.mark.parametrize("data,lineno", [
+    (b"1 2\n3 \xff4\n", 2),
+    (b"\xff\n1 2\n", 1),
+    (b"1 2\n\n5 6 \xff\n", 3),  # the undecodable line is named even with three fields
+    (b"1 2\r3 4\r\xfe 5\r", 3),
+    (b"1 2\r\n3 4\r\n5 \xe2\x82", 3),  # a sequence cut short by the end of the file
+    (b"1 2\n\xd9\xa1 2\n\xff\n", 2),  # an earlier non-ASCII digit is named first
+    (b"nan 1\n\xff\n", 1),
+])
+def test_data_files_name_the_first_line_that_is_not_utf8(tmp_path, data, lineno):
+    path = tmp_path / "data.dat"
+    path.write_bytes(data)
+    message = f"{path}:{lineno}: non-{'finite' if data.startswith(b'nan') else 'numeric'} value"
+    for loader in (load_points, load_matrix):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loader(path)
+    path.write_bytes(b"1 2 3\n\xff\n")  # the wrong arity comes first
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: expected 2 columns, got 3") + "$"):
+        load_points(path)
+
+
+# The loaders as they read a file one line at a time before they read it whole:
+# the fast loaders must give the same values, or fail with the same message.
+
+
+def reference_finite(path, lineno, fields):
+    if not "".join(fields).isascii():
+        raise ValueError(f"{path}:{lineno}: non-numeric value")
+    try:
+        values = tuple(map(float, fields))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}:{lineno}: non-finite value")
+    return values
+
+
+def reference_load_points(path):
+    points = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
+            points.append(reference_finite(path, lineno, fields))
+    return tuple(points)
+
+
+def reference_load_matrix(path):
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            rows.append(reference_finite(path, lineno, fields))
+    if not rows:
+        raise ValueError(f"{path}: empty matrix")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"{path}: rows have unequal lengths")
+    return tuple(rows)
+
+
+DATA_FILES = {
+    "lf": "1 2\n3 4\n",
+    "crlf": "1 2\r\n3 4\r\n",
+    "cr": "1 2\r3 4\r",
+    "mixed-ends": "1 2\r\n3 4\r5 6\n7 8",
+    "no-final-newline": "1 2\n3 4",
+    "empty": "",
+    "blank-lines": "\n1 2\n   \n\t\n3 4\n\n",
+    "only-whitespace": " \n\t\r\n",
+    "ff-inside-line": "1\x0c2\n3 4\n",
+    "ff-between-pairs": "1 2\x0c3 4\n",
+    "fs-inside-line": "1\x1c2\n3\x1c4\n",
+    "unicode-spaces": "1\u20032\n3\x854\n",
+    "unicode-line-separator": "1 2\u20283 4\n",
+    "literal-forms": "1_0 +1e2\n-0 -0.0\n",
+    "nan-line-3": "1 2\n3 4\nnan 5\n",
+    "inf-line-2": "1 2\n-inf 3\n4 5\n",
+    "overflow-line-2": "1 2\n1e400 3\n",
+    "non-numeric": "1 2\nabc 3\n",
+    "fraction": "1/2 3\n",
+    "arity-before-non-ascii": "1 2 3\n\u0661 2\n",
+    "arity-after-non-ascii": "1 2\n\u0661 2\n1 2 3\n",
+    "one-column": "1\n2\n",
+    "ragged-then-nan": "1 2\n3\n4 nan\n",
+    "bom": "\ufeff1 2\n",
+}
+
+
+def _outcome(loader, path):
+    try:
+        return loader(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", list(DATA_FILES))
+def test_loaders_match_line_by_line_reference(tmp_path, name):
+    path = tmp_path / f"{name}.dat"
+    path.write_bytes(DATA_FILES[name].encode("utf-8"))
+    for loader, reference in ((load_points, reference_load_points), (load_matrix, reference_load_matrix)):
+        assert _outcome(loader, path) == _outcome(reference, path)
+
+
 # --- emission helpers against their reference versions -------------------------------
 # The straightforward versions of the per-value helpers and of TikZ color
 # collection; the library's faster versions must give the same results.
@@ -545,12 +654,24 @@ def test_large_heatmap_emission_matches_reference_helpers(format, monkeypatch):
     assert (cells.cols, len(cells.fills)) == (40, 36 * 40)
     assert 50 < len(colors) < count_drawn(scene, "heatmap-cell") == len(cells.fills)
     text = render_figure(spec, format)
+    calls = Counter()
+
+    def counted(name, helper):
+        def call(*args):
+            calls[name] += 1
+            return helper(*args)
+        return call
+
+    def reference_ramp(low, high, ts):
+        return [reference_lerp_color(low, high, t) for t in ts]
+
     with monkeypatch.context() as patch:
-        patch.setattr(canvas, "fmt", reference_fmt)
-        patch.setattr(canvas, "hex_color", reference_hex_color)
-        patch.setattr(figures, "lerp_color", reference_lerp_color)
+        patch.setattr(canvas, "fmt", counted("fmt", reference_fmt))
+        patch.setattr(canvas, "hex_color", counted("hex_color", reference_hex_color))
+        patch.setattr(figures, "lerp_colors", counted("ramp", reference_ramp))
         reference = render_figure(spec, format)
     assert text == reference
+    assert calls["ramp"] == 1 and calls["fmt"] > 0 and calls["hex_color"] > 0, calls
     if format == "tikz":
         assert color_definitions(text) == reference_color_definitions(scene)
 
@@ -579,6 +700,8 @@ def test_lerp_and_hex_color_match_reference():
     for low, high in ((WHITE, PURPLE), (BLACK, (255, 128, 2)), ((255, 128, 3), BLACK)):
         colors = [lerp_color(low, high, t) for t in ts]
         assert colors == [reference_lerp_color(low, high, t) for t in ts]
+        assert lerp_colors(low, high, ts) == colors
+        assert lerp_colors(low, high, iter(ts)) == colors
         assert [hex_color(c) for c in colors] == [reference_hex_color(c) for c in colors]
     # .5 rounds to even: 0.5 -> 0, 1.5 -> 2
     assert lerp_color(BLACK, (255, 128, 2), 0.25) == (64, 32, 0)

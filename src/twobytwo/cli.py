@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 
 from .core import (
+    NEGATIVE_LITERAL_START,
     Game,
     JointDistribution,
     Player,
@@ -47,13 +47,13 @@ _PREFERENCE_LETTERS = {1: "A", -1: "B", 0: "-"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes every token starting "-digit" or "-.digit" as a
-    positional literal ("-1", "-.5", "-1/2", "-1e2", "-1_0"); `as_rational`
-    alone decides whether it is valid."""
+    """ArgumentParser that takes every token `core.NEGATIVE_LITERAL_START`
+    matches ("-1", "-.5", "-1/2", "-1e2", "-1_0") as a positional literal;
+    `as_rational` alone decides whether it is valid."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = NEGATIVE_LITERAL_START
 
 
 @functools.cache

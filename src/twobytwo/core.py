@@ -41,49 +41,47 @@ class Player(enum.Enum):
 #: the work of parsing one literal.
 MAX_LITERAL_DIGITS = 400
 
-#: Every character a string literal may hold: ASCII digits, sign, point, slash,
-#: underscore and exponent mark.  `Fraction` alone would also take any Unicode
-#: decimal digit and surrounding whitespace.
-_LITERAL_CHARS = re.compile(r"[0-9+\-./_eE]*")
+#: The payoff-literal grammar: `Fraction`'s grammar of Python 3.13 in ASCII and
+#: without whitespace.  An optional sign, then digits with `_` only between two
+#: digits, then a `/denominator`, or `.decimals` and an optional `e` exponent.
+_DIGITS = r"[0-9]+(?:_[0-9]+)*"
+_LITERAL = re.compile(
+    rf"(?P<mantissa>[-+]?(?=\.?[0-9])(?:{_DIGITS})?(?:/{_DIGITS}\Z|\.(?:{_DIGITS})?)?)"
+    rf"(?:[eE][-+]?(?P<exponent>{_DIGITS}))?"
+)
 
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
-
-
-def _literal_digits(token: str) -> int:
-    """Digits in `token`, with an exponent counted as its magnitude."""
-    match = _EXPONENT.search(token)
-    if match is None:
-        return sum(map(str.isdigit, token))
-    exponent = match.group(1).replace("_", "").lstrip("0")
-    if len(exponent) > len(str(MAX_LITERAL_DIGITS)):
-        return MAX_LITERAL_DIGITS + 1
-    return sum(map(str.isdigit, token[: match.start()])) + int(exponent or "0")
+#: Matches a token that starts a negative literal: "-" then an ASCII digit or
+#: ".digit".  A command line reads any other token starting with "-" as an option.
+NEGATIVE_LITERAL_START = re.compile(r"-\.?[0-9]")
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce a payoff literal to an exact rational.
 
     Decimal strings are parsed as exact decimal fractions (".4" -> 2/5),
-    never as binary floats.  Accepts "n/d" fraction syntax.  A string must be
-    ASCII with no whitespace, and one with more than `MAX_LITERAL_DIGITS`
-    digits is rejected before it is parsed.
+    never as binary floats.  Accepts "n/d" fraction syntax and `_` between
+    digits.  A string must match the literal grammar, and one with more than
+    `MAX_LITERAL_DIGITS` digits (an exponent counted as its magnitude) is
+    rejected before it is converted.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _LITERAL_CHARS.fullmatch(value):
-            raise ValueError(f"invalid rational literal {value!r}")
-        if _literal_digits(value) > MAX_LITERAL_DIGITS:
-            raise ValueError(
-                f"rational literal {value!r} has more than {MAX_LITERAL_DIGITS} digits"
-            )
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid rational literal {value!r}") from exc
-    raise ValueError(f"invalid rational literal {value!r}")
+    match = _LITERAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"invalid rational literal {value!r}")
+    mantissa, exponent = match.group("mantissa", "exponent")
+    exponent = (exponent or "").replace("_", "").lstrip("0")
+    if (
+        len(exponent) > len(str(MAX_LITERAL_DIGITS))
+        or sum(map(str.isdigit, mantissa)) + int(exponent or "0") > MAX_LITERAL_DIGITS
+    ):
+        raise ValueError(f"rational literal {value!r} has more than {MAX_LITERAL_DIGITS} digits")
+    try:
+        return Fraction(value.replace("_", ""))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"invalid rational literal {value!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:

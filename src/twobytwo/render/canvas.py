@@ -1,9 +1,9 @@
 """A tiny retained scene of drawing primitives with TikZ and SVG backends.
 
-Scenes use y-up coordinates in points; backends translate.  Output is fully
-deterministic: primitives are emitted in insertion order, colors are named by
-their hex value, and all numbers go through the fixed 6-significant-digit
-formatter.
+Scenes use y-up coordinates in points on the `SIZE_PT` square; backends
+translate.  Output is fully deterministic: primitives are emitted in insertion
+order, colors are named by their hex value, and all numbers go through the
+fixed 6-significant-digit formatter.
 
 Two primitives stand for many drawn elements.  A `Heatmap` is a grid of
 filled cells and a `Circle` holds any number of centres with one radius and
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .style import Color, fmt, hex_color
+from .style import SIZE_PT, Color, fmt, hex_color
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,6 @@ Primitive = Union[Line, ArrowLine, Rect, Heatmap, Circle, Text]
 
 @dataclass
 class Scene:
-    width: float
-    height: float
     prims: list[Primitive] = field(default_factory=list)
 
     def add(self, *prims: Primitive) -> None:
@@ -137,15 +135,15 @@ def _svg_escape(text: str) -> str:
 
 
 def to_svg(scene: Scene) -> str:
-    h = scene.height
+    h = SIZE_PT
 
     def y(v: float) -> float:
         return h - v
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(scene.width)}pt" '
-        f'height="{fmt(h)}pt" viewBox="0 0 {fmt(scene.width)} {fmt(h)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(h)}pt" '
+        f'height="{fmt(h)}pt" viewBox="0 0 {fmt(h)} {fmt(h)}">',
     ]
 
     def attr_class(tag: str) -> str:

@@ -47,7 +47,6 @@ from .style import (
     WHITE,
     StyleOptions,
     lerp_colors,
-    shade,
 )
 
 
@@ -112,18 +111,18 @@ class FigureSpec:
 
 def _joint_cells(scene: Scene, dist: JointDistribution, cell, y0) -> None:
     """The four joint cells, shaded by probability, with the bottom row at `y0`."""
-    for idx, prob in enumerate(dist.prob):
+    for idx, fill in enumerate(lerp_colors(WHITE, BLACK, map(float, dist.prob))):
         r, c = divmod(idx, 2)
         scene.add(
             Rect(x=c * cell, y=y0 + (1 - r) * cell, w=cell, h=cell,
-                 fill=shade(BLACK, float(prob)), stroke=BLACK,
+                 fill=fill, stroke=BLACK,
                  width=STROKE_WIDTH_PT, tag="joint-cell")
         )
 
 
 def _build_joint(dist: JointDistribution, style: StyleOptions) -> Scene:
     s = SIZE_PT
-    scene = Scene(width=s, height=s)
+    scene = Scene()
     _joint_cells(scene, dist, s / 2.0, 0.0)
     return scene
 
@@ -131,7 +130,7 @@ def _build_joint(dist: JointDistribution, style: StyleOptions) -> Scene:
 def _build_conditional(dist: JointDistribution, style: StyleOptions, player: Player) -> Scene:
     s = SIZE_PT
     cell = s / 2.0
-    scene = Scene(width=s, height=s)
+    scene = Scene()
     color = PLAYER_COLORS[player.value]
     for which, row in enumerate(conditional(dist, player).rows):
         for other in range(2):
@@ -139,7 +138,7 @@ def _build_conditional(dist: JointDistribution, style: StyleOptions, player: Pla
             if row is None:  # zero conditioning probability: nothing to shade
                 fill, stroke, tag = WHITE, LIGHT_GRAY, "absent-cell"
             else:
-                fill, stroke, tag = shade(color, float(row[other])), BLACK, "cond-cell"
+                fill, stroke, tag = lerp_colors(WHITE, color, [float(row[other])])[0], BLACK, "cond-cell"
             scene.add(
                 Rect(x=c * cell, y=(1 - r) * cell, w=cell, h=cell, fill=fill,
                      stroke=stroke, width=STROKE_WIDTH_PT, tag=tag)
@@ -154,21 +153,21 @@ def _build_marginal(dist: JointDistribution, style: StyleOptions, with_joint: bo
     joint_side = s - bar - 0.06 * s
     cell = joint_side / 2.0
     gap = 0.06 * joint_side
-    scene = Scene(width=s, height=s)
+    scene = Scene()
     if with_joint:
         _joint_cells(scene, dist, cell, bar + gap)
     m = marginals_from_joint(dist)
     row_color, col_color = PLAYER_COLORS
-    for r, prob in enumerate((m.row_prob_a, 1 - m.row_prob_a)):
+    for r, fill in enumerate(lerp_colors(WHITE, row_color, map(float, (m.row_prob_a, 1 - m.row_prob_a)))):
         scene.add(
             Rect(x=joint_side + gap, y=bar + gap + (1 - r) * cell, w=bar, h=cell,
-                 fill=shade(row_color, float(prob)), stroke=BLACK,
+                 fill=fill, stroke=BLACK,
                  width=STROKE_WIDTH_PT, tag="marginal-row-cell")
         )
-    for c, prob in enumerate((m.col_prob_a, 1 - m.col_prob_a)):
+    for c, fill in enumerate(lerp_colors(WHITE, col_color, map(float, (m.col_prob_a, 1 - m.col_prob_a)))):
         scene.add(
             Rect(x=c * cell, y=0.0, w=cell, h=bar,
-                 fill=shade(col_color, float(prob)), stroke=BLACK,
+                 fill=fill, stroke=BLACK,
                  width=STROKE_WIDTH_PT, tag="marginal-col-cell")
         )
     return scene
@@ -182,7 +181,7 @@ def _build_payoff_table(game: Game, style: StyleOptions) -> Scene:
     header = 0.18 * s
     side = s - header
     cell = side / 2.0
-    scene = Scene(width=s, height=s)
+    scene = Scene()
     row_color, col_color = PLAYER_COLORS
     font = 0.11 * s
 
@@ -241,9 +240,9 @@ def _build_payoff_table(game: Game, style: StyleOptions) -> Scene:
 # --- preference graphs -------------------------------------------------------------
 
 
-def _node_positions(size: float) -> tuple[tuple[float, float], ...]:
-    pad = 0.16 * size
-    hi, lo = size - pad, pad
+def _node_positions() -> tuple[tuple[float, float], ...]:
+    pad = 0.16 * SIZE_PT
+    hi, lo = SIZE_PT - pad, pad
     return ((lo, hi), (hi, hi), (lo, lo), (hi, lo))  # AA, AB, BA, BB
 
 
@@ -264,15 +263,15 @@ def _offset(p1, p2, amount):
     )
 
 
-def _add_nodes(scene: Scene, positions, size: float) -> None:
-    scene.add(Circle(centers=tuple(positions), r=0.035 * size, fill=LIGHT_GRAY, tag="node"))
+def _add_nodes(scene: Scene, positions) -> None:
+    scene.add(Circle(centers=tuple(positions), r=0.035 * SIZE_PT, fill=LIGHT_GRAY, tag="node"))
 
 
 def _build_ord_graph(game: Game, style: StyleOptions) -> Scene:
     s = SIZE_PT
-    positions = _node_positions(s)
-    scene = Scene(width=s, height=s)
-    _add_nodes(scene, positions, s)
+    positions = _node_positions()
+    scene = Scene()
+    _add_nodes(scene, positions)
     trim = 0.055 * s
     for player in (Player.ROW, Player.COL):
         graph = ordinal_graph(game, player)
@@ -294,9 +293,9 @@ def _build_ord_graph(game: Game, style: StyleOptions) -> Scene:
 
 def _build_br_graph(game: Game, style: StyleOptions) -> Scene:
     s = SIZE_PT
-    positions = _node_positions(s)
-    scene = Scene(width=s, height=s)
-    _add_nodes(scene, positions, s)
+    positions = _node_positions()
+    scene = Scene()
+    _add_nodes(scene, positions)
     trim = 0.055 * s
     graph = br_graph(game)
     # (preference, cell where the chooser plays A, cell where they play B);
@@ -352,7 +351,7 @@ _ISO_FRACTIONS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), F
 def _build_polytope(game: Game, style: StyleOptions) -> Scene:
     s = SIZE_PT
     width = STROKE_WIDTH_PT
-    scene = Scene(width=s, height=s)
+    scene = Scene()
 
     def at(prob) -> tuple[float, float]:
         return _PLACE(project(simplex_position(tuple(float(x) for x in prob))))
@@ -430,7 +429,7 @@ def _build_embedding(data: EmbeddingFigureData, style: StyleOptions) -> Scene:
     s = SIZE_PT
     margin = 0.14 * s
     plot = s - margin - 0.06 * s
-    scene = Scene(width=s, height=s)
+    scene = Scene()
 
     def at(ax: float, ay: float) -> tuple[float, float]:
         return (margin + ax / 360.0 * plot, margin + ay / 360.0 * plot)

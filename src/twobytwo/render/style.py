@@ -43,12 +43,6 @@ def fmt(value: float) -> str:
     return text
 
 
-def shade(color: Color, probability: float) -> Color:
-    """Linear shade: probability 0 is white, 1 is the full color."""
-    t = min(max(probability, 0.0), 1.0)
-    return tuple(round(255 - t * (255 - channel)) for channel in color)
-
-
 def lerp_colors(low: Color, high: Color, ts: Iterable[float]) -> list[Color]:
     """The color at each t of `ts` on the line from `low` (t <= 0) to `high` (t >= 1)."""
     r0, g0, b0 = low
@@ -58,10 +52,6 @@ def lerp_colors(low: Color, high: Color, ts: Iterable[float]) -> list[Color]:
         for t in ts
         for c in [0.0 if t < 0.0 else 1.0 if t > 1.0 else t]  # NaN passes, as through min/max
     ]
-
-
-def lerp_color(low: Color, high: Color, t: float) -> Color:
-    return lerp_colors(low, high, (t,))[0]
 
 
 def hex_color(color: Color) -> str:

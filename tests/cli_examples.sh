@@ -2,9 +2,13 @@
 # The README's CLI examples, run as real processes through __main__.py, with
 # pins on their output; a non-zero exit from any of them fails the script.
 # Run from the repository root: bash tests/cli_examples.sh
-# Scratch files go to $RUNNER_TEMP, a fresh temporary directory when unset.
+# Scratch files go to $RUNNER_TEMP, or to a fresh temporary directory, removed
+# on exit, when it is unset.
 set -eu
-RUNNER_TEMP="${RUNNER_TEMP:-$(mktemp -d)}"
+if [ -z "${RUNNER_TEMP:-}" ]; then
+  RUNNER_TEMP="$(mktemp -d)"
+  trap 'rm -rf -- "$RUNNER_TEMP"' EXIT
+fi
 export PYTHONPATH=src
 # The six census counts, the paper's taxonomy: 576 strict ordinal games, 144
 # and 78 of them up to relabelling actions and players, and 15 classes of the
@@ -17,6 +21,10 @@ test "$(cat "$RUNNER_TEMP/census.txt")" = "$(printf '%s\n' \
   'partial_ordinal_classes 726' \
   'br_graphs 81' \
   'br_classes 15')"
+# Literals with `_` between digits, and a minus sign before one, on every
+# supported Python.
+python -m twobytwo analyze 1_000 -1_0 0 0 0 0 0 0 > "$RUNNER_TEMP/underscore.txt"
+test "$(head -n 1 "$RUNNER_TEMP/underscore.txt")" = "game 1000 -10 0 0 0 0 0 0"
 # One pin for each CCE vertex count: the prisoner's dilemma has 1 vertex
 # (dimension 0), the next game 2 (one edge), and the one after 4,
 # two of them on runs of 2 cells (a tetrahedron: dimension 3, 6 edges).

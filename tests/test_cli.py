@@ -74,6 +74,14 @@ def test_analyze_accepts_fraction_and_decimal_literals(capsys):
     assert out.startswith("game -100 -10 0 0 0 0 0 0\n")
 
 
+def test_dash_token_without_ascii_digit_is_an_option(capsys):
+    # "-" then a non-ASCII digit, a vulgar fraction or a word is not a literal
+    for token in ("-\u0661\u0662", "-\u00bd", "-nan"):
+        code, out, err = run_cli(capsys, "analyze", token, *["0"] * 7)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {token}" in err
+
+
 def test_analyze_wrong_arity_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "1", "2", "3")
     assert code == 2

@@ -48,14 +48,40 @@ def test_decimal_strings_parse_exactly():
     assert as_rational("-7/2") == F(-7, 2)
 
 
-# After the first five, `Fraction` alone would take each: a literal is ASCII
-# with no whitespace.
+# Of the first five, `Fraction` alone would take none; of the next eight, it
+# would take each: a literal is ASCII with no whitespace.  The rest break the
+# literal grammar's placement of `_`, decimals and exponents.
 @pytest.mark.parametrize(
-    "bad", ["abc", "1/0", "", "1.2.3", "nan", "\u0661", "\u0663/\u0664", "\uff11", " 1", "1 ", "\t1", "1\n", "1\u00a0"]
+    "bad",
+    [
+        "abc", "1/0", "", "1.2.3", "nan",
+        "\u0661", "\u0663/\u0664", "\uff11", " 1", "1 ", "\t1", "1\n", "1\u00a0",
+        "_1", "1_", "1__0", "1_.5", "1e_5", "1/_2", "1.dd", "1_0 ", "1/2e3", "1/2e5000",
+    ],
 )
 def test_bad_rational_literals(bad):
     with pytest.raises(ValueError, match="invalid rational literal"):
         as_rational(bad)
+
+
+# The literal grammar, written out: `Fraction`'s own grammar takes `_` only
+# from Python 3.11 on, and 3.11 and 3.12 also match a literal "d*" after the
+# decimal point.
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("1_0", F(10)),
+        ("-1_0", F(-10)),
+        ("1_0/3", F(10, 3)),
+        (".5_5", F(11, 20)),
+        ("1e1_0", F(10**10)),
+        ("1.", F(1)),
+        ("1.e3", F(1000)),
+        ("+2.5e-1", F(1, 4)),
+    ],
+)
+def test_literal_grammar_accepts(token, value):
+    assert as_rational(token) == value
 
 
 def test_literal_digit_bound():
@@ -67,6 +93,12 @@ def test_literal_digit_bound():
     for token in ("1" * (n + 1), f"1e{n}", f"1e-{n}", "2/" + "3" * n, "." + "1" * (n + 1), "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="digits"):
             as_rational(token)
+
+
+def test_long_exponent_rejected_before_it_is_converted():
+    # int() of the exponent would fail on CPython's 4300-digit limit instead
+    with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_DIGITS} digits"):
+        as_rational("1e" + "9" * 5000)
 
 
 def test_huge_exponent_rejected_without_building_it():

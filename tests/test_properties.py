@@ -347,7 +347,7 @@ def signed(body):
 
 
 payoff_token = st.one_of(signed(numeric), signed(numeric), signed(malformed), st.sampled_from([" 1", "1 ", "1\t"]))
-NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+NEGATIVE_NUMBER = re.compile(r"^-\.?[0-9]")
 
 
 def literal_digits(token):

@@ -43,9 +43,7 @@ from twobytwo.render.style import (
     WHITE,
     fmt,
     hex_color,
-    lerp_color,
     lerp_colors,
-    shade,
 )
 
 from conftest import (
@@ -141,7 +139,7 @@ def test_joint_glyph_shades_match_probabilities():
     dist = joint(TABLE_JOINT)
     scene = build_scene(FigureSpec(FigureKind.JOINT, dist))
     cells = tagged(scene, "joint-cell")
-    assert [c.fill for c in cells] == [shade(BLACK, float(p)) for p in dist.prob]
+    assert [c.fill for c in cells] == [reference_lerp_color(WHITE, BLACK, float(p)) for p in dist.prob]
 
 
 def test_polytope_vertices_projected_exactly():
@@ -698,14 +696,12 @@ def test_lerp_and_hex_color_match_reference():
     ts = [i / 512 for i in range(-32, 545)] + [-math.inf, math.inf, -0.0]
     # (0,0,0) -> (255,128,2) at t = k/512 puts many channels exactly on .5
     for low, high in ((WHITE, PURPLE), (BLACK, (255, 128, 2)), ((255, 128, 3), BLACK)):
-        colors = [lerp_color(low, high, t) for t in ts]
+        colors = lerp_colors(low, high, ts)
         assert colors == [reference_lerp_color(low, high, t) for t in ts]
-        assert lerp_colors(low, high, ts) == colors
         assert lerp_colors(low, high, iter(ts)) == colors
         assert [hex_color(c) for c in colors] == [reference_hex_color(c) for c in colors]
     # .5 rounds to even: 0.5 -> 0, 1.5 -> 2
-    assert lerp_color(BLACK, (255, 128, 2), 0.25) == (64, 32, 0)
-    assert lerp_color(BLACK, (255, 128, 2), 0.75) == (191, 96, 2)
+    assert lerp_colors(BLACK, (255, 128, 2), [0.25, 0.75]) == [(64, 32, 0), (191, 96, 2)]
 
 
 # --- grid and multi-centre primitives against a per-element reference ---------------
@@ -742,15 +738,15 @@ def expand_prims(scene):
 
 
 def reference_to_svg(scene):
-    h = scene.height
+    h = SIZE_PT
 
     def y(v):
         return h - v
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(scene.width)}pt" '
-        f'height="{fmt(h)}pt" viewBox="0 0 {fmt(scene.width)} {fmt(h)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(h)}pt" '
+        f'height="{fmt(h)}pt" viewBox="0 0 {fmt(h)} {fmt(h)}">',
     ]
 
     def attr_class(tag):
@@ -941,7 +937,7 @@ def test_heatmap_fills_follow_matrix_order():
     scene = build_scene(FigureSpec(FigureKind.EMBEDDING, EmbeddingFigureData(heatmap=rows)))
     (cells,) = tagged(scene, "heatmap-cell")
     assert cells.cols == 3
-    assert cells.fills == tuple(lerp_color(WHITE, PURPLE, v / 5.0) for row in rows for v in row)
+    assert cells.fills == tuple(reference_lerp_color(WHITE, PURPLE, v / 5.0) for row in rows for v in row)
 
 
 def test_embedding_points_are_one_circle():

@@ -5,11 +5,9 @@ from .core import (
     JointDistribution,
     MarginalPair,
     Player,
-    Rational,
     as_rational,
     best_response_set,
     conditional,
-    expected_payoff,
     format_rational,
     game_from_flat,
     game_to_flat,

@@ -1,6 +1,7 @@
 """Command-line surface: analyze games, render figures, run the census and verifier.
 
-Exit codes: 0 success, 1 analysis/verification failure, 2 usage error.
+Exit codes: 0 success; 1 a verification failure, or a `render` output file that
+cannot be written; 2 usage error.
 Output is line-oriented `key value` text with rationals serialized exactly
 (`num/den`, plain integers without a denominator), so reports are stable,
 diff-friendly, and parse back through the input grammar.
@@ -184,7 +185,7 @@ def _cmd_render(parser, args) -> int:
     payload = _render_payload(parser, args)
     fmt = args.format
     if fmt is None:
-        fmt = "tikz" if args.output.endswith((".tex", ".tikz")) else "svg"
+        fmt = "tikz" if args.output.lower().endswith((".tex", ".tikz")) else "svg"
     try:
         text = render_figure(FigureSpec(FigureKind(args.kind), payload, _style_from_flags(args)), fmt)
     except UnsupportedFigureError as exc:
@@ -199,7 +200,7 @@ def _cmd_render(parser, args) -> int:
 
 
 def _cmd_census(parser, args) -> int:
-    for key, value in census().as_pairs():
+    for key, value in census().items():
         sys.stdout.write(f"{key} {value}\n")
     return EXIT_OK
 

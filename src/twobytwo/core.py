@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
 
 # Joint-action cells in flat order, row-major for the row player.
-CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CELL_NAMES = ("AA", "AB", "BA", "BB")
 
 
@@ -125,10 +123,6 @@ class Game:
         adv = _cleared_differences(r[0], r[2], r[1], r[3]) + _cleared_differences(c[0], c[1], c[2], c[3])
         object.__setattr__(self, "_advantages", adv)
 
-    def payoff(self, player: Player, row_action: int, col_action: int) -> Fraction:
-        table = self.row if player is Player.ROW else self.col
-        return table[2 * row_action + col_action]
-
     def payoffs(self, player: Player) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return self.row if player is Player.ROW else self.col
 
@@ -162,9 +156,6 @@ class JointDistribution:
         if sum([p.numerator * (common // p.denominator) for p in prob]) != common:
             shown = " ".join(map(format_rational, prob))
             raise ValueError(f"joint probabilities must sum to 1, got {shown}")
-
-    def __getitem__(self, cell: int) -> Fraction:
-        return self.prob[cell]
 
 
 @dataclass(frozen=True)
@@ -256,12 +247,6 @@ def integerize(values: Iterable[Fraction]) -> tuple[int, ...]:
     values = tuple(values)
     common = math.lcm(*[v.denominator for v in values])
     return tuple([v.numerator * (common // v.denominator) for v in values])
-
-
-def expected_payoff(game: Game, player: Player, dist: JointDistribution) -> Fraction:
-    """Expected payoff of `player` under the joint distribution, exact."""
-    table = game.payoffs(player)
-    return sum((dist.prob[i] * table[i] for i in range(4)), Fraction(0))
 
 
 def best_response_set(

@@ -54,29 +54,6 @@ class BRClass:
     name: str
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    strict_ordinal_total: int
-    strict_ordinal_up_to_strategy: int
-    strict_ordinal_up_to_strategy_and_player: int
-    partial_ordinal_classes: int
-    br_graph_total: int
-    br_class_total: int
-
-    def as_pairs(self) -> tuple[tuple[str, int], ...]:
-        return (
-            ("strict_ordinal_total", self.strict_ordinal_total),
-            ("strict_ordinal_up_to_strategy", self.strict_ordinal_up_to_strategy),
-            (
-                "strict_ordinal_up_to_strategy_and_player",
-                self.strict_ordinal_up_to_strategy_and_player,
-            ),
-            ("partial_ordinal_classes", self.partial_ordinal_classes),
-            ("br_graphs", self.br_graph_total),
-            ("br_classes", self.br_class_total),
-        )
-
-
 def dense_ranks(values: tuple) -> tuple[int, ...]:
     """Map values order-isomorphically onto {1..k}: the ordinal content of a payoff."""
     order = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
@@ -165,8 +142,9 @@ def _dense_rank_tuples() -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def census() -> CensusReport:
-    """Exhaustive enumeration of the ordinal and best-response taxonomies."""
+def census() -> dict[str, int]:
+    """Exhaustive enumeration of the ordinal and best-response taxonomies:
+    each count under the name that `twobytwo census` prints it with, in that order."""
     strict = tuple(itertools.permutations((1, 2, 3, 4)))
     strict_pairs = tuple(itertools.product(strict, strict))
     strategy_flags = tuple(f for f in SYMMETRY_FLAGS if not f[2])
@@ -175,16 +153,14 @@ def census() -> CensusReport:
     partial_pairs = itertools.product(partial, partial)
 
     classes = {index for _, index in _class_table().values()}
-    return CensusReport(
-        strict_ordinal_total=len(strict_pairs),
-        strict_ordinal_up_to_strategy=_count_orbits(strict_pairs, strategy_flags),
-        strict_ordinal_up_to_strategy_and_player=_count_orbits(
-            strict_pairs, SYMMETRY_FLAGS
-        ),
-        partial_ordinal_classes=_count_orbits(partial_pairs, SYMMETRY_FLAGS),
-        br_graph_total=len(all_br_graphs()),
-        br_class_total=len(classes),
-    )
+    return {
+        "strict_ordinal_total": len(strict_pairs),
+        "strict_ordinal_up_to_strategy": _count_orbits(strict_pairs, strategy_flags),
+        "strict_ordinal_up_to_strategy_and_player": _count_orbits(strict_pairs, SYMMETRY_FLAGS),
+        "partial_ordinal_classes": _count_orbits(partial_pairs, SYMMETRY_FLAGS),
+        "br_graphs": len(all_br_graphs()),
+        "br_classes": len(classes),
+    }
 
 
 def format_ordinal_levels(graph: OrdinalGraph) -> str:

@@ -11,5 +11,5 @@ from .figures import (
     render_embedding,
     render_figure,
 )
-from .files import load_matrix, load_points, save_matrix, save_points
+from .files import load_matrix, load_points
 from .style import StyleOptions

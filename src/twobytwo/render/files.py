@@ -60,17 +60,5 @@ def load_points(path: str | os.PathLike) -> tuple[tuple[float, float], ...]:
     return _load(path, 2)
 
 
-def save_points(path: str | os.PathLike, points) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y in points:
-            fh.write(f"{x!r} {y!r}\n")
-
-
 def load_matrix(path: str | os.PathLike) -> tuple[tuple[float, ...], ...]:
     return _load(path, None)
-
-
-def save_matrix(path: str | os.PathLike, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -18,6 +18,9 @@ ALL_ZERO = (0,) * 8
 # inside the CCE set.
 TRAFFIC_LIGHTS = (-9, 1, 0, 0, -9, 0, 1, 0)
 
+# (row action, column action) of each joint-action cell, in flat order.
+CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
 
 def count_drawn(scene, tag: str) -> int:
     """The number of drawn elements of `scene` with this tag: each cell of a

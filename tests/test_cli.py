@@ -359,11 +359,19 @@ def test_render_style_toggles(tmp_path, capsys):
 
 
 def test_render_format_inferred_from_extension(tmp_path, capsys):
-    out_path = tmp_path / "fig.tex"
-    code, _, _ = run_cli(capsys, "render", "--kind", "joint", ".4", ".3", ".1", ".2",
-                         "-o", str(out_path))
-    assert code == 0
-    assert out_path.read_text(encoding="utf-8").startswith(r"\begin{tikzpicture}")
+    """`.tex` and `.tikz` in any letter case give TikZ; every other name gives SVG."""
+    for name, start in (
+        ("fig.tex", r"\begin{tikzpicture}"),
+        ("fig.TEX", r"\begin{tikzpicture}"),
+        ("fig.Tikz", r"\begin{tikzpicture}"),
+        ("fig.SVG", "<?xml"),
+        ("fig.texx", "<?xml"),
+    ):
+        out_path = tmp_path / name
+        code, _, _ = run_cli(capsys, "render", "--kind", "joint", ".4", ".3", ".1", ".2",
+                             "-o", str(out_path))
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8").startswith(start), name
 
 
 def test_render_unwritable_output_fails(tmp_path, capsys):

@@ -14,7 +14,6 @@ from twobytwo.core import (
     as_rational,
     best_response_set,
     conditional,
-    expected_payoff,
     format_rational,
     game_from_flat,
     advantages,
@@ -117,8 +116,8 @@ def test_format_rational_round_trips():
 
 
 def test_game_from_flat_prisoners_dilemma(pd):
-    assert pd.payoff(Player.ROW, 1, 0) == 0  # G1(B,A)
-    assert pd.payoff(Player.COL, 0, 1) == 0  # G2(A,B)
+    assert pd.payoffs(Player.ROW)[2 * 1 + 0] == 0  # G1(B,A)
+    assert pd.payoffs(Player.COL)[2 * 0 + 1] == 0  # G2(A,B)
     assert pd.row == (F(-1), F(-3), F(0), F(-2))
     assert pd.col == (F(-1), F(0), F(-3), F(-2))
 
@@ -128,8 +127,8 @@ def test_game_from_flat_all_zero(all_zero):
 
 
 def test_game_from_flat_coordination(coordination):
-    assert coordination.payoff(Player.ROW, 0, 0) == 2
-    assert coordination.payoff(Player.COL, 0, 0) == 2
+    assert coordination.payoffs(Player.ROW)[2 * 0 + 0] == 2
+    assert coordination.payoffs(Player.COL)[2 * 0 + 0] == 2
 
 
 def test_game_from_flat_arity():
@@ -142,52 +141,6 @@ def test_flat_round_trip_random():
     for _ in range(200):
         flat = tuple(random_rational(rng) for _ in range(8))
         assert game_to_flat(game_from_flat(flat)) == flat
-
-
-# --- expected payoff --------------------------------------------------------------
-
-
-def test_expected_payoff_pure_bb(pd):
-    assert expected_payoff(pd, Player.ROW, joint((0, 0, 0, 1))) == -2
-
-
-def test_expected_payoff_point_mass_aa():
-    rng = random.Random(5)
-    for _ in range(20):
-        g = random_game(rng)
-        for p in Player:
-            assert expected_payoff(g, p, joint((1, 0, 0, 0))) == g.payoff(p, 0, 0)
-
-
-def test_expected_payoff_matching_pennies_uniform(mp):
-    # independent oracle: the average of the four entries
-    uniform = joint((F(1, 4),) * 4)
-    for p in Player:
-        assert expected_payoff(mp, p, uniform) == sum(mp.payoffs(p)) / 4
-    assert expected_payoff(mp, Player.ROW, uniform) == 0
-
-
-def test_expected_payoff_linear_in_joint():
-    rng = random.Random(7)
-    for _ in range(50):
-        g = random_game(rng)
-        s1 = random_joint(rng)
-        s2 = random_joint(rng)
-        alpha = F(rng.randint(0, 10), 10)
-        mix = JointDistribution(
-            tuple(alpha * a + (1 - alpha) * b for a, b in zip(s1.prob, s2.prob))
-        )
-        for p in Player:
-            expected = alpha * expected_payoff(g, p, s1) + (1 - alpha) * expected_payoff(g, p, s2)
-            assert expected_payoff(g, p, mix) == expected
-
-
-def random_joint(rng):
-    weights = [F(rng.randint(0, 9)) for _ in range(4)]
-    if sum(weights) == 0:
-        weights[0] = F(1)
-    total = sum(weights)
-    return JointDistribution(tuple(w / total for w in weights))
 
 
 # --- best responses ---------------------------------------------------------------

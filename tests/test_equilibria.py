@@ -5,7 +5,6 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 from twobytwo.core import (
-    CELLS,
     JointDistribution,
     MarginalPair,
     Player,
@@ -35,7 +34,7 @@ from twobytwo.graphs import BRGraph, br_graph
 from twobytwo import equilibria, verify
 from twobytwo.verify import _matrix_rank
 
-from conftest import SAFETY, HORSEPLAY, TRAFFIC_LIGHTS
+from conftest import CELLS, SAFETY, HORSEPLAY, TRAFFIC_LIGHTS
 
 
 def boxes(ns):
@@ -799,9 +798,9 @@ def reference_deviation_gain(game, player, deviation, dist):
     total = F(0)
     for cell, (r_act, c_act) in enumerate(CELLS):
         if player is Player.ROW:
-            gain = game.payoff(player, deviation, c_act) - game.payoff(player, r_act, c_act)
+            gain = game.payoffs(player)[2 * deviation + c_act] - game.payoffs(player)[2 * r_act + c_act]
         else:
-            gain = game.payoff(player, r_act, deviation) - game.payoff(player, r_act, c_act)
+            gain = game.payoffs(player)[2 * r_act + deviation] - game.payoffs(player)[2 * r_act + c_act]
         total += dist.prob[cell] * gain
     return total
 

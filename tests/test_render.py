@@ -29,8 +29,6 @@ from twobytwo.render import (
     load_points,
     render_embedding,
     render_figure,
-    save_matrix,
-    save_points,
 )
 from twobytwo.render.canvas import ArrowLine, Circle, Heatmap, Line, Rect, Text
 from twobytwo.render.figures import _ISO_FRACTIONS, _fit_to_canvas
@@ -437,14 +435,14 @@ def test_wrong_payload_type_rejected(mp):
 def test_point_file_round_trip(tmp_path):
     path = tmp_path / "points.dat"
     pairs = ((0.0, 359.5), (123.456, 7.0), (1e-3, 300.0))
-    save_points(path, pairs)
+    path.write_text("".join(f"{x!r} {y!r}\n" for x, y in pairs), encoding="utf-8", newline="\n")
     assert load_points(path) == pairs
 
 
 def test_matrix_file_round_trip(tmp_path):
     path = tmp_path / "heat.dat"
     rows = ((1.0, 2.5, -3.0), (0.25, 0.0, 9.75))
-    save_matrix(path, rows)
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows), encoding="utf-8", newline="\n")
     assert load_matrix(path) == rows
 
 
@@ -558,6 +556,9 @@ DATA_FILES = {
     "nan-line-3": "1 2\n3 4\nnan 5\n",
     "inf-line-2": "1 2\n-inf 3\n4 5\n",
     "overflow-line-2": "1 2\n1e400 3\n",
+    "infinity-line-2": "1 2\ninfinity 3\n",
+    "underflow": "1e-400 2\n",
+    "hex": "0x10 2\n",
     "non-numeric": "1 2\nabc 3\n",
     "fraction": "1/2 3\n",
     "arity-before-non-ascii": "1 2 3\n\u0661 2\n",

@@ -7,13 +7,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
+from conftest import ALL_ZERO, CELLS, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
 from test_equilibria import deviation_gain, per_call_cce_polytope, per_call_nash_set, reference_halfspace_rows
 from twobytwo import core, equilibria, verify
 from twobytwo.cli import main
 from twobytwo.core import (
     ADVANTAGE_ACTION,
-    CELLS,
     SYMMETRY_FLAGS,
     JointDistribution,
     MarginalPair,

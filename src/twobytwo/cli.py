@@ -61,11 +61,14 @@ class _Parser(argparse.ArgumentParser):
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later `main` call.
 
-    Parsing does not change it: each `parse_args` call fills a fresh namespace,
-    and nothing else writes to the parser.
+    It is the only grammar: `_parse_command` runs either it or one of its
+    subparsers, which `command_parsers` maps from their names.  Parsing does
+    not change it: each parse fills a fresh namespace, and nothing else writes
+    to the parser.
     """
     parser = _Parser(prog="twobytwo", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.command_parsers = commands.choices
 
     analyze = commands.add_parser("analyze", help="full report: graphs, classes, equilibria, embedding")
     analyze.add_argument("payoffs", nargs="*", help="8 payoff literals, row player row-major first")
@@ -233,9 +236,33 @@ _COMMANDS = {
 }
 
 
+def _parse_command(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """`parser.parse_args(argv)`, in one argparse pass when `argv[0]` names a command.
+
+    Given a command name first, the top-level pass only hands every later
+    token to that command's parser and reports what it leaves over, so this
+    runs the command's parser directly and reports the leftovers with the same
+    message.  Any other argv (empty, `-h`, an unknown command, a leading `--`)
+    goes through `parser.parse_args`, which prints the usage error or help.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command_parser = parser.command_parsers.get(argv[0]) if argv else None
+    if command_parser is None:
+        return parser.parse_args(argv)
+    args, extras = command_parser.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command line (`sys.argv[1:]` by default) and return its exit code.
+
+    Usage errors and `-h` exit through `SystemExit`, as argparse does.
+    """
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse_command(parser, argv)
     return _COMMANDS[args.command](parser, args)
 
 

@@ -42,10 +42,12 @@ MAX_LITERAL_DIGITS = 400
 #: The payoff-literal grammar: `Fraction`'s grammar of Python 3.13 in ASCII and
 #: without whitespace.  An optional sign, then digits with `_` only between two
 #: digits, then a `/denominator`, or `.decimals` and an optional `e` exponent.
+#: Its named groups are all the parts `as_rational` needs to build the value.
 _DIGITS = r"[0-9]+(?:_[0-9]+)*"
 _LITERAL = re.compile(
-    rf"(?P<mantissa>[-+]?(?=\.?[0-9])(?:{_DIGITS})?(?:/{_DIGITS}\Z|\.(?:{_DIGITS})?)?)"
-    rf"(?:[eE][-+]?(?P<exponent>{_DIGITS}))?"
+    rf"(?P<sign>[-+]?)(?=\.?[0-9])(?P<integer>{_DIGITS})?"
+    rf"(?:/(?P<denominator>{_DIGITS})\Z|\.(?P<decimals>{_DIGITS})?)?"
+    rf"(?:[eE](?P<exponent_sign>[-+]?)(?P<exponent>{_DIGITS}))?"
 )
 
 #: Matches a token that starts a negative literal: "-" then an ASCII digit or
@@ -59,8 +61,11 @@ def as_rational(value: RationalLike) -> Fraction:
     Decimal strings are parsed as exact decimal fractions (".4" -> 2/5),
     never as binary floats.  Accepts "n/d" fraction syntax and `_` between
     digits.  A string must match the literal grammar, and one with more than
-    `MAX_LITERAL_DIGITS` digits (an exponent counted as its magnitude) is
-    rejected before it is converted.
+    `MAX_LITERAL_DIGITS` digits (an exponent counted as its magnitude, leading
+    zeros and all) is rejected before it is converted.  The value is built
+    from the grammar's groups in one parse; `int` only ever converts a part of
+    at most `MAX_LITERAL_DIGITS` digits, so no verdict depends on CPython's
+    limit for int-to-str conversion.
     """
     if isinstance(value, Fraction):
         return value
@@ -69,15 +74,29 @@ def as_rational(value: RationalLike) -> Fraction:
     match = _LITERAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise ValueError(f"invalid rational literal {value!r}")
-    mantissa, exponent = match.group("mantissa", "exponent")
-    exponent = (exponent or "").replace("_", "").lstrip("0")
+    sign, integer, denominator, decimals, exponent_sign, exponent = [
+        part.replace("_", "") for part in match.groups("")
+    ]
+    exponent = exponent.lstrip("0")
     if (
         len(exponent) > len(str(MAX_LITERAL_DIGITS))
-        or sum(map(str.isdigit, mantissa)) + int(exponent or "0") > MAX_LITERAL_DIGITS
+        or len(integer) + len(denominator) + len(decimals) + int(exponent or "0") > MAX_LITERAL_DIGITS
     ):
         raise ValueError(f"rational literal {value!r} has more than {MAX_LITERAL_DIGITS} digits")
+    numerator = int(integer + decimals)
+    if denominator:
+        denominator = int(denominator)
+    else:
+        denominator = 10 ** len(decimals)
+        if exponent:
+            if exponent_sign == "-":
+                denominator *= 10 ** int(exponent)
+            else:
+                numerator *= 10 ** int(exponent)
+    if sign == "-":
+        numerator = -numerator
     try:
-        return Fraction(value.replace("_", ""))
+        return Fraction(numerator, denominator)
     except ZeroDivisionError as exc:
         raise ValueError(f"invalid rational literal {value!r}") from exc
 

@@ -13,6 +13,7 @@ from .core import (
     Game,
     Player,
     advantages,
+    integerize,
     permute_advantages,
     permute_cells,
     signs,
@@ -61,8 +62,13 @@ def dense_ranks(values: tuple) -> tuple[int, ...]:
 
 
 def ordinal_graph(game: Game, player: Player) -> OrdinalGraph:
-    """The player's payoff-order graph; depends only on dense ranks."""
-    ranks = dense_ranks(game.payoffs(player))
+    """The player's payoff-order graph; depends only on dense ranks.
+
+    The ranks are taken on the payoffs cleared of denominators: a positive
+    scaling keeps their order and ties, and integers are cheaper to hash and
+    compare than `Fraction`s.
+    """
+    ranks = dense_ranks(integerize(game.payoffs(player)))
     top = max(ranks)
     levels = tuple(
         tuple(i for i in range(4) if ranks[i] == level) for level in range(1, top + 1)

@@ -23,6 +23,8 @@ from twobytwo.render import (
     render_figure,
 )
 
+from dispatch_corpus import CORPUS, outcome, reference_main
+
 
 def run_cli(capsys, *argv):
     try:
@@ -485,6 +487,13 @@ def test_parser_reuse_timings_flag_does_not_carry_over(capsys):
     code, out, err = run_cli(capsys, "verify", "--seed", "7", "--trials", "1", "--timings")
     assert (code, out) == (0, "PASS 1/1\n") and err.startswith("timing ")
     assert run_cli(capsys, "verify", "--seed", "7", "--trials", "1") == (0, "PASS 1/1\n", "")
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_main_matches_reference_dispatch(argv):
+    """`main` parses a command line once, yet exits, prints and writes
+    exactly as the top-level argparse pass followed by the command does."""
+    assert outcome(main, argv) == outcome(reference_main, argv)
 
 
 def test_cli_examples_script(tmp_path):

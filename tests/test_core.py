@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -105,6 +106,20 @@ def test_huge_exponent_rejected_without_building_it():
     with pytest.raises(ValueError, match="digits"):
         as_rational("1e2000000")  # about a second to build as a Fraction
     assert time.perf_counter() - start < 0.5
+
+
+def test_literal_verdict_does_not_depend_on_int_conversion_limit():
+    """A zero-padded exponent counts as its magnitude, whatever CPython's
+    limit on int-to-str conversion: only parts of at most `MAX_LITERAL_DIGITS`
+    digits and the stripped exponent are ever converted."""
+    tokens = ("1e" + "0" * 5000 + "1", "1e" + "0" * 700 + "1", "-.5e-" + "0" * 5000 + "2")
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (640, 0):
+            sys.set_int_max_str_digits(setting)
+            assert [as_rational(t) for t in tokens] == [10, 10, F(-1, 200)]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_format_rational_round_trips():

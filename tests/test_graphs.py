@@ -18,6 +18,7 @@ from twobytwo.core import (
 )
 from twobytwo.graphs import (
     BRGraph,
+    OrdinalGraph,
     all_br_graphs,
     br_class,
     br_graph,
@@ -85,6 +86,35 @@ def test_ordinal_hamiltonian_path_for_strict_games():
             graph = ordinal_graph(g, p)
             assert all(len(level) == 1 for level in graph.levels)
             assert len(graph.edges) == 3
+
+
+def ranks_test_games(count=2000):
+    """Seeded games with frequent ties: small values, an all-zero player in one
+    game of ten, and in another one of ten a player scaled beyond 2**62."""
+    rng = random.Random(27)
+    for k in range(count):
+        values = [random_rational(rng, bound=3) for _ in range(8)]
+        start = rng.choice((0, 4))
+        if k % 10 == 0:
+            values[start:start + 4] = [F(0)] * 4
+        elif k % 10 == 1:
+            scale = F(2**62 + rng.randrange(1, 1 << 20, 2), rng.choice((1, 3)))
+            values[start:start + 4] = [v * scale for v in values[start:start + 4]]
+        yield game_from_flat(values)
+
+
+def test_ordinal_graph_matches_ranks_of_the_payoffs():
+    """Ranks on the integerized payoffs give the graph that ranks on the
+    `Fraction` payoffs themselves give."""
+    seen = Counter()
+    for game in ranks_test_games():
+        for player in Player:
+            ranks = dense_ranks(game.payoffs(player))
+            levels = tuple(tuple(c for c in range(4) if ranks[c] == r) for r in range(1, max(ranks) + 1))
+            edges = tuple((lo, hi) for level, nxt in zip(levels, levels[1:]) for lo in level for hi in nxt)
+            assert ordinal_graph(game, player) == OrdinalGraph(levels, edges), (game, player)
+            seen[len(levels)] += 1
+    assert all(seen[k] for k in (1, 2, 3, 4)), seen
 
 
 # --- best-response graphs -------------------------------------------------------

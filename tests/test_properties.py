@@ -4,6 +4,8 @@ magnitudes around and beyond 2**62, and large denominators.
 The verifier's own checks serve as the properties, so a failure shrinks to a
 minimal game.  A last property feeds generated point and matrix files to the
 embedding render command, and another arbitrary payoff tokens to `analyze`.
+Two more check literal values against `Fraction`'s own parser, and `cli.main`
+against the top-level argparse pass on arbitrary command lines.
 Examples are derandomized, so every run tries the same inputs.
 """
 
@@ -16,11 +18,13 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobytwo import cli, verify
 from twobytwo.core import (
+    _LITERAL,
     MAX_LITERAL_DIGITS,
     SYMMETRY_FLAGS,
     JointDistribution,
@@ -43,6 +47,7 @@ from twobytwo.equilibria import (
 )
 from twobytwo.kernels import grid_oracle
 
+from dispatch_corpus import outcome, reference_main
 from test_equilibria import (
     deviation_gain,
     per_call_cce_polytope,
@@ -388,3 +393,56 @@ def test_analyze_exits_cleanly_on_any_tokens(tokens):
     assert re.fullmatch(r"br_graph [AB-]( [AB-]){3}", lines[1]), lines[1]
     index, name = re.fullmatch(r"br_class (\d+) (\S+)", lines[2]).groups()
     assert 1 <= int(index) <= 15 and name, lines[2]
+
+
+# --- literal values, against Fraction's own parser -----------------------------------
+
+
+zero_denominator = st.builds(
+    "{}{}/{}".format, st.sampled_from(["", "-", "+"]), digits, st.sampled_from(["0", "00", "0_0", "0" * 399])
+)
+
+
+# The grammar's own random tokens rarely have a short exponent, which
+# `numeric` draws often.
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(st.from_regex(_LITERAL, fullmatch=True) | signed(numeric) | zero_denominator)
+def test_literal_value_matches_fraction(token):
+    """Every token of the grammar within the digit bound is the value
+    `Fraction` gives it, `n/0` is invalid, and any other token is over the bound."""
+    denominator = token.partition("/")[2]
+    if literal_digits(token) > MAX_LITERAL_DIGITS:
+        with pytest.raises(ValueError, match="more than"):
+            as_rational(token)
+    elif denominator and int(denominator) == 0:
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            as_rational(token)
+    elif len(token) < 4300:  # Fraction's own parse meets CPython's int-to-str limit
+        assert as_rational(token) == Fraction(token.replace("_", "")), token
+
+
+# --- one argparse pass per command line -----------------------------------------------
+
+DISPATCH_TOKENS = (
+    "analyze", "render", "census", "verify", "analyse",
+    "-h", "--help", "--", "-x", "--bogus", "--no", "--kin", "--kind", "--kind=joint", "-o", "--output=out.svg",
+    "--format", "--points", "--no-axes-labels", "--seed", "--se", "--trials", "--tri", "--timings",
+    "polytope", "joint", "brgraph", "embedding", "svg", "tikz", "out.svg", "out.tex",
+    "0", "1", "2", "-1", "2/3", "-.5", ".4", "1e2", "1_0", "1/0", "-1x", "abc",
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(
+    st.lists(st.sampled_from(DISPATCH_TOKENS), max_size=12),
+    st.sampled_from(("analyze", "render", "census", "verify", None)),
+)
+def test_main_matches_reference_dispatch_on_any_argv(tokens, command):
+    """Exit code, stdout, stderr and written files are those of the top-level
+    argparse pass followed by the command.  A `verify` command line starts with
+    `--trials 1` so that it stays fast; later tokens may override it."""
+    argv = [] if command is None else [command]
+    if command == "verify":
+        argv += ["--trials", "1"]
+    argv += tokens
+    assert outcome(cli.main, argv) == outcome(reference_main, argv), argv

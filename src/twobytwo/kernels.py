@@ -5,19 +5,29 @@ each player's payoffs by a positive constant and so preserves every
 equilibrium decision).  Python integers are arbitrary precision, so the
 oracle is exact for payoffs of any magnitude.
 
-The grid is classified one row i at a time: each route gives its verdict on
-the row's n + 1 points as the maximal runs of members, inclusive (lo, hi)
-column ranges in increasing order, so two routes agree on a row exactly when
-their runs are equal.  Only a row whose runs differ is expanded to lists of
-n + 1 verdicts and scanned point by point for its first disagreement.  Along
-a row each deviation-gain sum is an integer line A + B*j in the column index
-j, so route 2 decides the whole row from four exact integer spans, one run
-at most.  Route 1's runs depend on the row only through (i == 0, i == n, the
-column player's sign), so they are computed once per call for each case;
-route 3's change only at a row where some box's i-range starts or ends, and
-are computed again only there.  Route 2 still
-reads only the raw payoffs, never the advantage signs of route 1 or the Nash
-set behind the boxes of route 3, so the three routes stay independent.
+Each of `grid_oracle`'s three routes gives its verdict on a row i of the
+grid as the maximal runs of members, inclusive (lo, hi) column ranges in
+increasing order, so two routes agree on a row exactly when their runs are
+equal.  The routes are compared only on the rows where some route's runs can
+differ from the row before:
+- rows 0, 1 and n, where the row player's own mix becomes or stops being a
+  pure action;
+- for route 3, the rows where some box's i-range starts or ends;
+- for route 1, whose runs depend on the row only through (i == 0, i == n,
+  the column player's sign), the rows around the root of the column
+  player's advantage line;
+- for route 2, which decides a row from four exact integer spans of the
+  column index j (each deviation-gain sum is a line A + B*j along a row),
+  the rows around the roots of its two column-player sums, which it reads
+  only through their signs.  Its two row-player sums are (n - i) and i
+  times lines free of i, and a positive factor moves no floor-division span,
+  so they change only at rows 0, 1 and n.
+So between two compared rows no route's runs change, and the first mismatch
+in row-major order lies on a compared row.  Only a row whose runs differ is
+expanded to lists of n + 1 verdicts and scanned point by point.  Each route
+finds its rows from its own coefficients, and route 2 still reads only the
+raw payoffs, never the advantage signs of route 1 or the Nash set behind the
+boxes of route 3, so the three routes stay independent.
 """
 
 from __future__ import annotations
@@ -46,6 +56,16 @@ def _expand(runs: tuple[tuple[int, int], ...], n: int) -> list[bool]:
     return verdicts
 
 
+def _sign_changes(p, q):
+    """The rows where the sign of the line p + q*i can differ from the row
+    before: the two rows around its root, floor(-p/q) and the next one, or
+    none if the line is constant.  A root that is a row makes both change."""
+    if q == 0:
+        return ()
+    root = (-p) // q
+    return (root, root + 1)
+
+
 def grid_oracle(n, h_row, h_col, boxes):
     """Classify every grid point (i/n, j/n) three ways and compare.
 
@@ -56,6 +76,12 @@ def grid_oracle(n, h_row, h_col, boxes):
     membership in the precomputed solution boxes (as inclusive grid-index
     ranges imin..imax x jmin..jmax).
 
+    The routes are compared only on the rows where one of them can change:
+    rows 0, 1 and n, the rows where a box's i-range starts or ends, and the
+    rows around the roots of route 1's column line and of route 2's two
+    column sums.  Between two such rows no route's runs change, so the rows
+    compared hold the first mismatch of the whole grid.
+
     Returns None if all three agree everywhere, else (code, i, j) for the
     first mismatch in row-major order: code 1 = route 1 vs route 2, code 2 =
     routes vs boxes (code 1 is checked first at a point).
@@ -65,27 +91,16 @@ def grid_oracle(n, h_row, h_col, boxes):
 
     adv_row_a, adv_row_b = a1 - c1, b1 - d1
     adv_col_a, adv_col_b = a2 - b2, c2 - d2
-    # Each player's advantage of A over B, times n, at each grid mix of the
-    # other player: the row player's at column j, the column player's at row i.
-    row_line = [j * adv_row_a + (n - j) * adv_row_b for j in range(n + 1)]
-    col_line = [i * adv_col_a + (n - i) * adv_col_b for i in range(n + 1)]
-    # Route 1 as runs, keyed by (i == 0, i == n, column sign at row i).  The
-    # row player may play its own mix at row i when pure A (i == n) has A
-    # weakly best, pure B (i == 0) has B weakly best, or a strict mix has
+    # Route 1 as runs, keyed by (i == 0, i == n, column sign at row i) and
+    # built when a key is first met.  The column player's advantage of A over
+    # B, times n, at row i is the line i*adv_col_a + (n - i)*adv_col_b; the
+    # row player's at column j is j*adv_row_a + (n - j)*adv_row_b.  The row
+    # player may play its own mix at row i when pure A (i == n) has A weakly
+    # best, pure B (i == 0) has B weakly best, or a strict mix has
     # indifference.  The column player's own mix is j: pure B at j == 0, pure
     # A at j == n, strict mix between; one who is not indifferent admits only
-    # one of the two ends.
-    row_ok = {
-        (False, False): [v == 0 for v in row_line],
-        (True, False): [v <= 0 for v in row_line],
-        (False, True): [v >= 0 for v in row_line],
-        (True, True): [True] * (n + 1),  # n == 0: the one point is both pure mixes
-    }
+    # one of the two ends, so only that column is classified.
     sign_runs = {}
-    for (low, high), ok in row_ok.items():
-        sign_runs[low, high, 0] = _runs(ok)
-        sign_runs[low, high, 1] = ((n, n),) if ok[n] else ()
-        sign_runs[low, high, -1] = ((0, 0),) if ok[0] else ()
 
     # Deviation-gain coefficients: the payoff change at each cell from
     # switching to the deviation action (zero on that action's own cells).
@@ -102,13 +117,37 @@ def grid_oracle(n, h_row, h_col, boxes):
         if low <= high:
             clipped.append((imin, imax, low, high))
 
-    # The rows where some box's i-range starts or ends.
-    cuts = {0}.union(*[(imin, imax + 1) for imin, imax, _, _ in clipped])
+    # The rows where some route's runs can change: 0, 1 and n; the rows where
+    # some box's i-range starts or ends (route 3); and, each from the route's
+    # own coefficients, the rows around the roots of the column player's line
+    # (route 1) and of the lines ca and cb below (route 2), as lines p + q*i.
+    rows = {0, 1, n}.union(
+        *[(imin, imax + 1) for imin, imax, _, _ in clipped],
+        _sign_changes(n * adv_col_b, adv_col_a - adv_col_b),
+        _sign_changes(n * k_ca_bb, k_ca_ab - k_ca_bb),
+        _sign_changes(n * k_cb_ba, k_cb_aa - k_cb_ba),
+    )
 
-    for i in range(n + 1):
+    for i in sorted(rows):
+        if not 0 <= i <= n:
+            continue
         ni = n - i
-        sc = col_line[i]
-        nash_sign = sign_runs[i == 0, i == n, (sc > 0) - (sc < 0)]
+        sc = i * adv_col_a + ni * adv_col_b
+        key = (i == 0, i == n, (sc > 0) - (sc < 0))
+        nash_sign = sign_runs.get(key)
+        if nash_sign is None:
+            low, high, sign = key
+            cols = range(n + 1) if sign == 0 else (n,) if sign > 0 else (0,)
+            row_line = [j * adv_row_a + (n - j) * adv_row_b for j in cols]
+            if low and high:
+                ok = [True] * len(cols)  # n == 0: the one point is both pure mixes
+            elif low:
+                ok = [v <= 0 for v in row_line]
+            elif high:
+                ok = [v >= 0 for v in row_line]
+            else:
+                ok = [v == 0 for v in row_line]
+            nash_sign = sign_runs[key] = tuple((cols[lo], cols[hi]) for lo, hi in _runs(ok))
 
         # Route 2: with s_aa = i*j, s_ab = i*(n-j), s_ba = (n-i)*j and
         # s_bb = (n-i)*(n-j), each sum is k . s with the row factor of every
@@ -136,15 +175,14 @@ def grid_oracle(n, h_row, h_col, boxes):
 
         # Route 3: the j-ranges of the boxes whose i-range holds row i,
         # sorted and merged where they overlap or touch.
-        if i in cuts:
-            in_box = []
-            for low, high in sorted([(low, high) for imin, imax, low, high in clipped if imin <= i <= imax]):
-                if in_box and low <= in_box[-1][1] + 1:
-                    if high > in_box[-1][1]:
-                        in_box[-1] = (in_box[-1][0], high)
-                else:
-                    in_box.append((low, high))
-            in_box = tuple(in_box)
+        in_box = []
+        for low, high in sorted([(low, high) for imin, imax, low, high in clipped if imin <= i <= imax]):
+            if in_box and low <= in_box[-1][1] + 1:
+                if high > in_box[-1][1]:
+                    in_box[-1] = (in_box[-1][0], high)
+            else:
+                in_box.append((low, high))
+        in_box = tuple(in_box)
 
         if nash_sign == nash_sum == in_box:
             continue

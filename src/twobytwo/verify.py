@@ -62,6 +62,23 @@ def random_game(rng: random.Random) -> Game:
     return game_from_flat([random_rational(rng) for _ in range(8)])
 
 
+def _draw_weights(rng: random.Random, count: int) -> list[int]:
+    """`count` values of `rng.randint(0, 10)`, and the same state after.
+
+    `randint(0, 10)` takes the top 4 bits of one 32-bit word at a time until
+    they are below 11.  `getrandbits(32 * need)` returns the next `need`
+    words, the first in the lowest bits, so the top 4 bits of each are those
+    of its byte 3 in little-endian order.  Each word gives at most one value,
+    so no word past the last value is read.
+    """
+    draws = []
+    while len(draws) < count:
+        need = count - len(draws)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        draws += [top for top in (b >> 4 for b in words[3::4]) if top < 11]
+    return draws
+
+
 def random_joint(rng: random.Random) -> JointDistribution:
     weights = [Fraction(rng.randint(0, 20)) for _ in range(4)]
     if sum(weights) == 0:
@@ -254,10 +271,11 @@ def check_cce(game: Game, rng: random.Random) -> list[str]:
     Convexity is tested on `CCE_COMBOS` random convex combinations of the
     vertices, drawn with integer weights 0..10: `cce_holds` on the integer
     advantages and the four integer numerator sums of a combination.  All
-    `CCE_COMBOS` times k weights are drawn in one list, in the order of the
-    combinations, and `cce_holds`'s verdict is reused for equal weights,
-    which give the same point.  A `Fraction` mix is built only to report a
-    combination outside the set, once for each time it is drawn.
+    `CCE_COMBOS` times k weights are drawn in one list by `_draw_weights`,
+    in the order of the combinations, and `cce_holds`'s verdict is reused
+    for equal weights, which give the same point.  A `Fraction` mix is built
+    only to report a combination outside the set, once for each time it is
+    drawn.
     Completeness: every vertex that `cramer_vertex_numerators` finds on the
     integer rows must be in the polytope, compared as coprime numerators.
     Once the vertex list is exactly that set, its edges must be exactly the
@@ -327,7 +345,7 @@ def check_cce(game: Game, rng: random.Random) -> list[str]:
     adv = advantages(game)
     columns = tuple(zip(*numerators))
     k = len(numerators)
-    draws = [rng.randint(0, 10) for _ in range(CCE_COMBOS * k)]
+    draws = _draw_weights(rng, CCE_COMBOS * k)
     holds = {}
     # zip over k references to one iterator walks the draws k at a time.
     for weights in zip(*[iter(draws)] * k):

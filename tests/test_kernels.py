@@ -108,8 +108,21 @@ def oracle_cases():
         game_from_flat(tuple(x * 10 ** 30 for x in PRISONERS_DILEMMA)),
         game_from_flat((2 ** 63 + 1, 0, 0, F(2 ** 62 + 3, 7), 2 ** 64, 0, 0, 3 * 2 ** 63)),
     ]
+    # Unit-lattice games: one player all zero, and a column line that is zero
+    # exactly on an interior row (p = 1/2 on even grids, 3/7 on n = 7) where,
+    # the row player having a strict best action, no box starts or ends.
+    games += [
+        game_from_flat(flat)
+        for flat in (
+            (0, 0, 0, 0, 1, 0, 0, 1),
+            (1, 0, 0, 1, 0, 0, 0, 0),
+            (0, 0, 0, 0, 1, -1, 1, 0),
+            (1, 1, 0, 0, 1, 0, 0, 1),
+            (0, 0, 1, 1, 4, 0, 0, 3),
+        )
+    ]
     small = [verify.random_game(rng) for _ in range(40)] + games
-    for n, draws in ((100, games), (7, small)):
+    for n, draws in ((100, games), (7, small), (2, small), (1, small), (0, small)):
         for g in draws:
             h_row, h_col, ranges = oracle_inputs(g, n)
             for boxes in box_variants(ranges, n):
@@ -234,7 +247,10 @@ def test_row_oracle_reports_broken_row_span_where_reference_does():
 
 def test_row_oracle_reports_broken_route_one_list_where_reference_does():
     # Route 1 at pure A (i == n) admitting only a strict advantage for A,
-    # not indifference: the reference's row test loses its tie there.
+    # not indifference: the reference's row test loses its tie there, except
+    # on the one-point grid (n == 0), whose row is pure B as well.
     broken = mutated(grid_oracle, "[v >= 0 for v in row_line]", "[v > 0 for v in row_line]")
-    broken_reference = mutated(reference_grid_oracle, "row_ok = sr == 0 or", "row_ok = (sr == 0 and i != n) or")
+    broken_reference = mutated(
+        reference_grid_oracle, "row_ok = sr == 0 or", "row_ok = (sr == 0 and (i < n or n == 0)) or"
+    )
     assert mismatches_agree(broken, broken_reference) > 0

@@ -402,14 +402,37 @@ zero_denominator = st.builds(
     "{}{}/{}".format, st.sampled_from(["", "-", "+"]), digits, st.sampled_from(["0", "00", "0_0", "0" * 399])
 )
 
+# The grammar's tokens built from their parts: a sign, then digits with `_`
+# between groups, then a `/denominator`, or `.decimals` (the integer part or
+# the decimals may be left out, not both) and an optional exponent.  Runs of
+# digits near `MAX_LITERAL_DIGITS` take some tokens past the bound.
+literal_sign = st.sampled_from(["", "-", "+"])
+digit_groups = st.lists(st.text("0123456789", min_size=1, max_size=3), min_size=1, max_size=3).map("_".join) | (
+    st.integers(MAX_LITERAL_DIGITS - 3, MAX_LITERAL_DIGITS + 3).map(lambda k: "9" * k)
+)
+literal_exponent = st.builds(
+    "{}{}{}".format, st.sampled_from("eE"), literal_sign, digit_groups | st.sampled_from(["0399", "400", "401"])
+)
+literal_mantissa = st.one_of(
+    digit_groups,
+    st.builds("{}.{}".format, digit_groups, st.just("") | digit_groups),
+    digit_groups.map(".{}".format),
+)
+literal = st.one_of(
+    st.builds("{}{}/{}".format, literal_sign, digit_groups, digit_groups),
+    st.builds("{}{}{}".format, literal_sign, literal_mantissa, st.just("") | literal_exponent),
+)
 
-# The grammar's own random tokens rarely have a short exponent, which
-# `numeric` draws often.
+
 @settings(PROPERTY_SETTINGS, max_examples=150)
-@given(st.from_regex(_LITERAL, fullmatch=True) | signed(numeric) | zero_denominator)
-def test_literal_value_matches_fraction(token):
-    """Every token of the grammar within the digit bound is the value
-    `Fraction` gives it, `n/0` is invalid, and any other token is over the bound."""
+@given(token=literal | signed(numeric) | zero_denominator)
+def check_literal_value(groups_seen, token):
+    """A token of the grammar within the digit bound is the value `Fraction`
+    gives it, `n/0` is invalid, and any other token is over the bound.  Adds
+    (group name, whether the group is filled) for each of its named groups."""
+    match = _LITERAL.fullmatch(token)
+    assert match, token
+    groups_seen.update((name, bool(part)) for name, part in match.groupdict().items())
     denominator = token.partition("/")[2]
     if literal_digits(token) > MAX_LITERAL_DIGITS:
         with pytest.raises(ValueError, match="more than"):
@@ -419,6 +442,14 @@ def test_literal_value_matches_fraction(token):
             as_rational(token)
     elif len(token) < 4300:  # Fraction's own parse meets CPython's int-to-str limit
         assert as_rational(token) == Fraction(token.replace("_", "")), token
+
+
+def test_literal_value_matches_fraction():
+    """`check_literal_value` holds on every token drawn, and the tokens fill
+    each named group of the grammar and leave it empty."""
+    groups_seen = set()
+    check_literal_value(groups_seen)
+    assert groups_seen == {(name, filled) for name in _LITERAL.groupindex for filled in (False, True)}
 
 
 # --- one argparse pass per command line -----------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import random
@@ -189,6 +190,30 @@ def test_check_cce_draws_the_same_rng_stream():
     # The value `reference_check_cce`, the Fraction-mix implementation, leaves
     # behind for the same calls at 100 combinations.
     assert rng.random() == 0.1253692278160342
+
+
+def test_verifier_random_stream_is_pinned():
+    """`random_game` and `check_game` on 300 seeded trials leave the rng in
+    the states they left it in before `check_cce` drew its weights with
+    `_draw_weights`: a sha256 chained over `getstate()` after each trial,
+    recorded with `randint` draws on Python 3.10-3.13."""
+    chain = b""
+    for seed in range(300):
+        rng = random.Random(seed)
+        assert verify.check_game(verify.random_game(rng), rng) == []
+        chain = hashlib.sha256(chain + repr(rng.getstate()).encode()).digest()
+    assert chain.hex() == "9214df5a9e1895afa14d65cc986ccb1146a4bbafd81f65ad0046f2e5899160df"
+
+
+def test_draw_weights_matches_randint():
+    """The same values and the same state after as `randint(0, 10)` on this
+    interpreter, for counts 0..599 on seeded streams."""
+    rng = random.Random(31)
+    for seed in range(400):
+        count = rng.randrange(600)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert verify._draw_weights(ours, count) == [theirs.randint(0, 10) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
 
 
 def reference_check_cce(game, rng, combos=100):

@@ -397,12 +397,14 @@ def _contains_box(outer: tuple, inner: tuple) -> bool:
 def _normalize(boxes: list[tuple]) -> list[tuple]:
     """Drop nested boxes; sorted by (p_low, p_high, q_low, q_high).
 
-    Two conditions hold on every one of the 81 sign patterns, and
-    `test_sign_tables_match_per_call_code` compares the result with a
-    normalisation that does not rely on them: each piece that occurs twice is
-    also nested in a larger piece, so no repeat is left; and no two maximal
-    pieces share the interval on one axis and touch on the other, so no two
-    boxes left could merge into one.
+    Two conditions hold on every one of the 81 sign patterns: each piece that
+    occurs twice is also nested in a larger piece, so no repeat is left; and
+    no two maximal pieces share the interval on one axis and touch on the
+    other, so no two boxes left could merge into one.
+    `test_sign_tables_match_per_call_code` compares the result with the
+    `Fraction` model `reference_nash_set` (in `tests/reference.py`), whose
+    `_normalize` relies on neither: it drops repeats and merges any two boxes
+    whose union is a box.
     """
     return sorted(
         box for box in boxes if not any(other != box and _contains_box(other, box) for other in boxes)

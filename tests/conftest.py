@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from twobytwo.core import game_from_flat
+from twobytwo.core import game_from_flat, joint
+from twobytwo.embedding import embed
+from twobytwo.render import EmbeddingFigureData, FigureKind
 from twobytwo.render.canvas import Circle, Heatmap
 
 # Canonical test vectors, flat order: row player row-major, then column player.
@@ -20,6 +22,34 @@ TRAFFIC_LIGHTS = (-9, 1, 0, 0, -9, 0, 1, 0)
 
 # (row action, column action) of each joint-action cell, in flat order.
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+TABLE_JOINT = (".4", ".3", ".1", ".2")
+
+
+def golden_specs():
+    """The payload of each figure kind's golden files in `tests/golden`."""
+    coordination = game_from_flat(COORDINATION)
+    mp = game_from_flat(MATCHING_PENNIES)
+    dist = joint(TABLE_JOINT)
+    jm = joint((".01", ".09", ".09", ".81"))
+    embedding = EmbeddingFigureData(
+        points=(
+            (embed(coordination).row_angle_degrees, embed(coordination).col_angle_degrees),
+        ),
+        heatmap=((1.0, 2.0), (3.0, 4.0)),
+    )
+    return {
+        FigureKind.ORD_GRAPH: game_from_flat((1, 2, 3, 4, 1, 3, 4, 2)),
+        FigureKind.BR_GRAPH: mp,
+        FigureKind.PAYOFF_TABLE: coordination,
+        FigureKind.JOINT: dist,
+        FigureKind.ROW_COND: dist,
+        FigureKind.COL_COND: dist,
+        FigureKind.MARGINAL: dist,
+        FigureKind.JOINT_MARGINAL: jm,
+        FigureKind.POLYTOPE: coordination,
+        FigureKind.EMBEDDING: embedding,
+    }
 
 
 def count_drawn(scene, tag: str) -> int:

@@ -38,6 +38,7 @@ from conftest import (
     PRISONERS_DILEMMA,
     SAFETY,
     count_drawn,
+    golden_specs,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -194,8 +195,6 @@ def test_embedding_consistency():
 
 def test_renderer_determinism_and_validity():
     started = time.perf_counter()
-    from test_render import golden_specs
-
     specs = golden_specs()
     assert len(specs) == 10
     for kind, payload in specs.items():

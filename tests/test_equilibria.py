@@ -1,7 +1,5 @@
 import itertools
-import math
 import random
-from fractions import Fraction
 from fractions import Fraction as F
 
 from twobytwo.core import (
@@ -19,9 +17,7 @@ from twobytwo.core import (
     transform_affine,
 )
 from twobytwo.equilibria import (
-    Box,
     CcePolytope,
-    NashSet,
     cce_polytope,
     halfspace_rows,
     is_nash,
@@ -35,6 +31,13 @@ from twobytwo import equilibria, verify
 from twobytwo.verify import _matrix_rank
 
 from conftest import CELLS, SAFETY, HORSEPLAY, TRAFFIC_LIGHTS
+from reference import (
+    deviation_gain,
+    per_call_cce_polytope,
+    reference_advantages,
+    reference_halfspace_rows,
+    reference_nash_set,
+)
 
 
 def boxes(ns):
@@ -42,13 +45,6 @@ def boxes(ns):
 
 
 # --- constraints ----------------------------------------------------------------
-
-
-def reference_advantages(game):
-    """The raw `Fraction` differences that `core.advantages` clears of
-    denominators, kept as the reference: (r0 - r2, r1 - r3, c0 - c1, c2 - c3)."""
-    r, c = game.row, game.col
-    return (r[0] - r[2], r[1] - r[3], c[0] - c[1], c[2] - c[3])
 
 
 def test_advantages_are_the_integerized_fraction_pairs():
@@ -77,19 +73,6 @@ def test_advantages_are_the_integerized_fraction_pairs():
     # clears to (30, -35), whose gcd is 5.
     game = game_from_flat(["1/2", "-1/3", "-2/5", "1/7", "1/3", "-1/2", "-3/4", "2/9"])
     assert advantages(game) == (189, -100, 30, -35)
-
-
-def reference_halfspace_rows(game):
-    """The `Fraction` rows that the integer ones replaced, kept as the reference:
-    the four no-gain rows on the advantages, then -sigma_i <= 0 per cell."""
-    zero, one = F(0), F(1)
-    a, b, c, d = reference_advantages(game)
-    return (
-        (zero, zero, a, b),
-        (-a, -b, zero, zero),
-        (zero, c, zero, d),
-        (-c, zero, -d, zero),
-    ) + tuple(tuple(-one if j == i else zero for j in range(4)) for i in range(4))
 
 
 def test_cce_constraints_matching_pennies_row_to_a(mp):
@@ -372,129 +355,6 @@ def test_nash_components_never_nested():
                 assert not nested
 
 
-# The `Fraction` box algebra that the rank algebra of `nash_set` replaced,
-# kept as the reference: every endpoint is a `Fraction` from the start.
-
-_ZERO, _ONE = F(0), F(1)
-
-
-def _reaction_boxes(
-    adv: tuple[Fraction, Fraction]
-) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Boxes (own_low, own_high, opp_low, opp_high) of best-response-consistent profiles.
-
-    `adv` is the payoff advantage of the player's action A against each
-    opponent pure action; the advantage at opponent mix y is
-    y*adv[0] + (1-y)*adv[1].
-    """
-    a, b = adv
-    if a == 0 and b == 0:
-        return [(_ZERO, _ONE, _ZERO, _ONE)]
-    if a >= 0 and b >= 0:
-        boxes = [(_ONE, _ONE, _ZERO, _ONE)]
-        if a == 0:  # indifferent exactly when the opponent plays A surely
-            boxes.append((_ZERO, _ONE, _ONE, _ONE))
-        if b == 0:
-            boxes.append((_ZERO, _ONE, _ZERO, _ZERO))
-        return boxes
-    if a <= 0 and b <= 0:
-        boxes = [(_ZERO, _ZERO, _ZERO, _ONE)]
-        if a == 0:
-            boxes.append((_ZERO, _ONE, _ONE, _ONE))
-        if b == 0:
-            boxes.append((_ZERO, _ONE, _ZERO, _ZERO))
-        return boxes
-    ystar = b / (b - a)  # unique interior indifference point
-    if a > 0:  # prefers B below ystar, A above
-        return [
-            (_ZERO, _ZERO, _ZERO, ystar),
-            (_ZERO, _ONE, ystar, ystar),
-            (_ONE, _ONE, ystar, _ONE),
-        ]
-    return [
-        (_ONE, _ONE, _ZERO, ystar),
-        (_ZERO, _ONE, ystar, ystar),
-        (_ZERO, _ZERO, ystar, _ONE),
-    ]
-
-
-def _intersect(b1: Box, b2: Box) -> Box | None:
-    p_low, p_high = max(b1.p_low, b2.p_low), min(b1.p_high, b2.p_high)
-    q_low, q_high = max(b1.q_low, b2.q_low), min(b1.q_high, b2.q_high)
-    if p_low > p_high or q_low > q_high:
-        return None
-    return Box(p_low, p_high, q_low, q_high)
-
-
-def _contains_box(outer: Box, inner: Box) -> bool:
-    return (
-        outer.p_low <= inner.p_low
-        and inner.p_high <= outer.p_high
-        and outer.q_low <= inner.q_low
-        and inner.q_high <= outer.q_high
-    )
-
-
-def _merge(b1: Box, b2: Box) -> Box | None:
-    """The union if it is itself a box (shared interval on one axis, touching on the other)."""
-    if (b1.p_low, b1.p_high) == (b2.p_low, b2.p_high):
-        if b1.q_low <= b2.q_high and b2.q_low <= b1.q_high:
-            return Box(b1.p_low, b1.p_high, min(b1.q_low, b2.q_low), max(b1.q_high, b2.q_high))
-    if (b1.q_low, b1.q_high) == (b2.q_low, b2.q_high):
-        if b1.p_low <= b2.p_high and b2.p_low <= b1.p_high:
-            return Box(min(b1.p_low, b2.p_low), max(b1.p_high, b2.p_high), b1.q_low, b1.q_high)
-    return None
-
-
-def _normalize(boxes: list[Box]) -> tuple[Box, ...]:
-    work = list(boxes)
-    changed = True
-    while changed:
-        changed = False
-        # drop boxes nested inside another
-        kept: list[Box] = []
-        for box in work:
-            if any(
-                other is not box and _contains_box(other, box) and other != box
-                for other in work
-            ) or box in kept:
-                continue
-            kept.append(box)
-        if len(kept) != len(work):
-            work, changed = kept, True
-            continue
-        for i, j in itertools.combinations(range(len(work)), 2):
-            merged = _merge(work[i], work[j])
-            if merged is not None and merged != work[i]:
-                work = [b for k, b in enumerate(work) if k not in (i, j)] + [merged]
-                changed = True
-                break
-            if merged is not None and merged == work[i]:
-                work = [b for k, b in enumerate(work) if k != j]
-                changed = True
-                break
-    return tuple(sorted(work, key=lambda b: (b.p_low, b.p_high, b.q_low, b.q_high)))
-
-
-def reference_nash_set(game):
-    a, b, c, d = reference_advantages(game)
-    row_boxes = [
-        Box(p_low=own_lo, p_high=own_hi, q_low=opp_lo, q_high=opp_hi)
-        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((a, b))
-    ]
-    col_boxes = [
-        Box(p_low=opp_lo, p_high=opp_hi, q_low=own_lo, q_high=own_hi)
-        for own_lo, own_hi, opp_lo, opp_hi in _reaction_boxes((c, d))
-    ]
-    pieces = []
-    for rb in row_boxes:
-        for cb in col_boxes:
-            hit = _intersect(rb, cb)
-            if hit is not None:
-                pieces.append(hit)
-    return NashSet(components=_normalize(pieces))
-
-
 def reference_corners(box):
     """The corners as `Box.corners` built them before: each axis's ends as a
     set of `Fraction`s, sorted."""
@@ -539,136 +399,6 @@ def test_nash_set_matches_fraction_reference():
 
 
 # --- sign tables ---------------------------------------------------------------------
-# The per-call code that the tables of `_cce_type` and `_nash_type` replaced,
-# kept as the reference: the walk, adjacency and rank on the game's own rows,
-# and the rank-box algebra on the game's own advantages, on every call.
-
-
-def per_call_vertex_numerators(rows):
-    """The cell-cycle walk over all 16 candidates, tested on the rows."""
-    dev_rows = rows[:4]
-    edges = [(rows[r][i], rows[r][j]) for r, i, j in ((1, 0, 1), (2, 1, 3), (0, 3, 2), (3, 2, 0))]
-    candidates = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    for start in range(4):
-        run = [1]
-        for step in range(3):
-            u, v = edges[(start + step) % 4]
-            if not (u < 0 < v or v < 0 < u):
-                break
-            run = [w * abs(v) for w in run] + [run[-1] * abs(u)]
-            n = [0, 0, 0, 0]
-            for offset, w in enumerate(run):
-                n[(0, 1, 3, 2)[(start + offset) % 4]] = w
-            candidates.append(n)
-    found = set()
-    for n in candidates:
-        if all(sum(r * x for r, x in zip(row, n)) <= 0 for row in dev_rows):
-            g = math.gcd(*n)
-            found.add(tuple(x // g for x in n))
-    return found
-
-
-def per_call_cce_polytope(game):
-    rows = halfspace_rows(game)
-    found = per_call_vertex_numerators(rows)
-    scale = math.lcm(*map(sum, found))
-    numerators = sorted(found, key=lambda n: [x * (scale // sum(n)) for x in n])
-    joints = tuple(JointDistribution(tuple(F(x, sum(n)) for x in n)) for n in numerators)
-    if len(numerators) <= 1:
-        return CcePolytope(vertices=joints, edges=(), dimension=0)
-    tight_sets = [
-        frozenset(i for i, row in enumerate(rows) if sum(r * x for r, x in zip(row, n)) == 0)
-        for n in numerators
-    ]
-    edges = tuple(
-        (i, j)
-        for i, j in itertools.combinations(range(len(numerators)), 2)
-        if not any(
-            tight_sets[i] & tight_sets[j] <= tight_sets[k] for k in range(len(numerators)) if k not in (i, j)
-        )
-    )
-    n0, t0 = numerators[0], sum(numerators[0])
-    diffs = [tuple(t0 * x - sum(n) * y for x, y in zip(n, n0)) for n in numerators[1:]]
-    return CcePolytope(vertices=joints, edges=edges, dimension=_matrix_rank(diffs))
-
-
-def per_call_reaction_boxes(a, b):
-    """The indifference point, and the rank boxes, of one player's advantage pair."""
-    if a == 0 and b == 0:
-        return None, [(0, 2, 0, 2)]
-    if a > 0 > b:
-        return F(b, b - a), [(0, 0, 0, 1), (0, 2, 1, 1), (2, 2, 1, 2)]
-    if a < 0 < b:
-        return F(b, b - a), [(2, 2, 0, 1), (0, 2, 1, 1), (0, 0, 1, 2)]
-    boxes = [(2, 2, 0, 2)] if a >= 0 and b >= 0 else [(0, 0, 0, 2)]
-    if a == 0:
-        boxes.append((0, 2, 2, 2))
-    if b == 0:
-        boxes.append((0, 2, 0, 0))
-    return None, boxes
-
-
-def per_call_merge(b1, b2):
-    """The union of two rank boxes if it is itself a box (shared interval on
-    one axis, touching on the other), else None."""
-    p_low1, p_high1, q_low1, q_high1 = b1
-    p_low2, p_high2, q_low2, q_high2 = b2
-    if p_low1 == p_low2 and p_high1 == p_high2 and q_low1 <= q_high2 and q_low2 <= q_high1:
-        return (p_low1, p_high1, min(q_low1, q_low2), max(q_high1, q_high2))
-    if q_low1 == q_low2 and q_high1 == q_high2 and p_low1 <= p_high2 and p_low2 <= p_high1:
-        return (min(p_low1, p_low2), max(p_high1, p_high2), q_low1, q_high1)
-    return None
-
-
-def per_call_contains(outer, inner):
-    p_low, p_high, q_low, q_high = inner
-    return outer[0] <= p_low and p_high <= outer[1] and outer[2] <= q_low and q_high <= outer[3]
-
-
-def per_call_normalize(boxes):
-    """Drop nested and repeated rank boxes and merge pairs whose union is a
-    box, until nothing changes; sorted."""
-    work = list(boxes)
-    changed = True
-    while changed:
-        changed = False
-        kept = []
-        for box in work:
-            if any(other != box and per_call_contains(other, box) for other in work) or box in kept:
-                continue
-            kept.append(box)
-        if len(kept) != len(work):
-            work, changed = kept, True
-            continue
-        for i, j in itertools.combinations(range(len(work)), 2):
-            merged = per_call_merge(work[i], work[j])
-            if merged is not None and merged != work[i]:
-                work = [b for k, b in enumerate(work) if k not in (i, j)] + [merged]
-                changed = True
-                break
-            if merged is not None and merged == work[i]:
-                work = [b for k, b in enumerate(work) if k != j]
-                changed = True
-                break
-    return sorted(work)
-
-
-def per_call_nash_set(game):
-    a, b, c, d = advantages(game)
-    q_star, row_boxes = per_call_reaction_boxes(a, b)
-    p_star, col_boxes = per_call_reaction_boxes(c, d)
-    pieces = []
-    for p_low, p_high, q_low, q_high in row_boxes:
-        for q_low2, q_high2, p_low2, p_high2 in col_boxes:
-            lo_p, hi_p = max(p_low, p_low2), min(p_high, p_high2)
-            lo_q, hi_q = max(q_low, q_low2), min(q_high, q_high2)
-            if lo_p <= hi_p and lo_q <= hi_q:
-                pieces.append((lo_p, hi_p, lo_q, hi_q))
-    ps, qs = (F(0), p_star, F(1)), (F(0), q_star, F(1))
-    return NashSet(components=tuple(
-        Box(ps[p_low], ps[p_high], qs[q_low], qs[q_high])
-        for p_low, p_high, q_low, q_high in per_call_normalize(pieces)
-    ))
 
 
 def quadruple_games(bound):
@@ -680,10 +410,10 @@ def quadruple_games(bound):
 
 
 def test_sign_tables_match_per_call_code():
-    """Vertices, their order, edges and dimension, and the Nash components,
-    equal the per-call code's on all 81 sign patterns with equal magnitudes,
-    |a*d| = |b*c| and the rest of {-3..3}^4, and on seeded, 2^80 and
-    30-digit games; neither table outgrows the 81 patterns."""
+    """Vertices, their order, edges and dimension equal the per-call code's,
+    and the Nash components the `Fraction` model's, on all 81 sign patterns
+    with equal magnitudes, |a*d| = |b*c| and the rest of {-3..3}^4, and on
+    seeded, 2^80 and 30-digit games; neither table outgrows the 81 patterns."""
     rng = random.Random(37)
     games = quadruple_games(3)
     games += [verify.random_game(rng) for _ in range(1000)]
@@ -695,7 +425,7 @@ def test_sign_tables_match_per_call_code():
     ]
     for game in games:
         assert cce_polytope(game) == per_call_cce_polytope(game), game
-        assert nash_set(game) == per_call_nash_set(game), game
+        assert nash_set(game) == reference_nash_set(game), game
     assert equilibria._cce_type.cache_info().currsize <= 81
     assert equilibria._nash_type.cache_info().currsize <= 81
 
@@ -764,24 +494,6 @@ def test_joint_in_cce_pd_point_mass_aa(pd):
     assert not joint_in_cce(pd, joint((1, 0, 0, 0)))
 
 
-def deviation_gain(game, player, deviation, dist):
-    """The raw no-regret sum: expected gain from always switching to `deviation`.
-
-    The two cells where the player already plays `deviation` gain exactly 0
-    and are skipped.
-    """
-    table = game.payoffs(player)
-    prob = dist.prob
-    total = F(0)
-    for cell, (r_act, c_act) in enumerate(CELLS):
-        if player is Player.ROW:
-            if r_act != deviation:
-                total += prob[cell] * (table[2 * deviation + c_act] - table[cell])
-        elif c_act != deviation:
-            total += prob[cell] * (table[2 * r_act + deviation] - table[cell])
-    return total
-
-
 def test_joint_in_cce_agrees_with_deviation_gains():
     rng = random.Random(11)
     for _ in range(60):
@@ -791,36 +503,6 @@ def test_joint_in_cce_agrees_with_deviation_gains():
             deviation_gain(g, p, a, dist) <= 0 for p in Player for a in (0, 1)
         )
         assert joint_in_cce(g, dist) == direct
-
-
-def reference_deviation_gain(game, player, deviation, dist):
-    """The cell-by-cell loop that `deviation_gain` replaced: two payoff reads per cell."""
-    total = F(0)
-    for cell, (r_act, c_act) in enumerate(CELLS):
-        if player is Player.ROW:
-            gain = game.payoffs(player)[2 * deviation + c_act] - game.payoffs(player)[2 * r_act + c_act]
-        else:
-            gain = game.payoffs(player)[2 * r_act + deviation] - game.payoffs(player)[2 * r_act + c_act]
-        total += dist.prob[cell] * gain
-    return total
-
-
-def test_deviation_gain_matches_reference():
-    rng = random.Random(17)
-    pure = [joint(tuple(int(k == cell) for k in range(4))) for cell in range(4)]
-    # Degenerate joints: two-cell supports along each row, column and diagonal, and uniform.
-    degenerate = [
-        joint(tuple(F(int(k in pair), 2) for k in range(4)))
-        for pair in itertools.combinations(range(4), 2)
-    ] + [joint((F(1, 4),) * 4)]
-    for _ in range(200):
-        g = verify.random_game(rng)
-        for dist in pure + degenerate + [verify.random_joint(rng) for _ in range(3)]:
-            for player in Player:
-                for deviation in (0, 1):
-                    expected = reference_deviation_gain(g, player, deviation, dist)
-                    actual = deviation_gain(g, player, deviation, dist)
-                    assert actual == expected, (g, player, deviation, dist)
 
 
 # --- cross-module invariants ----------------------------------------------------------

@@ -31,14 +31,7 @@ from twobytwo.graphs import (
 )
 
 from conftest import ANTICOORDINATION, HORSEPLAY, SAFETY
-
-
-def random_rational(rng, bound=9):
-    return F(rng.randint(-bound, bound), rng.randint(1, 6))
-
-
-def random_game(rng):
-    return game_from_flat([random_rational(rng) for _ in range(8)])
+from reference import random_game, random_rational
 
 
 # --- ordinal graphs -----------------------------------------------------------

@@ -3,101 +3,11 @@ import random
 from fractions import Fraction as F
 
 from conftest import ALL_ZERO, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA
+from reference import box_variants, reference_grid_oracle
 from twobytwo import verify
 from twobytwo.core import MarginalPair, game_from_flat
 from twobytwo.equilibria import is_nash, nash_set
 from twobytwo.kernels import grid_oracle
-
-
-def _sgn(value):
-    return (value > 0) - (value < 0)
-
-
-def reference_grid_oracle(n, h_row, h_col, boxes):
-    """The point-at-a-time oracle that the row-at-a-time one replaced."""
-    a1, b1, c1, d1 = h_row
-    a2, b2, c2, d2 = h_col
-
-    adv_row_a, adv_row_b = a1 - c1, b1 - d1
-    adv_col_a, adv_col_b = a2 - b2, c2 - d2
-    sign_row = [_sgn(j * adv_row_a + (n - j) * adv_row_b) for j in range(n + 1)]
-    sign_col = [_sgn(i * adv_col_a + (n - i) * adv_col_b) for i in range(n + 1)]
-
-    k_ra_ba, k_ra_bb = a1 - c1, b1 - d1
-    k_rb_aa, k_rb_ab = c1 - a1, d1 - b1
-    k_ca_ab, k_ca_bb = a2 - b2, c2 - d2
-    k_cb_aa, k_cb_ba = b2 - a2, d2 - c2
-
-    box_list = [tuple(box) for box in boxes]
-
-    for i in range(n + 1):
-        sc = sign_col[i]
-        ni = n - i
-        col_ok_j0 = sc <= 0
-        col_ok_jn = sc >= 0
-        col_ok_mid = sc == 0
-        for j in range(n + 1):
-            sr = sign_row[j]
-            row_ok = sr == 0 or (sr > 0 and i == n) or (sr < 0 and i == 0)
-            if j == 0:
-                col_ok = col_ok_j0
-            elif j == n:
-                col_ok = col_ok_jn
-            else:
-                col_ok = col_ok_mid
-            nash_sign = row_ok and col_ok
-
-            s_aa = i * j
-            s_ab = i * (n - j)
-            s_ba = ni * j
-            s_bb = ni * (n - j)
-            nash_sum = (
-                k_ra_ba * s_ba + k_ra_bb * s_bb <= 0
-                and k_rb_aa * s_aa + k_rb_ab * s_ab <= 0
-                and k_ca_ab * s_ab + k_ca_bb * s_bb <= 0
-                and k_cb_aa * s_aa + k_cb_ba * s_ba <= 0
-            )
-            if nash_sign != nash_sum:
-                return (1, i, j)
-
-            in_box = any(
-                imin <= i <= imax and jmin <= j <= jmax
-                for imin, imax, jmin, jmax in box_list
-            )
-            if nash_sign != in_box:
-                return (2, i, j)
-    return None
-
-
-def box_variants(ranges, n):
-    """The intact box list and corrupted copies of it."""
-    return [
-        ranges,
-        ranges[1:],  # a dropped component
-        ranges[:-1],
-        [(0, n, 0, n)],  # the whole square
-        [(imin - 1, imax, jmin, jmax) for imin, imax, jmin, jmax in ranges],  # shifted by one
-        [(imin, imax + 1, jmin, jmax) for imin, imax, jmin, jmax in ranges],
-        [(imin, imax, jmin + 1, jmax) for imin, imax, jmin, jmax in ranges],
-        [(imin, imax, jmin, jmax - 1) for imin, imax, jmin, jmax in ranges],
-        [(imin + 1, imax + 1, jmin + 1, jmax + 1) for imin, imax, jmin, jmax in ranges],
-        [],
-        # Two or more spans on one row, which route 3 sorts and merges:
-        ranges + ranges[:1],  # a duplicated box
-        [  # every box split into two touching halves: the union is intact
-            half
-            for imin, imax, jmin, jmax in ranges
-            for half in ((imin, imax, jmin, (jmin + jmax) // 2), (imin, imax, (jmin + jmax) // 2 + 1, jmax))
-        ],
-        ranges + [(imin, imax, jmin + 1, jmax + 1) for imin, imax, jmin, jmax in ranges[:1]],  # two overlapping
-        [  # halves with the middle column left out: two disjoint spans
-            half
-            for imin, imax, jmin, jmax in ranges
-            for half in ((imin, imax, jmin, (jmin + jmax) // 2 - 1), (imin, imax, (jmin + jmax) // 2 + 1, jmax))
-        ],
-        # j-ranges reaching beyond 0..n where they end at 0 or n: the clipped union is intact
-        [(imin, imax, jmin - n if jmin == 0 else jmin, jmax + n if jmax == n else jmax) for imin, imax, jmin, jmax in ranges],
-    ]
 
 
 def oracle_cases():

@@ -48,16 +48,17 @@ from twobytwo.equilibria import (
 from twobytwo.kernels import grid_oracle
 
 from dispatch_corpus import outcome, reference_main
-from test_equilibria import (
+from reference import (
+    assert_keys_match_fractions,
+    box_variants,
     deviation_gain,
     per_call_cce_polytope,
-    per_call_nash_set,
     reference_advantages,
+    reference_check_cce,
+    reference_grid_oracle,
     reference_halfspace_rows,
     reference_nash_set,
 )
-from test_kernels import box_variants, reference_grid_oracle
-from test_verify import assert_keys_match_fractions, reference_check_cce
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
@@ -177,7 +178,7 @@ def test_cycle_walk_matches_cramer_route(game):
 @given(games())
 def test_sign_tables_match_per_call_code(game):
     assert cce_polytope(game) == per_call_cce_polytope(game)
-    assert nash_set(game) == per_call_nash_set(game)
+    assert nash_set(game) == reference_nash_set(game)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

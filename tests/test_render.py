@@ -50,38 +50,13 @@ from conftest import (
     MATCHING_PENNIES,
     SAFETY,
     HORSEPLAY,
+    TABLE_JOINT,
     count_drawn,
+    golden_specs,
     tagged,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-TABLE_JOINT = (".4", ".3", ".1", ".2")
-
-
-def golden_specs():
-    coordination = game_from_flat(COORDINATION)
-    mp = game_from_flat(MATCHING_PENNIES)
-    dist = joint(TABLE_JOINT)
-    jm = joint((".01", ".09", ".09", ".81"))
-    embedding = EmbeddingFigureData(
-        points=(
-            (embed(coordination).row_angle_degrees, embed(coordination).col_angle_degrees),
-        ),
-        heatmap=((1.0, 2.0), (3.0, 4.0)),
-    )
-    return {
-        FigureKind.ORD_GRAPH: game_from_flat((1, 2, 3, 4, 1, 3, 4, 2)),
-        FigureKind.BR_GRAPH: mp,
-        FigureKind.PAYOFF_TABLE: coordination,
-        FigureKind.JOINT: dist,
-        FigureKind.ROW_COND: dist,
-        FigureKind.COL_COND: dist,
-        FigureKind.MARGINAL: dist,
-        FigureKind.JOINT_MARGINAL: jm,
-        FigureKind.POLYTOPE: coordination,
-        FigureKind.EMBEDDING: embedding,
-    }
 
 
 @pytest.mark.parametrize("format,suffix", [("svg", "svg"), ("tikz", "tex")])

@@ -9,12 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import ALL_ZERO, CELLS, COORDINATION, MATCHING_PENNIES, PRISONERS_DILEMMA, TRAFFIC_LIGHTS
-from test_equilibria import deviation_gain, per_call_cce_polytope, per_call_nash_set, reference_halfspace_rows
+from reference import assert_keys_match_fractions, deviation_gain, per_call_cce_polytope, reference_check_cce, reference_nash_set
 from twobytwo import core, equilibria, verify
 from twobytwo.cli import main
 from twobytwo.core import (
-    ADVANTAGE_ACTION,
-    SYMMETRY_FLAGS,
     JointDistribution,
     MarginalPair,
     Player,
@@ -27,9 +25,7 @@ from twobytwo.equilibria import (
     Box,
     NashSet,
     cce_polytope,
-    nash_product_joints,
 )
-from twobytwo.verify import _matrix_rank
 
 
 def test_suite_passes_on_seeded_games():
@@ -214,46 +210,6 @@ def test_draw_weights_matches_randint():
         ours, theirs = random.Random(seed), random.Random(seed)
         assert verify._draw_weights(ours, count) == [theirs.randint(0, 10) for _ in range(count)]
         assert ours.getstate() == theirs.getstate()
-
-
-def reference_check_cce(game, rng, combos=100):
-    """The `Fraction` check that the integer one replaced, kept as the reference:
-    dot products on `Fraction` vertices, and each combination a normalized
-    `JointDistribution` tested by `joint_in_cce`."""
-    failures = []
-    poly = verify.cce_polytope(game)
-    rows = reference_halfspace_rows(game)
-    if not poly.vertices:
-        failures.append("empty CCE polytope")
-        return failures
-
-    tight_sets = []
-    for vertex in poly.vertices:
-        values = [sum((vertex.prob[j] * row[j] for j in range(4)), Fraction(0)) for row in rows]
-        if any(v > 0 for v in values):
-            failures.append(f"vertex {vertex.prob} violates a halfspace")
-        tight = [k for k, v in enumerate(values) if v == 0]
-        tight_sets.append(tight)
-        if _matrix_rank([rows[k] for k in tight]) < 3:
-            failures.append(f"vertex {vertex.prob} has fewer than 3 independent tight constraints")
-
-    for i, j in poly.edges:
-        if len(set(tight_sets[i]) & set(tight_sets[j])) < 2:
-            failures.append(f"edge ({i},{j}) endpoints share fewer than 2 tight constraints")
-
-    scale, numerators = verify.common_numerators(poly.vertices)
-    for _ in range(combos):
-        weights = [rng.randint(0, 10) for _ in poly.vertices]
-        if sum(weights) == 0:
-            weights[0] = 1
-        mix = verify.integer_mix(weights, numerators, scale)
-        if not verify.joint_in_cce(game, JointDistribution(mix)):
-            failures.append(f"convex combination {mix} outside the CCE set")
-
-    for dist in nash_product_joints(verify.nash_set(game)):
-        if not verify.joint_in_cce(game, dist):
-            failures.append(f"NE product joint {dist.prob} outside the CCE set")
-    return failures
 
 
 def assert_check_cce_matches_reference(games, seed):
@@ -503,8 +459,9 @@ def test_negative_control_swapped_column_advantages(monkeypatch):
 
 def test_swapped_advantages_leave_no_stale_type(monkeypatch):
     """The sign tables are filled while the swapped advantage core is bound;
-    unpatched, both functions still equal today's per-call code on every
-    sign pattern, since an entry is keyed by the signs it was built from."""
+    unpatched, `cce_polytope` still equals the per-call code and `nash_set`
+    the `Fraction` model on every sign pattern, since an entry is keyed by
+    the signs it was built from."""
     real = core.advantages
 
     def swap_column_pair(game):
@@ -521,7 +478,7 @@ def test_swapped_advantages_leave_no_stale_type(monkeypatch):
     for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
         game = game_from_flat((a, b, 0, 0, c, 0, d, 0))
         assert cce_polytope(game) == per_call_cce_polytope(game), game
-        assert equilibria.nash_set(game) == per_call_nash_set(game), game
+        assert equilibria.nash_set(game) == reference_nash_set(game), game
 
 
 def test_negative_control_doubled_entry_in_denominator_clearing(monkeypatch):
@@ -655,39 +612,6 @@ def test_check_cce_edges_and_dimension_clean_on_quadruples():
     rng = random.Random(2)
     for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
         assert verify.check_cce(game_from_flat((a, b, 0, 0, c, 0, d, 0)), rng) == []
-
-
-def reference_map_box(box, flags):
-    """The `Fraction` map that the key map replaced: 1 - x on a reversed axis."""
-    axes = ((box.p_low, box.p_high), (box.q_low, box.q_high))
-    (p_low, p_high), (q_low, q_high) = (
-        axes[k // 2] if sign > 0 else (1 - axes[k // 2][1], 1 - axes[k // 2][0])
-        for k, sign in ADVANTAGE_ACTION[flags][::2]
-    )
-    return Box(p_low, p_high, q_low, q_high)
-
-
-def box_key(box):
-    return verify._nash_keys(NashSet(components=(box,)))[0]
-
-
-def assert_keys_match_fractions(game):
-    """The key map agrees with the `Fraction` map on every component and
-    symmetry, and keys are equal exactly when the values are, for the boxes
-    and CCE vertices of the game and of each of its images."""
-    boxes, vertices = [], []
-    for flags in SYMMETRY_FLAGS:
-        for box in verify.nash_set(game).components:
-            image = reference_map_box(box, flags)
-            assert verify._map_box(box_key(box), flags) == box_key(image), (game, flags, box)
-            boxes += [box, image]
-        other = verify.permute(game, *flags)
-        boxes += verify.nash_set(other).components
-        vertices += cce_polytope(other).vertices
-    for items, key in ((boxes, box_key), (vertices, lambda v: verify._keys(v.prob))):
-        for a in items:
-            for b in items:
-                assert (key(a) == key(b)) == (a == b), (a, b)
 
 
 def test_key_map_matches_fraction_reference():

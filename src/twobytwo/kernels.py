@@ -6,15 +6,14 @@ equilibrium decision).  Python integers are arbitrary precision, so the
 oracle is exact for payoffs of any magnitude.
 
 Each of `grid_oracle`'s three routes gives its verdict on a row i of the
-grid as the maximal runs of members, inclusive (lo, hi) column ranges in
-increasing order, so two routes agree on a row exactly when their runs are
-equal.  The routes are compared only on the rows where some route's runs can
-differ from the row before:
+grid as a list of n + 1 booleans, one per column, and two routes agree on a
+row exactly when their lists are equal.  The routes are compared only on the
+rows where some route's verdicts can differ from the row before:
 - rows 0, 1 and n, where the row player's own mix becomes or stops being a
   pure action;
 - for route 3, the rows where some box's i-range starts or ends;
-- for route 1, whose runs depend on the row only through (i == 0, i == n,
-  the column player's sign), the rows around the root of the column
+- for route 1, whose verdicts depend on the row only through (i == 0,
+  i == n, the column player's sign), the rows around the root of the column
   player's advantage line;
 - for route 2, which decides a row from four exact integer spans of the
   column index j (each deviation-gain sum is a line A + B*j along a row),
@@ -22,38 +21,15 @@ differ from the row before:
   only through their signs.  Its two row-player sums are (n - i) and i
   times lines free of i, and a positive factor moves no floor-division span,
   so they change only at rows 0, 1 and n.
-So between two compared rows no route's runs change, and the first mismatch
-in row-major order lies on a compared row.  Only a row whose runs differ is
-expanded to lists of n + 1 verdicts and scanned point by point.  Each route
-finds its rows from its own coefficients, and route 2 still reads only the
-raw payoffs, never the advantage signs of route 1 or the Nash set behind the
-boxes of route 3, so the three routes stay independent.
+So between two compared rows no route's verdicts change, and the first
+mismatch in row-major order lies on a compared row, where it is found by a
+scan of the row's columns.  Each route finds its rows from its own
+coefficients, and route 2 still reads only the raw payoffs, never the
+advantage signs of route 1 or the Nash set behind the boxes of route 3, so
+the three routes stay independent.
 """
 
 from __future__ import annotations
-
-
-def _runs(verdicts: list[bool]) -> tuple[tuple[int, int], ...]:
-    """The maximal runs of True in `verdicts`, as inclusive (lo, hi) pairs."""
-    runs = []
-    lo = None
-    for j, member in enumerate(verdicts):
-        if member and lo is None:
-            lo = j
-        elif not member and lo is not None:
-            runs.append((lo, j - 1))
-            lo = None
-    if lo is not None:
-        runs.append((lo, len(verdicts) - 1))
-    return tuple(runs)
-
-
-def _expand(runs: tuple[tuple[int, int], ...], n: int) -> list[bool]:
-    """The n + 1 verdicts of a row given as runs."""
-    verdicts = [False] * (n + 1)
-    for lo, hi in runs:
-        verdicts[lo:hi + 1] = [True] * (hi - lo + 1)
-    return verdicts
 
 
 def _sign_changes(p, q):
@@ -79,8 +55,8 @@ def grid_oracle(n, h_row, h_col, boxes):
     The routes are compared only on the rows where one of them can change:
     rows 0, 1 and n, the rows where a box's i-range starts or ends, and the
     rows around the roots of route 1's column line and of route 2's two
-    column sums.  Between two such rows no route's runs change, so the rows
-    compared hold the first mismatch of the whole grid.
+    column sums.  Between two such rows no route's verdicts change, so the
+    rows compared hold the first mismatch of the whole grid.
 
     Returns None if all three agree everywhere, else (code, i, j) for the
     first mismatch in row-major order: code 1 = route 1 vs route 2, code 2 =
@@ -91,16 +67,6 @@ def grid_oracle(n, h_row, h_col, boxes):
 
     adv_row_a, adv_row_b = a1 - c1, b1 - d1
     adv_col_a, adv_col_b = a2 - b2, c2 - d2
-    # Route 1 as runs, keyed by (i == 0, i == n, column sign at row i) and
-    # built when a key is first met.  The column player's advantage of A over
-    # B, times n, at row i is the line i*adv_col_a + (n - i)*adv_col_b; the
-    # row player's at column j is j*adv_row_a + (n - j)*adv_row_b.  The row
-    # player may play its own mix at row i when pure A (i == n) has A weakly
-    # best, pure B (i == 0) has B weakly best, or a strict mix has
-    # indifference.  The column player's own mix is j: pure B at j == 0, pure
-    # A at j == n, strict mix between; one who is not indifferent admits only
-    # one of the two ends, so only that column is classified.
-    sign_runs = {}
 
     # Deviation-gain coefficients: the payoff change at each cell from
     # switching to the deviation action (zero on that action's own cells).
@@ -117,10 +83,11 @@ def grid_oracle(n, h_row, h_col, boxes):
         if low <= high:
             clipped.append((imin, imax, low, high))
 
-    # The rows where some route's runs can change: 0, 1 and n; the rows where
-    # some box's i-range starts or ends (route 3); and, each from the route's
-    # own coefficients, the rows around the roots of the column player's line
-    # (route 1) and of the lines ca and cb below (route 2), as lines p + q*i.
+    # The rows where some route's verdicts can change: 0, 1 and n; the rows
+    # where some box's i-range starts or ends (route 3); and, each from the
+    # route's own coefficients, the rows around the roots of the column
+    # player's line (route 1) and of the lines ca and cb below (route 2), as
+    # lines p + q*i.
     rows = {0, 1, n}.union(
         *[(imin, imax + 1) for imin, imax, _, _ in clipped],
         _sign_changes(n * adv_col_b, adv_col_a - adv_col_b),
@@ -132,22 +99,20 @@ def grid_oracle(n, h_row, h_col, boxes):
         if not 0 <= i <= n:
             continue
         ni = n - i
+        # Route 1 from signs.  The column player's advantage of A over B,
+        # times n, at row i is the line i*adv_col_a + (n - i)*adv_col_b; the
+        # row player's at column j is j*adv_row_a + (n - j)*adv_row_b.  The
+        # row player may play its own mix at row i when pure A (i == n) has A
+        # weakly best, pure B (i == 0) has B weakly best, or a strict mix has
+        # indifference; on the one-point grid (n == 0) the row is both pure
+        # mixes.  The column player's own mix is j: pure B at j == 0, pure A
+        # at j == n, strict mix between; one who is not indifferent admits
+        # only one of the two ends, so only that column is classified.
+        signs = [False] * (n + 1)
         sc = i * adv_col_a + ni * adv_col_b
-        key = (i == 0, i == n, (sc > 0) - (sc < 0))
-        nash_sign = sign_runs.get(key)
-        if nash_sign is None:
-            low, high, sign = key
-            cols = range(n + 1) if sign == 0 else (n,) if sign > 0 else (0,)
-            row_line = [j * adv_row_a + (n - j) * adv_row_b for j in cols]
-            if low and high:
-                ok = [True] * len(cols)  # n == 0: the one point is both pure mixes
-            elif low:
-                ok = [v <= 0 for v in row_line]
-            elif high:
-                ok = [v >= 0 for v in row_line]
-            else:
-                ok = [v == 0 for v in row_line]
-            nash_sign = sign_runs[key] = tuple((cols[lo], cols[hi]) for lo, hi in _runs(ok))
+        for j in range(n + 1) if sc == 0 else (n,) if sc > 0 else (0,):
+            v = j * adv_row_a + (n - j) * adv_row_b
+            signs[j] = (i == 0 and v <= 0) or (i == n and v >= 0) or (0 < i < n and v == 0)
 
         # Route 2: with s_aa = i*j, s_ab = i*(n-j), s_ba = (n-i)*j and
         # s_bb = (n-i)*(n-j), each sum is k . s with the row factor of every
@@ -171,23 +136,18 @@ def grid_oracle(n, h_row, h_col, boxes):
                     lo = end
             elif a > 0:
                 hi = -1
-        nash_sum = ((lo, hi),) if lo <= hi else ()
+        sums = [False] * (n + 1)
+        if lo <= hi:  # else hi + 1 could be a negative stop, counted from the end
+            sums[lo:hi + 1] = [True] * (hi - lo + 1)
 
-        # Route 3: the j-ranges of the boxes whose i-range holds row i,
-        # sorted and merged where they overlap or touch.
-        in_box = []
-        for low, high in sorted([(low, high) for imin, imax, low, high in clipped if imin <= i <= imax]):
-            if in_box and low <= in_box[-1][1] + 1:
-                if high > in_box[-1][1]:
-                    in_box[-1] = (in_box[-1][0], high)
-            else:
-                in_box.append((low, high))
-        in_box = tuple(in_box)
+        # Route 3: the j-ranges of the boxes whose i-range holds row i.
+        boxed = [False] * (n + 1)
+        for imin, imax, low, high in clipped:
+            if imin <= i <= imax:
+                boxed[low:high + 1] = [True] * (high - low + 1)
 
-        if nash_sign == nash_sum == in_box:
+        if signs == sums == boxed:
             continue
-        # Runs are canonical, so the lists differ too and the scan returns.
-        signs, sums, boxed = _expand(nash_sign, n), _expand(nash_sum, n), _expand(in_box, n)
         for j in range(n + 1):
             if signs[j] != sums[j]:
                 return (1, i, j)

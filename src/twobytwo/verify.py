@@ -123,7 +123,13 @@ def _direct_nash(h_row: tuple[int, ...], h_col: tuple[int, ...], m: MarginalPair
 
 
 def check_ne_grid(game: Game) -> list[str]:
-    """Three-route grid classification plus exact spot checks at component corners."""
+    """Three-route grid classification, exact spot checks at component
+    corners, and components that are neither repeated nor nested.
+
+    The grid routes and the corners see only the union of the components, so
+    a repeated or nested one passes them.  A repeat equals an earlier box; a
+    nested box has its corners in a different box, which then holds all of
+    it.  Both tests are exact on the `Fraction` bounds."""
     n = GRID_STEPS
     failures = []
     ns = nash_set(game)
@@ -136,8 +142,9 @@ def check_ne_grid(game: Game) -> list[str]:
 
     # The oracle works on a fixed lattice; corners of the exact components may
     # fall between lattice points, so confirm them (and the routes) exactly.
-    for box in ns.components:
-        for m in box.corners():
+    for k, box in enumerate(ns.components):
+        corners = box.corners()
+        for m in corners:
             if not is_nash(game, m):
                 failures.append(
                     f"component corner ({m.row_prob_a},{m.col_prob_a}) rejected by is_nash"
@@ -146,6 +153,10 @@ def check_ne_grid(game: Game) -> list[str]:
                 failures.append(
                     f"component corner ({m.row_prob_a},{m.col_prob_a}) rejected by deviation sums"
                 )
+        repeated = box in ns.components[:k]
+        if repeated or any(other != box and all(map(other.contains, corners)) for other in ns.components):
+            kind = "is repeated" if repeated else "lies inside another"
+            failures.append(f"component [{box.p_low},{box.p_high}]x[{box.q_low},{box.q_high}] {kind}")
     if not ns.components:
         failures.append("empty nash set")
     return failures
@@ -258,15 +269,17 @@ def cramer_vertex_numerators(rows: tuple[tuple[int, ...], ...]) -> set[tuple[int
 
 
 def check_cce(game: Game, rng: random.Random) -> list[str]:
-    """Vertex feasibility, tightness rank, edge tightness, completeness, edge
-    completeness, dimension, convexity, and NE containment.
+    """Distinct vertices, vertex feasibility, tightness rank, edge tightness,
+    completeness, edge completeness, dimension, convexity, and NE containment.
 
     The vertices are scaled once to integer numerators over one common
     denominator; the scaling is positive, so it keeps every sign and zero.
     The halfspace rows and the advantages are integers already.
     `cce_polytope` builds its vertices without the validity check of
     `JointDistribution`, so each must have numerators summing to D;
-    nonnegativity is the sign of the nonnegativity rows.
+    nonnegativity is the sign of the nonnegativity rows.  Over one common D
+    two vertices are the same point exactly when their numerators are equal,
+    and each later copy of a point is reported.
     Feasibility and tightness are the signs of integer dot products.
     Convexity is tested on `CCE_COMBOS` random convex combinations of the
     vertices, drawn with integer weights 0..10: `cce_holds` on the integer
@@ -293,7 +306,9 @@ def check_cce(game: Game, rng: random.Random) -> list[str]:
 
     scale, numerators = common_numerators(poly.vertices)
     tight_sets = []
-    for vertex, nums in zip(poly.vertices, numerators):
+    for k, (vertex, nums) in enumerate(zip(poly.vertices, numerators)):
+        if nums in numerators[:k]:
+            failures.append(f"vertex {vertex.prob} is listed more than once")
         if sum(nums) != scale:
             failures.append(f"vertex {vertex.prob} does not sum to 1")
         values = [sum(map(operator.mul, row, nums)) for row in rows]

@@ -335,7 +335,7 @@ def box_variants(ranges, n):
         [(imin, imax, jmin, jmax - 1) for imin, imax, jmin, jmax in ranges],
         [(imin + 1, imax + 1, jmin + 1, jmax + 1) for imin, imax, jmin, jmax in ranges],
         [],
-        # Two or more spans on one row, which route 3 sorts and merges:
+        # Two or more spans on one row, overlapping, touching or apart:
         ranges + ranges[:1],  # a duplicated box
         [  # every box split into two touching halves: the union is intact
             half
@@ -368,7 +368,9 @@ def reference_check_cce(game, rng, combos=100):
         return failures
 
     tight_sets = []
-    for vertex in poly.vertices:
+    for k, vertex in enumerate(poly.vertices):
+        if vertex.prob in [v.prob for v in poly.vertices[:k]]:
+            failures.append(f"vertex {vertex.prob} is listed more than once")
         values = [sum((vertex.prob[j] * row[j] for j in range(4)), Fraction(0)) for row in rows]
         if any(v > 0 for v in values):
             failures.append(f"vertex {vertex.prob} violates a halfspace")

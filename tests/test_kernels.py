@@ -159,7 +159,7 @@ def test_row_oracle_reports_broken_route_one_list_where_reference_does():
     # Route 1 at pure A (i == n) admitting only a strict advantage for A,
     # not indifference: the reference's row test loses its tie there, except
     # on the one-point grid (n == 0), whose row is pure B as well.
-    broken = mutated(grid_oracle, "[v >= 0 for v in row_line]", "[v > 0 for v in row_line]")
+    broken = mutated(grid_oracle, "(i == n and v >= 0)", "(i == n and v > 0)")
     broken_reference = mutated(
         reference_grid_oracle, "row_ok = sr == 0 or", "row_ok = (sr == 0 and (i < n or n == 0)) or"
     )

@@ -1,8 +1,10 @@
-"""The test suite's own layout: where shared helpers come from, and that every
-test the library's docstrings cite exists."""
+"""The test suite's own layout: where shared helpers come from, that every
+test the library's docstrings cite exists, and that the library needs
+nothing outside the standard library."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -47,3 +49,17 @@ def test_tests_cited_under_src_exist():
         if name not in defined
     ]
     assert missing == []
+
+
+def test_library_imports_only_the_standard_library():
+    """Every import under `src/` is relative or names a standard-library
+    module, and `pyproject.toml` declares no runtime dependency."""
+    outside = [
+        (path.relative_to(SRC).as_posix(), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in imported_modules(parsed(path))
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.MULTILINE)

@@ -90,6 +90,41 @@ def test_negative_control_dropped_nash_component(monkeypatch):
         assert any("routes vs nash_set boxes" in m for m in failure.messages)
 
 
+def test_negative_control_nested_nash_component(monkeypatch):
+    """A Nash set with a component twice, or one inside another, has the same
+    union, so the grid routes and the corner checks pass it; the repeat and
+    the nested component must each be named.  So must the nested pieces that
+    `equilibria._normalize` keeps when it drops none, in the seeded runs."""
+    real = verify.nash_set
+
+    def add_copy_and_corner(game):
+        ns = real(game)
+        box = ns.components[0]
+        corner = Box(box.p_low, box.p_low, box.q_low, box.q_low)
+        return NashSet(components=ns.components + (box, corner))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "nash_set", add_copy_and_corner)
+        assert verify.check_ne_grid(game_from_flat(ALL_ZERO)) == [
+            "component [0,1]x[0,1] is repeated",
+            "component [0,0]x[0,0] lies inside another",
+        ]
+
+    equilibria._nash_type.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(equilibria, "_normalize", sorted)
+            for seed in (0, 7, 42):
+                report = verify.run(seed=seed, trials=100)
+                assert report.failures, seed
+                for failure in report.failures:
+                    assert failure.messages
+                    assert all(m.startswith("component [") and m.endswith(" lies inside another")
+                               for m in failure.messages)
+    finally:
+        equilibria._nash_type.cache_clear()
+
+
 def reference_direct_nash(game, m):
     """The `Fraction` route that the integer one replaced: the product joint
     and the four `deviation_gain` sums."""
@@ -533,6 +568,30 @@ def test_negative_control_dropped_cce_vertex(monkeypatch):
         assert len(real(failure.game).vertices) > 1
         assert any(m.startswith("missing CCE vertex (") for m in failure.messages)
 
+
+def test_negative_control_repeated_cce_vertex(monkeypatch):
+    """A polytope that lists a vertex again keeps the same set of points, so
+    it stays feasible, tight, convex and complete; each repeat must be named,
+    as the `Fraction` reference names it."""
+    real = verify.cce_polytope
+
+    def repeat_first(game):
+        poly = real(game)
+        return dataclasses.replace(poly, vertices=poly.vertices + poly.vertices[:1] * 2)
+
+    monkeypatch.setattr(verify, "cce_polytope", repeat_first)
+    coordination = game_from_flat(COORDINATION)
+    first = real(coordination).vertices[0]
+    assert verify.check_cce(coordination, random.Random(0)) == [f"vertex {first.prob} is listed more than once"] * 2
+    rng = random.Random(6)
+    assert_check_cce_matches_reference([coordination] + [verify.random_game(rng) for _ in range(20)], seed=6)
+
+    for seed in (0, 7, 42):
+        report = verify.run(seed=seed, trials=10)
+        assert len(report.failures) == 10
+        for failure in report.failures:
+            first = real(failure.game).vertices[0]
+            assert f"vertex {first.prob} is listed more than once" in failure.messages
 
 def test_check_cce_reports_edge_to_missing_vertex(monkeypatch):
     """Edges that name an index past the vertex list are reported, not an IndexError."""

@@ -14,9 +14,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -123,31 +122,68 @@ def _cleared_differences(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction)
     return a // g, b // g
 
 
-@dataclass(frozen=True)
+def _checked_make(cls, iterable: Iterable):
+    """`_make` for a named tuple whose `__new__` checks its values:
+    `_replace` builds through `_make`, so it runs the checks too."""
+    return cls(*iterable)
+
+
 class Game:
     """A 2x2 game: one payoff per player per joint action.
 
     Payoff tuples are in flat cell order (AA, AB, BA, BB); the first action
     index is the row player's, the second the column player's.  The players'
     advantages are computed once, when the game is built; read them through
-    `advantages`.
+    `advantages`.  A game is immutable, and it equals, hashes and prints by
+    its two payoff tuples only.
     """
+
+    __slots__ = ("row", "col", "_advantages")
+    __match_args__ = ("row", "col")
 
     row: tuple[Fraction, Fraction, Fraction, Fraction]
     col: tuple[Fraction, Fraction, Fraction, Fraction]
-    _advantages: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        r, c = self.row, self.col
-        adv = _cleared_differences(r[0], r[2], r[1], r[3]) + _cleared_differences(c[0], c[1], c[2], c[3])
+    def __init__(
+        self,
+        row: tuple[Fraction, Fraction, Fraction, Fraction],
+        col: tuple[Fraction, Fraction, Fraction, Fraction],
+    ) -> None:
+        adv = (_cleared_differences(row[0], row[2], row[1], row[3])
+               + _cleared_differences(col[0], col[1], col[2], col[3]))
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
         object.__setattr__(self, "_advantages", adv)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.row == other.row and self.col == other.col
+
+    def __hash__(self) -> int:
+        return hash((self.row, self.col))
+
+    def __repr__(self) -> str:
+        return f"Game(row={self.row!r}, col={self.col!r})"
+
+    def __reduce__(self):
+        return Game, (self.row, self.col)
 
     def payoffs(self, player: Player) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return self.row if player is Player.ROW else self.col
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class _JointDistribution(NamedTuple):
+    prob: tuple[Fraction, Fraction, Fraction, Fraction]
+
+
+class JointDistribution(_JointDistribution):
     """A distribution over the four joint actions; a point in the 3-simplex.
 
     Building one checks that its probabilities are nonnegative and sum to
@@ -158,12 +194,11 @@ class JointDistribution:
     its sum, and its signs through the nonnegativity rows.
     """
 
-    prob: tuple[Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, prob: tuple[Fraction, Fraction, Fraction, Fraction]) -> JointDistribution:
         # Both tests run on integers: no numerator is negative, and the
         # numerators scaled to the lcm of the denominators sum to that lcm.
-        prob = self.prob
         try:
             common = math.lcm(*[p.denominator for p in prob])
         except AttributeError:
@@ -175,28 +210,36 @@ class JointDistribution:
         if sum([p.numerator * (common // p.denominator) for p in prob]) != common:
             shown = " ".join(map(format_rational, prob))
             raise ValueError(f"joint probabilities must sum to 1, got {shown}")
+        return tuple.__new__(cls, (prob,))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class MarginalPair:
-    """Each player's probability of playing action A."""
-
+class _MarginalPair(NamedTuple):
     row_prob_a: Fraction
     col_prob_a: Fraction
 
-    def __post_init__(self) -> None:
+
+class MarginalPair(_MarginalPair):
+    """Each player's probability of playing action A."""
+
+    __slots__ = ()
+
+    def __new__(cls, row_prob_a: Fraction, col_prob_a: Fraction) -> MarginalPair:
         # Both tests read the numerator and the (positive) denominator.
-        for value in (self.row_prob_a, self.col_prob_a):
+        for value in (row_prob_a, col_prob_a):
             try:
                 inside = 0 <= value.numerator <= value.denominator
             except AttributeError:
                 raise ValueError(f"marginal probability {value!r} is not an int or Fraction") from None
             if not inside:
                 raise ValueError(f"marginal probability {value} outside [0, 1]")
+        return tuple.__new__(cls, (row_prob_a, col_prob_a))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(NamedTuple):
     """Distributions over the other player's actions, one per conditioning action.
 
     A row is None exactly when the conditioning action has probability zero.
@@ -207,12 +250,10 @@ class ConditionalTable:
 
 def _joint_from_weights(weights: Sequence[int]) -> JointDistribution:
     """The joint w / sum(w) of nonnegative integer weights with a positive
-    sum, built without `JointDistribution.__post_init__`; zero cells share one
+    sum, built without `JointDistribution`'s checks; zero cells share one
     zero."""
     total = sum(weights)
-    dist = object.__new__(JointDistribution)
-    object.__setattr__(dist, "prob", tuple([Fraction(w, total) if w else _ZERO for w in weights]))
-    return dist
+    return tuple.__new__(JointDistribution, (tuple([Fraction(w, total) if w else _ZERO for w in weights]),))
 
 
 def joint(values: Iterable[RationalLike]) -> JointDistribution:

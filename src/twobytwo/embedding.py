@@ -13,14 +13,13 @@ by its gcd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Game, advantages, permute_advantages, signs
 from .graphs import BRClass, BRGraph, class_from_br_graph
 
 
-@dataclass(frozen=True)
-class EmbeddingPoint:
+class EmbeddingPoint(NamedTuple):
     """Canonical coprime integer directions, one per player.
 
     A direction is None exactly when that player is everywhere indifferent

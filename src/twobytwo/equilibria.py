@@ -82,8 +82,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     Game,
@@ -108,8 +108,7 @@ def _ends(low: Fraction, high: Fraction) -> tuple[Fraction, ...]:
     return (low, high) if low < high else (high, low)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """An axis-aligned product of intervals in marginal space [0,1]^2.
 
     Degenerate intervals give points and segments; p is the row player's
@@ -140,8 +139,7 @@ class Box:
         return tuple(MarginalPair(p, q) for p in ps for q in qs)
 
 
-@dataclass(frozen=True)
-class NashSet:
+class NashSet(NamedTuple):
     """The complete Nash set as a normalized union of boxes."""
 
     components: tuple[Box, ...]
@@ -150,8 +148,7 @@ class NashSet:
         return any(box.contains(m) for box in self.components)
 
 
-@dataclass(frozen=True)
-class CcePolytope:
+class CcePolytope(NamedTuple):
     """Vertices and edges of the CCE set inside the simplex, and its dimension.
 
     Vertices are deduplicated and sorted lexicographically by coordinates;

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -20,8 +19,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class OrdinalGraph:
+class OrdinalGraph(NamedTuple):
     """One player's payoff order over the four cells.
 
     `levels` partitions the cell indices into groups of equal payoff, sorted
@@ -46,8 +44,7 @@ class BRGraph(NamedTuple):
     col_given_row_b: int
 
 
-@dataclass(frozen=True)
-class BRClass:
+class BRClass(NamedTuple):
     """A best-response graph orbit under the order-8 symmetry group."""
 
     canonical: BRGraph

@@ -14,14 +14,12 @@ order, formatting each grid column, grid row, size and paint only once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .style import SIZE_PT, Color, fmt, hex_color
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     x1: float
     y1: float
     x2: float
@@ -32,8 +30,7 @@ class Line:
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class ArrowLine:
+class ArrowLine(NamedTuple):
     x1: float
     y1: float
     x2: float
@@ -43,8 +40,7 @@ class ArrowLine:
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     """Axis-aligned rectangle with lower-left corner (x, y)."""
 
     x: float
@@ -57,8 +53,7 @@ class Rect:
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class Heatmap:
+class Heatmap(NamedTuple):
     """A grid of unstroked cells, `cols` to a row, filled in row-major order.
 
     The first row is on top: cell (r, c) has its lower-left corner at
@@ -74,8 +69,7 @@ class Heatmap:
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     """Filled circles of one radius, one per centre."""
 
     centers: tuple[tuple[float, float], ...]
@@ -84,8 +78,7 @@ class Circle:
     tag: str = ""
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(NamedTuple):
     x: float
     y: float
     content: str
@@ -98,9 +91,19 @@ class Text:
 Primitive = Union[Line, ArrowLine, Rect, Heatmap, Circle, Text]
 
 
-@dataclass
 class Scene:
-    prims: list[Primitive] = field(default_factory=list)
+    """The primitives of one figure, in drawing order."""
+
+    def __init__(self, prims: list[Primitive] | None = None) -> None:
+        self.prims = [] if prims is None else prims
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prims == other.prims
+
+    def __repr__(self) -> str:
+        return f"Scene(prims={self.prims!r})"
 
     def add(self, *prims: Primitive) -> None:
         self.prims.extend(prims)
@@ -202,7 +205,7 @@ def to_svg(scene: Scene) -> str:
                 f'fill="#{hex_color(prim.color)}"{attr_class(prim.tag)}>'
                 f"{_svg_escape(prim.content)}</text>"
             )
-        else:  # pragma: no cover - new primitive types must be wired up here
+        else:  # new primitive types must be wired up here
             raise TypeError(f"unknown primitive {prim!r}")
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -278,7 +281,7 @@ def to_tikz(scene: Scene) -> str:
                 rf"font=\fontsize{{{size}}}{{{baseline}}}\selectfont] "
                 rf"at ({fmt(prim.x)},{fmt(prim.y)}) {{{_tikz_escape(prim.content)}}};"
             )
-        else:  # pragma: no cover
+        else:
             raise TypeError(f"unknown primitive {prim!r}")
     head = [r"\begin{tikzpicture}[x=1pt,y=1pt,line cap=round,line join=round]"]
     head += [rf"\definecolor{{{name}}}{{RGB}}{{{r},{g},{b}}}" for (r, g, b), name in names.items()]

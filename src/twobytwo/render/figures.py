@@ -16,15 +16,16 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from ..core import (
     Game,
     JointDistribution,
     MarginalPair,
     Player,
+    _checked_make,
     conditional,
     marginals_from_joint,
     product_joint,
@@ -67,40 +68,46 @@ class FigureKind(enum.Enum):
     EMBEDDING = "embedding"
 
 
-@dataclass(frozen=True)
-class EmbeddingFigureData:
+class _EmbeddingFigureData(NamedTuple):
+    points: tuple[tuple[float, float], ...] = ()
+    heatmap: tuple[tuple[float, ...], ...] | None = None
+
+
+class EmbeddingFigureData(_EmbeddingFigureData):
     """Raw plotting data: angle pairs in degrees plus an optional heatmap.
 
     Construction checks that every point is a finite pair and that the
     heatmap, if given, is a nonempty rectangular matrix of finite values.
     """
 
-    points: tuple[tuple[float, float], ...] = ()
-    heatmap: tuple[tuple[float, ...], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        points: tuple[tuple[float, float], ...] = (),
+        heatmap: tuple[tuple[float, ...], ...] | None = None,
+    ) -> EmbeddingFigureData:
         # Checked in bulk; the items are walked only to name the first bad one.
         isfinite = math.isfinite
-        rows = self.heatmap
-        if rows is not None:
-            if not rows or not rows[0] or len(set(map(len, rows))) != 1:
+        if heatmap is not None:
+            if not heatmap or not heatmap[0] or len(set(map(len, heatmap))) != 1:
                 raise ValueError("heatmap matrix must be rectangular and nonempty")
-            if not all(map(isfinite, chain.from_iterable(rows))):
-                value = next(v for v in chain.from_iterable(rows) if not isfinite(v))
+            if not all(map(isfinite, chain.from_iterable(heatmap))):
+                value = next(v for v in chain.from_iterable(heatmap) if not isfinite(v))
                 raise ValueError(f"non-finite heatmap value {value!r}")
-        points = self.points
-        if set(map(len, points)) <= {2} and all(map(isfinite, chain.from_iterable(points))):
-            return
-        for point in points:
-            if len(point) != 2:
-                raise ValueError(f"point {point!r} is not a (row angle, column angle) pair")
-            if not (isfinite(point[0]) and isfinite(point[1])):
-                value = point[0] if not isfinite(point[0]) else point[1]
-                raise ValueError(f"non-finite point coordinate {value!r}")
+        if not (set(map(len, points)) <= {2} and all(map(isfinite, chain.from_iterable(points)))):
+            for point in points:
+                if len(point) != 2:
+                    raise ValueError(f"point {point!r} is not a (row angle, column angle) pair")
+                if not (isfinite(point[0]) and isfinite(point[1])):
+                    value = point[0] if not isfinite(point[0]) else point[1]
+                    raise ValueError(f"non-finite point coordinate {value!r}")
+        return tuple.__new__(cls, (points, heatmap))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(NamedTuple):
     kind: FigureKind
     payload: object
     style: StyleOptions = StyleOptions()

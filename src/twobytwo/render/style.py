@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 Color = tuple[int, int, int]
 
@@ -23,8 +23,7 @@ STROKE_WIDTH_PT = 0.8
 PLAYER_COLORS: tuple[Color, Color] = (BLACK, GRAY)
 
 
-@dataclass(frozen=True)
-class StyleOptions:
+class StyleOptions(NamedTuple):
     """The three annotation toggles of a figure, set by the CLI's
     `--no-axes-labels`, `--no-tick-labels` and `--no-best-response-names`."""
 

@@ -14,7 +14,6 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kernels
@@ -496,21 +495,30 @@ def check_game(
     return failures
 
 
-@dataclass
 class VerifyFailure:
-    game: Game
-    messages: list[str]
+    """One failing game and the messages of the checks it failed."""
+
+    def __init__(self, game: Game, messages: list[str]) -> None:
+        self.game = game
+        self.messages = messages
 
     def flat(self) -> str:
         return " ".join(format_rational(v) for v in game_to_flat(self.game))
 
 
-@dataclass
 class VerifyReport:
-    trials: int
-    failures: list[VerifyFailure] = field(default_factory=list)
-    # check name -> (calls, total wall time in ns), in the order the checks ran
-    timings: dict[str, tuple[int, int]] = field(default_factory=dict)
+    """The failing games of a run of `trials` trials, and each check's timings."""
+
+    def __init__(
+        self,
+        trials: int,
+        failures: list[VerifyFailure] | None = None,
+        timings: dict[str, tuple[int, int]] | None = None,
+    ) -> None:
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        # check name -> (calls, total wall time in ns), in the order the checks ran
+        self.timings = {} if timings is None else timings
 
     @property
     def passed(self) -> int:

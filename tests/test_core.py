@@ -304,6 +304,8 @@ def test_joint_invariants_enforced():
         joint((-1, 1, 1, 0))
     with pytest.raises(ValueError, match=r"joint probability 0\.25 "):
         JointDistribution((F(1, 2), 0.25, F(1, 4), F(0)))
+    with pytest.raises(ValueError, match=r"^expected 4 joint probabilities, got 3$"):
+        joint((F(1, 2), F(1, 4), F(1, 4)))
 
 
 def reference_joint_error(prob):

@@ -1,9 +1,11 @@
 """The test suite's own layout: where shared helpers come from, that every
 test the library's docstrings cite exists, and that the library needs
-nothing outside the standard library."""
+nothing outside the standard library and imports no module it can do without."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +65,28 @@ def test_library_imports_only_the_standard_library():
     assert outside == []
     pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", pyproject, re.MULTILINE)
+
+
+def test_library_does_not_import_dataclasses():
+    """The record types are `NamedTuple`s and plain classes: `dataclasses`
+    imports `inspect` and builds each class's methods with `exec` when its
+    module loads, a cost that every fresh `twobytwo` process would pay."""
+    users = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "dataclasses" in {name.split(".")[0] for name in imported_modules(parsed(path))}
+    ]
+    assert users == []
+
+
+def test_fresh_import_loads_neither_dataclasses_nor_inspect():
+    program = (
+        "import sys, twobytwo.cli, twobytwo.verify, twobytwo.render\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

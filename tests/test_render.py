@@ -70,6 +70,20 @@ def test_golden_byte_equality(kind, format, suffix):
     assert path.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("format,suffix", [("svg", "svg"), ("tikz", "tex")])
+@pytest.mark.parametrize("kind", [FigureKind.ROW_COND, FigureKind.COL_COND])
+def test_absent_cell_golden_byte_equality(kind, format, suffix):
+    """A joint with a zero-probability row and column: each conditional
+    figure draws the two cells of its absent distribution unshaded."""
+    spec = FigureSpec(kind, joint((1, 0, 0, 0)))
+    assert count_drawn(build_scene(spec), "absent-cell") == 2
+    text = render_figure(spec, format)
+    path = GOLDEN_DIR / f"{kind.value}-absent.{suffix}"
+    if os.environ.get("TWOBYTWO_REGEN_GOLDEN"):
+        path.write_text(text, encoding="utf-8")
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_rendering_is_deterministic_across_threads():
     spec = FigureSpec(FigureKind.POLYTOPE, game_from_flat(COORDINATION))
     reference = render_figure(spec, "svg")
@@ -405,6 +419,20 @@ def test_unsupported_format_rejected():
 def test_wrong_payload_type_rejected(mp):
     with pytest.raises(TypeError, match="JointDistribution"):
         render_figure(FigureSpec(FigureKind.JOINT, mp), "svg")
+
+
+def test_unknown_kind_rejected(mp):
+    with pytest.raises(UnsupportedFigureError, match=r"^unknown figure kind 'polytope'$"):
+        build_scene(FigureSpec("polytope", mp))
+
+
+@pytest.mark.parametrize("backend", [canvas.to_svg, canvas.to_tikz])
+def test_foreign_primitive_rejected(backend):
+    """A plain tuple with a `Line`'s items is not a `Line`."""
+    items = (0.0, 0.0, 1.0, 1.0, BLACK, 0.8, False, "")
+    backend(canvas.Scene([Line(*items)]))
+    with pytest.raises(TypeError, match=r"^unknown primitive \(0\.0, 0\.0, 1\.0, 1\.0, \(0, 0, 0\)"):
+        backend(canvas.Scene([items]))
 
 
 def test_point_file_round_trip(tmp_path):

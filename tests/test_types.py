@@ -168,3 +168,15 @@ def test_validation_messages(cls, args, message):
     with pytest.raises(ValueError) as by_keyword:
         cls(**keywords)
     assert str(by_position.value) == str(by_keyword.value) == message
+
+
+def test_replace_runs_the_checks():
+    """`_replace` on a named tuple, which stands in for `dataclasses.replace`,
+    checks the new values as the constructor does."""
+    assert VERTEX._replace(prob=(ONE, ZERO, ZERO, ZERO)) == JointDistribution((ONE, ZERO, ZERO, ZERO))
+    with pytest.raises(ValueError, match="^negative joint probability in 1/2 -1/2 1 0$"):
+        VERTEX._replace(prob=(HALF, -HALF, ONE, ZERO))
+    with pytest.raises(ValueError, match=r"^marginal probability 2 outside \[0, 1\]$"):
+        MarginalPair(HALF, ONE)._replace(col_prob_a=Fraction(2))
+    with pytest.raises(ValueError, match="^non-finite point coordinate nan$"):
+        EmbeddingFigureData()._replace(points=((float("nan"), 0.0),))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import os
@@ -26,6 +25,7 @@ from twobytwo.equilibria import (
     NashSet,
     cce_polytope,
 )
+from twobytwo.graphs import BRGraph, class_from_br_graph
 
 
 def test_suite_passes_on_seeded_games():
@@ -123,6 +123,20 @@ def test_negative_control_nested_nash_component(monkeypatch):
                                for m in failure.messages)
     finally:
         equilibria._nash_type.cache_clear()
+
+
+def test_negative_control_empty_nash_set(monkeypatch):
+    """A Nash set with no component must be named as empty, besides the grid
+    points that the routes admit and no box holds."""
+    monkeypatch.setattr(verify, "nash_set", lambda game: NashSet(components=()))
+    assert verify.check_ne_grid(game_from_flat(COORDINATION)) == [
+        "grid oracle mismatch (routes vs nash_set boxes) at p=0/100, q=0/100",
+        "empty nash set",
+    ]
+    report = verify.run(seed=3, trials=5)
+    assert len(report.failures) == 5
+    for failure in report.failures:
+        assert "empty nash set" in failure.messages
 
 
 def reference_direct_nash(game, m):
@@ -282,7 +296,7 @@ def test_check_cce_matches_fraction_reference(monkeypatch):
     def add_bad_vertex(game):
         poly = real(game)
         bad = JointDistribution((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
-        return dataclasses.replace(poly, vertices=poly.vertices + (bad,))
+        return poly._replace(vertices=poly.vertices + (bad,))
 
     monkeypatch.setattr(verify, "cce_polytope", add_bad_vertex)
     games = [game_from_flat(PRISONERS_DILEMMA)] + [verify.random_game(rng) for _ in range(20)]
@@ -297,7 +311,7 @@ def test_negative_control_infeasible_cce_vertex(monkeypatch):
     def add_bad_vertex(game):
         poly = real(game)
         bad = JointDistribution((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
-        return dataclasses.replace(poly, vertices=poly.vertices + (bad,))
+        return poly._replace(vertices=poly.vertices + (bad,))
 
     monkeypatch.setattr(verify, "cce_polytope", add_bad_vertex)
     failures = verify.check_cce(game_from_flat(PRISONERS_DILEMMA), random.Random(0))
@@ -322,9 +336,7 @@ def test_negative_control_broken_cce_holds(monkeypatch):
 def unchecked_joint(prob):
     """A joint built without `JointDistribution`'s validity check, as
     `cce_polytope` builds its vertices."""
-    dist = object.__new__(JointDistribution)
-    object.__setattr__(dist, "prob", prob)
-    return dist
+    return tuple.__new__(JointDistribution, (prob,))
 
 
 def test_negative_control_vertex_not_summing_to_one(monkeypatch, capsys):
@@ -336,7 +348,7 @@ def test_negative_control_vertex_not_summing_to_one(monkeypatch, capsys):
     def double_first_vertex(game):
         poly = real(game)
         heavy = unchecked_joint(tuple(2 * p for p in poly.vertices[0].prob))
-        return dataclasses.replace(poly, vertices=(heavy,) + poly.vertices[1:])
+        return poly._replace(vertices=(heavy,) + poly.vertices[1:])
 
     monkeypatch.setattr(verify, "cce_polytope", double_first_vertex)
     rng = random.Random(4)
@@ -544,7 +556,7 @@ def test_negative_control_doubled_entry_in_denominator_clearing(monkeypatch):
 def drop_vertex(poly, k):
     """The polytope without vertex k: edges naming it go, the rest are re-indexed."""
     edges = tuple((i - (i > k), j - (j > k)) for i, j in poly.edges if k not in (i, j))
-    return dataclasses.replace(poly, vertices=poly.vertices[:k] + poly.vertices[k + 1:], edges=edges)
+    return poly._replace(vertices=poly.vertices[:k] + poly.vertices[k + 1:], edges=edges)
 
 
 def test_negative_control_dropped_cce_vertex(monkeypatch):
@@ -577,7 +589,7 @@ def test_negative_control_repeated_cce_vertex(monkeypatch):
 
     def repeat_first(game):
         poly = real(game)
-        return dataclasses.replace(poly, vertices=poly.vertices + poly.vertices[:1] * 2)
+        return poly._replace(vertices=poly.vertices + poly.vertices[:1] * 2)
 
     monkeypatch.setattr(verify, "cce_polytope", repeat_first)
     coordination = game_from_flat(COORDINATION)
@@ -593,13 +605,26 @@ def test_negative_control_repeated_cce_vertex(monkeypatch):
             first = real(failure.game).vertices[0]
             assert f"vertex {first.prob} is listed more than once" in failure.messages
 
+
+def test_negative_control_empty_cce_polytope(monkeypatch):
+    """A polytope with no vertex is reported as empty, and nothing else of
+    `check_cce` runs on it."""
+    real = verify.cce_polytope
+    monkeypatch.setattr(verify, "cce_polytope", lambda game: real(game)._replace(vertices=(), edges=()))
+    assert verify.check_cce(game_from_flat(COORDINATION), random.Random(0)) == ["empty CCE polytope"]
+    report = verify.run(seed=3, trials=5)
+    assert len(report.failures) == 5
+    for failure in report.failures:
+        assert failure.messages == ["empty CCE polytope"]
+
+
 def test_check_cce_reports_edge_to_missing_vertex(monkeypatch):
     """Edges that name an index past the vertex list are reported, not an IndexError."""
     real = verify.cce_polytope
 
     def drop_last_keep_edges(game):
         poly = real(game)
-        return dataclasses.replace(poly, vertices=poly.vertices[:-1])
+        return poly._replace(vertices=poly.vertices[:-1])
 
     monkeypatch.setattr(verify, "cce_polytope", drop_last_keep_edges)
     failures = verify.check_cce(game_from_flat((2, 0, 0, 1, 2, 0, 0, 1)), random.Random(0))
@@ -616,7 +641,7 @@ def test_negative_control_dropped_cce_edge(monkeypatch):
 
     def drop_first_edge(game):
         poly = real(game)
-        return dataclasses.replace(poly, edges=poly.edges[1:])
+        return poly._replace(edges=poly.edges[1:])
 
     monkeypatch.setattr(verify, "cce_polytope", drop_first_edge)
     coordination = game_from_flat(COORDINATION)
@@ -641,8 +666,8 @@ def test_negative_control_extra_cce_edge(monkeypatch):
         ((0, 0), "edge (0,0) is not an edge of the CCE polytope"),
         ((2, 3), "edge (2,3) endpoints share fewer than 2 tight constraints"),
     ):
-        monkeypatch.setattr(verify, "cce_polytope", lambda game: dataclasses.replace(
-            real(game), edges=real(game).edges + (extra,)))
+        monkeypatch.setattr(verify, "cce_polytope", lambda game: real(game)._replace(
+            edges=real(game).edges + (extra,)))
         assert verify.check_cce(coordination, random.Random(0)) == [message]
 
 
@@ -652,8 +677,8 @@ def test_negative_control_dimension_off_by_one(monkeypatch):
     real = verify.cce_polytope
     for delta in (1, -1):
         with monkeypatch.context() as patched:
-            patched.setattr(verify, "cce_polytope", lambda game: dataclasses.replace(
-                real(game), dimension=real(game).dimension + delta))
+            patched.setattr(verify, "cce_polytope", lambda game: real(game)._replace(
+                dimension=real(game).dimension + delta))
             assert verify.check_cce(game_from_flat(COORDINATION), random.Random(0)) == [
                 f"CCE dimension {3 + delta}, but the vertices span 3"
             ]
@@ -724,3 +749,23 @@ def test_negative_control_own_action_offsets(monkeypatch):
     messages = [m for failure in report.failures for m in failure.messages]
     assert any(m.startswith("nash_set changed under affine transform") for m in messages)
     assert any(m.startswith("CCE vertices changed under affine transform") for m in messages)
+
+
+def test_negative_control_class_mismatch(monkeypatch):
+    """A `br_class` that disagrees with the class of the embedding is named,
+    with both classes in full."""
+    real = verify.br_class
+    zero = class_from_br_graph(BRGraph(0, 0, 0, 0))
+    monkeypatch.setattr(verify, "br_class", lambda game: zero)
+    assert verify.check_embedding_consistency(game_from_flat(COORDINATION)) == [
+        "class mismatch: embedding gives BRClass(canonical=BRGraph(row_given_col_a=1, row_given_col_b=-1, "
+        "col_given_row_a=1, col_given_row_b=-1), index=6, name='coordination'), br_class gives "
+        "BRClass(canonical=BRGraph(row_given_col_a=0, row_given_col_b=0, col_given_row_a=0, "
+        "col_given_row_b=0), index=15, name='zero')"
+    ]
+    report = verify.run(seed=3, trials=5)
+    assert len(report.failures) == 5
+    for failure in report.failures:
+        assert failure.messages == [
+            f"class mismatch: embedding gives {real(failure.game)}, br_class gives {zero}"
+        ]
